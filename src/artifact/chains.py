@@ -16,11 +16,8 @@ from .linalg import (
     HomologyGroup,
     Matrix,
     hcat,
-    homology_at,
     identity,
-    is_injective,
     is_surjective,
-    has_free_cokernel,
     kernel_basis,
     kron,
     mat_from_json,
@@ -173,8 +170,16 @@ def disk(n: int, ring: RingTag = ZZ) -> ConnComplex:
 
 
 def homology(x: ConnComplex) -> tuple[HomologyGroup, ...]:
-    """Homology groups in degrees 0..top."""
-    return tuple(homology_at(x.diff(n + 1), x.diff(n)) for n in range(x.top + 1))
+    """Homology groups in degrees 0..top, read off one Smith decomposition
+    per differential as in homology_at; only ranks pass between degrees."""
+    groups = []
+    rank_out = 0
+    for n in range(x.top + 1):
+        arriving = smith_normal_form(x.diff(n + 1))
+        groups.append(HomologyGroup(x.rank(n) - rank_out - arriving.rank, arriving.torsion))
+        rank_out = arriving.rank
+        del arriving  # free its transforms before the next decomposition
+    return tuple(groups)
 
 
 def is_exact(x: ConnComplex) -> bool:
@@ -290,12 +295,10 @@ def classify(f: ChainMap) -> ModelClass:
     """Fibration: surjective in degrees >= 1.  Cofibration: injective with
     free cokernel in every degree.  Weak equivalence: exact mapping cone."""
     span = max(f.source.top, f.target.top)
-    fib = all(is_surjective(f.component(n)) for n in range(1, span + 1))
-    cof = all(
-        is_injective(f.component(n)) and has_free_cokernel(f.component(n))
-        for n in range(span + 1)
-    )
     we = is_exact(mapping_cone(f))
+    decs = [smith_normal_form(f.component(n)) for n in range(span + 1)]
+    fib = all(d.rank == d.s.rows and not d.torsion for d in decs[1:])
+    cof = all(d.rank == d.s.cols and not d.torsion for d in decs)
     return ModelClass(fib, cof, we)
 
 
@@ -445,8 +448,8 @@ def lift_square(f: ChainMap, g: ChainMap, top: ChainMap, bottom: ChainMap) -> Ch
         u = solve(induced, in_kernel)
         phi.append(psi - (kernels[n] @ u) @ proj)
     result = ChainMap(b, c, dict(enumerate(phi)))
-    assert compose_maps(result, f) == top
-    assert compose_maps(g, result) == bottom
+    if compose_maps(result, f) != top or compose_maps(g, result) != bottom:
+        raise SquareError("the computed lift does not close the square")
     return result
 
 

@@ -37,7 +37,7 @@ from .errors import (
     ShapeError,
     SquareError,
 )
-from .linalg import Matrix, homology_at, homology_to_json, mat_to_json
+from .linalg import Matrix, homology_to_json, mat_to_json
 from .rings import RingTag, ZZ, parse_ring, ring_ops
 from .shuffle import ez_map, shuffle_product, shuffle_to_json
 from .simplicial import (
@@ -244,10 +244,7 @@ def _cmd_nerve_homology(args) -> dict:
     horizon = args.horizon
     m = free_module(nerve(p, horizon), ring)
     complex_ = nor(m).complex
-    groups = [
-        homology_to_json(homology_at(complex_.diff(d + 1), complex_.diff(d)))
-        for d in range(horizon)
-    ]
+    groups = [homology_to_json(h) for h in homology(complex_)[:horizon]]
     contraction = verify_nerve_contraction(p, horizon, ring)
     return {
         "ring": str(ring),

@@ -219,11 +219,14 @@ class SmithDecomposition:
     @property
     def rank(self) -> int:
         zero = ring_ops(self.matrix.ring).zero
-        return sum(
-            1
-            for t in range(min(self.s.rows, self.s.cols))
-            if self.s.entries[t][t] != zero
-        )
+        return sum(1 for d in self.diagonal() if d != zero)
+
+    @property
+    def torsion(self) -> tuple[int, ...]:
+        """The nonzero diagonal entries that are not units: the cokernel's
+        torsion invariant factors (always empty over a field)."""
+        ops = ring_ops(self.matrix.ring)
+        return tuple(int(d) for d in self.diagonal() if d != ops.zero and d != ops.one)
 
     def diagonal(self) -> list:
         return [
@@ -481,10 +484,7 @@ def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
 
 def is_surjective(a: Matrix) -> bool:
     snf = smith_normal_form(a)
-    ops = ring_ops(a.ring)
-    return snf.rank == a.rows and all(
-        d == ops.one for d in snf.diagonal() if d != ops.zero
-    )
+    return snf.rank == a.rows and not snf.torsion
 
 
 def is_injective(a: Matrix) -> bool:
@@ -492,9 +492,7 @@ def is_injective(a: Matrix) -> bool:
 
 
 def has_free_cokernel(a: Matrix) -> bool:
-    ops = ring_ops(a.ring)
-    snf = smith_normal_form(a)
-    return all(d == ops.one for d in snf.diagonal() if d != ops.zero)
+    return not smith_normal_form(a).torsion
 
 
 @dataclass(frozen=True)
@@ -511,7 +509,8 @@ class HomologyGroup:
 
 
 def homology_at(d_in: Matrix, d_out: Matrix) -> HomologyGroup:
-    """Present ker(d_out) / im(d_in)."""
+    """Present ker(d_out) / im(d_in): free rank dim - rk d_out - rk d_in,
+    torsion the non-unit invariant factors of d_in."""
     d_in._match(d_out)
     if d_out.cols != d_in.rows:
         raise ShapeError(
@@ -519,16 +518,9 @@ def homology_at(d_in: Matrix, d_out: Matrix) -> HomologyGroup:
         )
     if not (d_out @ d_in).is_zero:
         raise NotAComplex("composite differential is nonzero")
-    k = kernel_basis(d_out)
-    w = solve(k, d_in)
-    if w is None:
-        raise NotAComplex("image does not land in the kernel lattice")
-    snf = smith_normal_form(w)
-    ops = ring_ops(d_in.ring)
-    torsion = tuple(
-        int(d) for d in snf.diagonal() if d != ops.zero and d != ops.one
-    )
-    return HomologyGroup(free_rank=k.cols - snf.rank, torsion=torsion)
+    rank_out = smith_normal_form(d_out).rank
+    arriving = smith_normal_form(d_in)
+    return HomologyGroup(d_in.rows - rank_out - arriving.rank, arriving.torsion)
 
 
 def homology_to_json(h: HomologyGroup) -> dict:

@@ -21,13 +21,14 @@ from .chains import (
     classify,
     complex_to_json,
     disk,
+    homology,
     sphere,
     tensor,
     tensor_blocks,
 )
 from .deltacat import MonotoneMap, compose, enumerate_jointly_monic_pairs, face, shuffle_of_pair
 from .errors import DomainError, RingError
-from .linalg import HomologyGroup, Matrix, block_matrix, homology_at, identity, kron
+from .linalg import HomologyGroup, Matrix, block_matrix, identity, kron
 from .rings import ring_ops
 
 
@@ -251,8 +252,8 @@ def nor_tensor_compare(m, n) -> NorTensorReport:
     right = shuffle_product(nor(m).complex, nor(n).complex).underlying
     left_ranks = tuple(left.rank(d) for d in range(h + 1))
     right_ranks = tuple(right.rank(d) for d in range(h + 1))
-    left_h = tuple(homology_at(left.diff(d + 1), left.diff(d)) for d in range(h))
-    right_h = tuple(homology_at(right.diff(d + 1), right.diff(d)) for d in range(h))
+    left_h = homology(left)[:h]
+    right_h = homology(right)[:h]
     return NorTensorReport(h, left_ranks, right_ranks, left_h, right_h)
 
 

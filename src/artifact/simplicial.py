@@ -600,7 +600,8 @@ def nor(m: SimplicialModule) -> EmbeddedComplex:
         if n % 2:
             image = -image
         d = solve(embs[n - 1], image)
-        assert d is not None, "last face does not preserve the normalized part"
+        if d is None:
+            raise NotSimplicial("last face does not preserve the normalized part")
         diffs[n] = d
     return EmbeddedComplex(ConnComplex(ring, tuple(e.cols for e in embs), diffs), tuple(embs))
 
@@ -628,7 +629,8 @@ def degenerate_part(m: SimplicialModule) -> EmbeddedComplex:
     diffs = {}
     for n in range(1, m.horizon + 1):
         d = solve(embs[n - 1], full.diff(n) @ embs[n])
-        assert d is not None, "differential does not preserve the degenerate part"
+        if d is None:
+            raise NotSimplicial("differential does not preserve the degenerate part")
         diffs[n] = d
     return EmbeddedComplex(ConnComplex(ring, tuple(e.cols for e in embs), diffs), tuple(embs))
 
@@ -640,7 +642,8 @@ def nor_map(f: SimplicialMap) -> ChainMap:
     comps = {}
     for n in range(f.source.horizon + 1):
         c = solve(tgt.embeddings[n], f.component(n) @ src.embeddings[n])
-        assert c is not None, "map does not preserve the normalized part"
+        if c is None:
+            raise NotSimplicial("map does not preserve the normalized part")
         comps[n] = c
     return ChainMap(src.complex, tgt.complex, comps)
 
@@ -773,7 +776,8 @@ def verify_nerve_contraction(p: FinPoset, horizon: int, ring: RingTag) -> Contra
     for lv in range(horizon):
         both = hcat(ring, m.rank(lv), [nor_part.embeddings[lv], deg_part.embeddings[lv]])
         inverse = solve(both, identity(ring, m.rank(lv)))
-        assert inverse is not None, "normalized and degenerate parts do not span"
+        if inverse is None:
+            raise NotSimplicial("normalized and degenerate parts do not span")
         project = inverse.row_select(range(nor_part.complex.rank(lv)))
         lhs = identity(ring, m.rank(lv)) - collapse_matrix(lv)
         rhs = full.diff(lv + 1) @ homotopy[lv]

@@ -393,3 +393,18 @@ def _random_map_between(rng, ring, x, y, bound=1):
             return null_homotopic_map(rng, ring, x, y)
         comps[n] = found
     return a.ChainMap(x, y, comps)
+
+
+def non_simplicial_module(rng):
+    """dk(X, 2) over Z with a random last face at level 2 that sends the
+    normalized part outside the normalized part of level 1."""
+    x = a.ConnComplex(a.ZZ, (1, 1, 1), {1: a.Matrix.from_rows(a.ZZ, [[2]])})
+    m = a.dk(x, 2)
+    faces = {lv: [m.face(lv, i) for i in range(lv + 1)] for lv in (1, 2)}
+    degens = {lv: [m.degen(lv, i) for i in range(lv + 1)] for lv in (0, 1)}
+    normalized_1 = a.kernel_basis(m.face(1, 0))
+    normalized_2 = a.kernel_basis(a.vcat(a.ZZ, m.rank(2), faces[2][:2]))
+    while True:
+        faces[2][2] = random_matrix(rng, a.ZZ, m.rank(1), m.rank(2))
+        if a.solve(normalized_1, faces[2][2] @ normalized_2) is None:
+            return a.SimplicialModule(a.ZZ, m.ranks, faces, degens)

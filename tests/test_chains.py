@@ -198,6 +198,32 @@ def test_classify_pinned_examples():
     assert mcp.trivial_fibration and not mcp.cofibration
 
 
+def test_homology_and_classify_take_one_smith_decomposition_per_matrix(monkeypatch):
+    import artifact.chains as chains
+
+    rng = random.Random(71)
+    complexes = [random_complex(rng, ZZ, max_top=3) for _ in range(5)]
+    maps = [random_chain_map(rng, ZZ) for _ in range(5)]
+    calls = []
+    snf = chains.smith_normal_form
+    monkeypatch.setattr(chains, "smith_normal_form", lambda a: calls.append(a) or snf(a))
+
+    def forbidden(*args):
+        raise AssertionError("homology and classify need no kernel basis or solve")
+
+    monkeypatch.setattr(chains, "kernel_basis", forbidden)
+    monkeypatch.setattr(chains, "solve", forbidden)
+    for x in complexes:
+        calls.clear()
+        homology(x)
+        assert len(calls) == x.top + 1
+    for f in maps:
+        calls.clear()
+        classify(f)
+        components = max(f.source.top, f.target.top) + 1
+        assert len(calls) == components + mapping_cone(f).top + 1
+
+
 # ---------------------------------------------------------------------------
 # factorizations
 

@@ -1,7 +1,12 @@
 import json
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
+import artifact
 from artifact import (
     ZZ,
     ChainMap,
@@ -21,6 +26,8 @@ from artifact import (
 )
 from artifact.chains import complex_to_json, map_from_json as parse_map
 from artifact.cli import main
+
+from oracles import non_simplicial_module
 
 
 def zmat(rows, cols, grid):
@@ -241,6 +248,27 @@ def test_domain_errors_exit_one(tmp_path, capsys):
     code, out = run(capsys, "homology", path, "--ring", "F4")
     assert code == 1
     assert "error" in out
+
+
+def test_nor_on_a_non_simplicial_module_exits_one(tmp_path, capsys):
+    path = write(tmp_path, "m.json", module_to_json(non_simplicial_module(random.Random(701))))
+    code = main(["nor", path])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert list(json.loads(captured.out)) == ["error"]
+
+    # the check must not be an assert that -O strips
+    src = os.path.dirname(os.path.dirname(artifact.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "artifact", "nor", path],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert list(json.loads(proc.stdout)) == ["error"]
 
 
 def test_malformed_input_exits_two(tmp_path, capsys):

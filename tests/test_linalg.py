@@ -9,11 +9,13 @@ from artifact import (
     GF,
     QQ,
     ZZ,
+    ConnComplex,
     Matrix,
     block_matrix,
     canonical_columns,
     has_free_cokernel,
     hcat,
+    homology,
     homology_at,
     identity,
     image_basis,
@@ -225,6 +227,38 @@ def test_homology_groups_with_torsion():
     assert h1.free_rank == 1 and h1.torsion == () and not h1.is_zero
     exact = homology_at(identity(ZZ, 3), zeros(ZZ, 0, 3))
     assert exact.is_zero
+    # mixed torsion: the invariant factors, not the diagonal entries
+    assert homology_at(m(ZZ, [[2, 0], [0, 6]]), zeros(ZZ, 0, 2)).torsion == (2, 6)
+    assert homology_at(m(ZZ, [[6, 0], [0, 2]]), zeros(ZZ, 0, 2)).torsion == (2, 6)
+    assert homology_at(m(ZZ, [[2, 0], [0, 3]]), zeros(ZZ, 0, 2)).torsion == (6,)
+
+
+def test_integer_torsion_obeys_universal_coefficients():
+    # dim H_n(C (x) F_p) = free rank of H_n + the torsion factors divisible
+    # by p in H_n and in H_{n-1}
+    rng = random.Random(61)
+    pool = (0, 0, 1, -1, 2, -2, 3, 6)
+    seen = set()
+    for _ in range(40):
+        ranks = tuple(rng.randint(1, 3) for _ in range(3))
+        d1 = Matrix.from_rows(ZZ, [[rng.choice(pool) for _ in range(ranks[1])] for _ in range(ranks[0])])
+        k = kernel_basis(d1)
+        lift = Matrix.from_rows(ZZ, [[rng.choice(pool) for _ in range(ranks[2])] for _ in range(k.cols)], ranks[2])
+        x = ConnComplex(ZZ, ranks, {1: d1, 2: k @ lift})
+        groups = homology(x)
+        assert groups == tuple(homology_at(x.diff(n + 1), x.diff(n)) for n in range(3))
+        for p in (2, 3):
+            for n in range(3):
+                d_in, d_out = x.diff(n + 1), x.diff(n)
+                want = brute_homology_dim(
+                    (d_in.rows, d_in.cols, d_in.entries),
+                    (d_out.rows, d_out.cols, d_out.entries),
+                    p,
+                )
+                torsion = groups[n].torsion + (groups[n - 1].torsion if n else ())
+                assert groups[n].free_rank + sum(t % p == 0 for t in torsion) == want
+        seen.update(t for h in groups for t in h.torsion)
+    assert {2, 3, 6} <= seen
 
 
 def test_homology_rejects_non_complexes():

@@ -55,7 +55,7 @@ from artifact.deltacat import MonotoneMap
 from artifact.errors import DomainError, NotSimplicial, RingError, ShapeError
 from artifact.simplicial import dk_blocks, dk_transition
 
-from oracles import iso_simplicial, random_complex
+from oracles import iso_simplicial, non_simplicial_module, random_complex
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +290,12 @@ def test_nor_dk_round_trip_on_random_complexes():
             x = random_complex(rng, ring, max_top=3, max_rank=3)
             back = nor(dk(x, x.top)).complex
             assert back == x
+
+
+def test_nor_rejects_a_last_face_leaving_the_normalized_part():
+    m = non_simplicial_module(random.Random(701))
+    with pytest.raises(NotSimplicial, match="last face"):
+        nor(m)
 
 
 def test_moore_complex_of_the_constant_module():
