@@ -15,6 +15,7 @@ from .errors import ClassError, DomainError, NotAComplex, RingError, ShapeError,
 from .linalg import (
     HomologyGroup,
     Matrix,
+    SmithDecomposition,
     hcat,
     identity,
     is_surjective,
@@ -294,12 +295,20 @@ class ModelClass:
 def classify(f: ChainMap) -> ModelClass:
     """Fibration: surjective in degrees >= 1.  Cofibration: injective with
     free cokernel in every degree.  Weak equivalence: exact mapping cone."""
-    span = max(f.source.top, f.target.top)
     we = is_exact(mapping_cone(f))
-    decs = [smith_normal_form(f.component(n)) for n in range(span + 1)]
+    decs = _component_decompositions(f)
     fib = all(d.rank == d.s.rows and not d.torsion for d in decs[1:])
-    cof = all(d.rank == d.s.cols and not d.torsion for d in decs)
-    return ModelClass(fib, cof, we)
+    return ModelClass(fib, _is_cofibration(decs), we)
+
+
+def _component_decompositions(f: ChainMap) -> list[SmithDecomposition]:
+    """One Smith decomposition per component, degrees 0..max(tops)."""
+    return [smith_normal_form(f.component(n)) for n in range(max(f.source.top, f.target.top) + 1)]
+
+
+def _is_cofibration(decs: list[SmithDecomposition]) -> bool:
+    """Every component injective with free cokernel."""
+    return all(d.rank == d.s.cols and not d.torsion for d in decs)
 
 
 def factor_trivcof_fib(f: ChainMap) -> tuple[ChainMap, ChainMap]:
@@ -420,7 +429,8 @@ def lift_square(f: ChainMap, g: ChainMap, top: ChainMap, bottom: ChainMap) -> Ch
         raise ShapeError("bottom map must run from the target of f to the target of g")
     if compose_maps(g, top) != compose_maps(bottom, f):
         raise SquareError("square does not commute")
-    if not classify(f).cofibration:
+    decs = _component_decompositions(f)
+    if not _is_cofibration(decs):
         raise ClassError("left map must be a cofibration")
     if not classify(g).trivial_fibration:
         raise ClassError("right map must be a trivial fibration")
@@ -429,7 +439,7 @@ def lift_square(f: ChainMap, g: ChainMap, top: ChainMap, bottom: ChainMap) -> Ch
     kernels = [kernel_basis(g.component(i)) for i in range(span + 1)]
     phi = []
     for n in range(span + 1):
-        dec = smith_normal_form(f.component(n))
+        dec = decs[n]
         r = dec.rank
         retract = dec.v @ dec.u.row_select(range(r))
         proj = dec.u.row_select(range(r, dec.u.rows))

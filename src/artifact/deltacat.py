@@ -5,12 +5,16 @@ and the correspondence between jointly monic surjection pairs and shuffles.
 The canonical surjection order used everywhere downstream (block layouts,
 serialized block indices) is: target size ascending, and within a fixed
 target the value sequences in descending lexicographic order.
+
+Both enumerations are pure functions of their arguments and are memoized
+for the life of the process; each call returns a fresh list.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 
 from .errors import DomainError, ShapeError
@@ -93,17 +97,19 @@ def epi_mono_factorize(f: MonotoneMap) -> tuple[MonotoneMap, MonotoneMap]:
 def enumerate_surjections(n: int, k: int) -> list[MonotoneMap]:
     """All surjective monotone maps [n] -> [k] in the canonical order
     (descending lexicographic on value sequences); comb(n, k) of them."""
+    return list(_surjections(n, k))
+
+
+@cache
+def _surjections(n: int, k: int) -> tuple[MonotoneMap, ...]:
     if k > n or k < 0 or n < 0:
-        return []
-    maps = []
-    for repeats in itertools.combinations(range(n), n - k):
-        rep = set(repeats)
-        values = [0]
-        for j in range(n):
-            values.append(values[-1] if j in rep else values[-1] + 1)
-        maps.append(MonotoneMap(n, k, tuple(values)))
+        return ()
+    maps = [
+        surjection_with_degeneracy_set(n, repeats)
+        for repeats in itertools.combinations(range(n), n - k)
+    ]
     maps.sort(key=lambda f: f.values, reverse=True)
-    return maps
+    return tuple(maps)
 
 
 def degeneracy_set(f: MonotoneMap) -> tuple[int, ...]:
@@ -130,15 +136,24 @@ def enumerate_jointly_monic_pairs(
     """Pairs of surjections (f: [n]->>[k], g: [n]->>[l]) that are jointly
     monic (disjoint degeneracy sets), with k <= xtop and l <= ytop, ordered
     f-major then g-minor in the canonical surjection order."""
+    return list(_jointly_monic_pairs(n, xtop, ytop))
+
+
+@cache
+def _jointly_monic_pairs(
+    n: int, xtop: int, ytop: int
+) -> tuple[tuple[MonotoneMap, MonotoneMap], ...]:
+    gsets = [
+        (g, set(degeneracy_set(g)))
+        for l in range(min(n, ytop) + 1)
+        for g in _surjections(n, l)
+    ]
     pairs = []
     for k in range(min(n, xtop) + 1):
-        for f in enumerate_surjections(n, k):
+        for f in _surjections(n, k):
             fset = set(degeneracy_set(f))
-            for l in range(min(n, ytop) + 1):
-                for g in enumerate_surjections(n, l):
-                    if fset.isdisjoint(degeneracy_set(g)):
-                        pairs.append((f, g))
-    return pairs
+            pairs.extend((f, g) for g, gset in gsets if fset.isdisjoint(gset))
+    return tuple(pairs)
 
 
 @dataclass(frozen=True)

@@ -363,60 +363,69 @@ def smith_normal_form(a: Matrix) -> SmithDecomposition:
     )
 
 
+def _eliminate_columns(ring: RingTag, cols: list[list], rows: int) -> tuple[list, list]:
+    """Column-reduce the first `rows` entries of `cols` in place, bottom row
+    first: over Z by Euclid reduction on the smallest |entry| of the row,
+    with unimodular column operations only; over a field by pivot and clear.
+    Returns the pivots as (row, column) pairs, bottom row first, each column
+    zero below its row, and the other columns, now zero in all `rows`
+    entries. Entries past `rows` ride along, so they record the column
+    transform when `cols` is [A; I]."""
+    ops = ring_ops(ring)
+    zero = ops.zero
+    remaining = list(cols)
+    pivots = []
+    for r in range(rows - 1, -1, -1):
+        active = [c for c in remaining if c[r] != zero]
+        if not active:
+            continue
+        if ring.kind == "Z":
+            while len(active) > 1:
+                piv = min(active, key=lambda c: abs(c[r]))
+                left = [piv]
+                for c in active:
+                    if c is not piv:
+                        q = c[r] // piv[r]
+                        c[:] = [x - q * y for x, y in zip(c, piv)]
+                        if c[r]:
+                            left.append(c)
+                active = left
+        else:
+            piv = active[0]
+            inv = ops.divide_exact(ops.one, piv[r])
+            for c in active[1:]:
+                q = ops.mul(c[r], inv)
+                c[:] = [ops.sub(x, ops.mul(q, y)) for x, y in zip(c, piv)]
+        pivots.append((r, active[0]))
+        remaining = [c for c in remaining if c is not active[0]]
+    return pivots, remaining
+
+
 def canonical_columns(b: Matrix) -> Matrix:
-    """Canonicalize a basis matrix without changing its column span (over Z,
-    without changing the lattice): bottom-up column Hermite form. Columns end
-    up sorted by lowest nonzero row, that entry positive (1 over a field) and
-    the entries in other columns at pivot rows reduced."""
+    """The bottom-up column Hermite normal form of the lattice the columns
+    span over Z (over a field, the reduced column echelon form of the span);
+    dependent columns drop out. Columns end up sorted by lowest nonzero row,
+    that entry positive (1 over a field) and the entries in other columns at
+    pivot rows reduced. Each column is reduced against the nearest pivot
+    first, so no later step undoes an earlier one and the result depends
+    only on the lattice (over a field, the span)."""
     ops = ring_ops(b.ring)
     zero = ops.zero
     cols = [[b.entries[i][j] for i in range(b.rows)] for j in range(b.cols)]
-    remaining = list(range(len(cols)))
-    pivots: list[tuple[int, list]] = []
-    for r in range(b.rows - 1, -1, -1):
-        while True:
-            active = [j for j in remaining if cols[j][r] != zero]
-            if not active:
-                break
-            if ops.tag.kind == "Z":
-                sel = min(active, key=lambda j: (abs(cols[j][r]), j))
-                others = [j for j in active if j != sel]
-                if not others:
-                    break
-                for j in others:
-                    q = cols[j][r] // cols[sel][r]
-                    if q:
-                        cols[j] = [
-                            x - q * y for x, y in zip(cols[j], cols[sel])
-                        ]
-            else:
-                sel = active[0]
-                for j in active[1:]:
-                    q = ops.divide_exact(cols[j][r], cols[sel][r])
-                    cols[j] = [
-                        ops.sub(x, ops.mul(q, y))
-                        for x, y in zip(cols[j], cols[sel])
-                    ]
-                break
-        active = [j for j in remaining if cols[j][r] != zero]
-        if active:
-            sel = active[0]
-            piv = cols[sel]
-            if ops.tag.kind == "Z":
-                if piv[r] < 0:
-                    piv = [-x for x in piv]
-            else:
-                inv = ops.divide_exact(ops.one, piv[r])
-                piv = [ops.mul(inv, x) for x in piv]
-            pivots.append((r, piv))
-            remaining.remove(sel)
-    if any(cols[j][i] != zero for j in remaining for i in range(b.rows)):
-        raise ValueError("canonical_columns expects independent columns")
+    pivots, _ = _eliminate_columns(b.ring, cols, b.rows)
     pivots.reverse()
-    basis = [p for _, p in pivots]
     prows = [r for r, _ in pivots]
+    basis = []
+    for r, piv in pivots:
+        if ops.tag.kind == "Z":
+            if piv[r] < 0:
+                piv = [-x for x in piv]
+        else:
+            inv = ops.divide_exact(ops.one, piv[r])
+            piv = [ops.mul(inv, x) for x in piv]
+        basis.append(piv)
     for i in range(len(basis)):
-        for j in range(i):
+        for j in reversed(range(i)):
             r = prows[j]
             a = basis[i][r]
             if a == zero:
@@ -436,26 +445,22 @@ def canonical_columns(b: Matrix) -> Matrix:
 
 
 def kernel_basis(a: Matrix) -> Matrix:
-    """Columns form a basis of ker(a); over Z the full kernel lattice."""
-    snf = smith_normal_form(a)
-    r = snf.rank
-    return canonical_columns(snf.v.col_select(range(r, a.cols)))
+    """Columns form a basis of ker(a); over Z the full kernel lattice: the
+    transform part of the columns of [A; I] whose A-part eliminates to zero."""
+    ops = ring_ops(a.ring)
+    cols = [
+        [a.entries[i][j] for i in range(a.rows)]
+        + [ops.one if i == j else ops.zero for i in range(a.cols)]
+        for j in range(a.cols)
+    ]
+    _, null = _eliminate_columns(a.ring, cols, a.rows)
+    grid = tuple(tuple(c[a.rows + i] for c in null) for i in range(a.cols))
+    return canonical_columns(Matrix(a.ring, a.cols, len(null), grid))
 
 
 def image_basis(a: Matrix) -> Matrix:
     """Columns form a basis of the column span; over Z the image lattice."""
-    snf = smith_normal_form(a)
-    r = snf.rank
-    gens = snf.u_inv.col_select(range(r))
-    ops = ring_ops(a.ring)
-    cols = []
-    for j in range(r):
-        d = snf.s.entries[j][j]
-        cols.append(
-            tuple(ops.mul(d, gens.entries[i][j]) for i in range(a.rows))
-        )
-    grid = tuple(tuple(col[i] for col in cols) for i in range(a.rows))
-    return canonical_columns(Matrix(a.ring, a.rows, r, grid))
+    return canonical_columns(a)
 
 
 def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:

@@ -305,6 +305,22 @@ def test_lift_square_on_generated_squares():
             # the lift is itself a chain map by construction of ChainMap
 
 
+def test_lift_square_builds_one_mapping_cone(monkeypatch):
+    # the cofibration test on f reads its components; only the trivial
+    # fibration test on g needs a cone
+    import artifact.chains as chains
+
+    rng = random.Random(13)
+    squares = [random_lifting_square(rng, ring) for ring in (ZZ, GF(3), QQ)]
+    cones = []
+    cone = chains.mapping_cone
+    monkeypatch.setattr(chains, "mapping_cone", lambda f: cones.append(f) or cone(f))
+    for f, g, top, bottom in squares:
+        cones.clear()
+        lift_square(f, g, top, bottom)
+        assert cones == [g]
+
+
 def test_lift_square_rejects_bad_squares():
     zero = ConnComplex(ZZ, (0,))
     s0, s1 = sphere(0), sphere(1)

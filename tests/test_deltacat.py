@@ -109,6 +109,18 @@ def test_surjection_order_is_pinned_at_low_levels():
     ]
 
 
+def test_enumerations_return_fresh_lists():
+    surj = enumerate_surjections(3, 2)
+    expect = [f.values for f in surj]
+    surj.clear()
+    assert [f.values for f in enumerate_surjections(3, 2)] == expect
+    pairs = enumerate_jointly_monic_pairs(3, 2, 2)
+    expect_pairs = list(pairs)
+    pairs.reverse()
+    pairs.append(pairs[0])
+    assert enumerate_jointly_monic_pairs(3, 2, 2) == expect_pairs
+
+
 def test_degeneracy_sets_invert_the_repeat_positions():
     f = MonotoneMap(3, 1, (0, 0, 1, 1))
     assert degeneracy_set(f) == (0, 2)

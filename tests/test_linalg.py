@@ -175,6 +175,78 @@ def test_kernel_and_image_bases():
     assert img.entries == ((2,), (0,))
 
 
+def test_canonical_columns_pinned_integer_example_is_reduced():
+    # reducing the last column against the first pivot before the second
+    # used to leave a 2 above the first pivot, and a second pass removed it
+    a = canonical_columns(m(ZZ, [[0, -2, -1], [-2, 0, -1], [1, 0, 0]]))
+    assert a.entries == ((2, 1, 0), (0, 1, 0), (0, 0, 1))
+    assert canonical_columns(a) == a
+
+
+def random_unimodular(rng, ring, n):
+    """A product of elementary matrices: adding a multiple of one column to
+    another, or scaling a column by a unit (-1 over Z)."""
+    u = identity(ring, n)
+    for _ in range(3 * n):
+        step = [[int(r == c) for c in range(n)] for r in range(n)]
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            step[i][j] = rng.randint(-3, 3)
+        else:
+            step[i][i] = -1 if ring == ZZ else rng.randint(1, (ring.p or 7) - 1)
+        u = u @ m(ring, step)
+    return u
+
+
+def test_canonical_columns_depends_only_on_the_lattice():
+    rng = random.Random(41)
+    for ring in RINGS:
+        checked = 0
+        while checked < 40:
+            rows = rng.randint(1, 5)
+            cols = rng.randint(1, rows)
+            b = m(ring, [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)])
+            if smith_normal_form(b).rank < cols:
+                continue
+            checked += 1
+            want = canonical_columns(b)
+            assert canonical_columns(want) == want
+            assert canonical_columns(b @ random_unimodular(rng, ring, cols)) == want
+
+
+def test_kernel_and_image_bases_on_random_matrices():
+    rng = random.Random(43)
+    pool = (0, 0, 1, -1, 2, 3, -4)
+    for ring in RINGS:
+        for _ in range(40):
+            rows, cols = rng.randint(0, 4), rng.randint(0, 5)
+            a = Matrix.from_rows(ring, [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)], cols)
+            rank = smith_normal_form(a).rank
+            k = kernel_basis(a)
+            assert k.rows == cols and k.cols == cols - rank
+            assert (a @ k).is_zero
+            if ring == ZZ:
+                # saturated: every invariant factor of the basis is one
+                assert minor_gcd_invariants(k.entries, k.rows, k.cols) == [1] * k.cols
+            img = image_basis(a)
+            assert img.rows == rows and img.cols == rank
+            # each spans the other's lattice, so the two are equal
+            assert solve(a, img) is not None
+            assert solve(img, a) is not None
+
+
+def test_kernel_and_image_bases_take_no_smith_decomposition(monkeypatch):
+    import artifact.linalg as linalg
+
+    def forbidden(a):
+        raise AssertionError("kernel and image bases need no Smith decomposition")
+
+    a = m(ZZ, [[2, 4, 6], [1, 3, 5]])
+    want = (kernel_basis(a), image_basis(a))
+    monkeypatch.setattr(linalg, "smith_normal_form", forbidden)
+    assert (kernel_basis(a), image_basis(a)) == want
+
+
 def test_kernel_of_injective_map_is_empty_and_of_zero_is_full():
     assert kernel_basis(m(ZZ, [[2], [3]])).cols == 0
     k = kernel_basis(zeros(ZZ, 0, 3))
