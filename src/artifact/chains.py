@@ -16,6 +16,7 @@ from .linalg import (
     HomologyGroup,
     Matrix,
     SmithDecomposition,
+    block_matrix,
     hcat,
     identity,
     is_surjective,
@@ -28,7 +29,7 @@ from .linalg import (
     vcat,
     zeros,
 )
-from .rings import RingTag, ZZ, parse_ring, ring_ops
+from .rings import RingTag, ZZ, parse_ring
 
 
 class ConnComplex:
@@ -202,6 +203,10 @@ def tensor_blocks(x: ConnComplex, y: ConnComplex) -> tuple[tuple[tuple[int, int,
     return tuple(layout)
 
 
+def _widths(row) -> list[int]:
+    return [w for (_, _, _, w) in row]
+
+
 def tensor(x: ConnComplex, y: ConnComplex) -> ConnComplex:
     """Degreewise direct sum of X_k (x) Y_l over k + l = n, with the usual
     sign (-1)^k on the second-factor differential; Kronecker row-major
@@ -209,28 +214,19 @@ def tensor(x: ConnComplex, y: ConnComplex) -> ConnComplex:
     if x.ring != y.ring:
         raise RingError(f"tensor factors over {x.ring} and {y.ring}")
     ring = x.ring
-    ops = ring_ops(ring)
-    minus_one = ops.neg(ops.one)
     layout = tensor_blocks(x, y)
-    ranks = tuple(sum(w for (_, _, _, w) in row) for row in layout)
+    ranks = tuple(sum(_widths(row)) for row in layout)
     diffs = {}
     for n in range(1, len(ranks)):
-        rows_n = ranks[n - 1]
-        cols = []
-        for k, l, _, width in layout[n]:
-            pieces = {}
-            for kk, ll, off, w in layout[n - 1]:
-                if kk == k - 1 and ll == l:
-                    pieces[off] = kron(x.diff(k), identity(ring, y.rank(l)))
-                elif kk == k and ll == l - 1:
-                    block = kron(identity(ring, x.rank(k)), y.diff(l))
-                    pieces[off] = block.scale(minus_one) if k % 2 else block
-            col_rows = [[ops.zero] * width for _ in range(rows_n)]
-            for off, block in pieces.items():
-                for i in range(block.rows):
-                    col_rows[off + i] = list(block.entries[i])
-            cols.append(Matrix(ring, rows_n, width, tuple(tuple(r) for r in col_rows)))
-        diffs[n] = hcat(ring, rows_n, cols)
+        below = {(k, l): i for i, (k, l, _, _) in enumerate(layout[n - 1])}
+        blocks = {}
+        for j, (k, l, _, _) in enumerate(layout[n]):
+            if (k - 1, l) in below:
+                blocks[below[k - 1, l], j] = kron(x.diff(k), identity(ring, y.rank(l)))
+            if (k, l - 1) in below:
+                block = kron(identity(ring, x.rank(k)), y.diff(l))
+                blocks[below[k, l - 1], j] = -block if k % 2 else block
+        diffs[n] = block_matrix(ring, _widths(layout[n - 1]), _widths(layout[n]), blocks)
     return ConnComplex(ring, ranks, diffs)
 
 
@@ -243,22 +239,17 @@ def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
     target = tensor(f.target, g.target)
     src_layout = tensor_blocks(f.source, g.source)
     tgt_layout = tensor_blocks(f.target, g.target)
-    ops = ring_ops(ring)
     comps = {}
     for n in range(max(source.top, target.top) + 1):
-        rows_n, cols_n = target.rank(n), source.rank(n)
-        grid = [[ops.zero] * cols_n for _ in range(rows_n)]
         src_row = src_layout[n] if n < len(src_layout) else ()
-        tgt_row = {(k, l): off for (k, l, off, _) in (tgt_layout[n] if n < len(tgt_layout) else ())}
-        for k, l, off, width in src_row:
-            if (k, l) not in tgt_row:
-                continue
-            toff = tgt_row[(k, l)]
-            block = kron(f.component(k), g.component(l))
-            for i in range(block.rows):
-                for j in range(block.cols):
-                    grid[toff + i][off + j] = block.entries[i][j]
-        comps[n] = Matrix(ring, rows_n, cols_n, tuple(tuple(r) for r in grid))
+        tgt_row = tgt_layout[n] if n < len(tgt_layout) else ()
+        tgt_index = {(k, l): i for i, (k, l, _, _) in enumerate(tgt_row)}
+        blocks = {
+            (tgt_index[k, l], j): kron(f.component(k), g.component(l))
+            for j, (k, l, _, _) in enumerate(src_row)
+            if (k, l) in tgt_index
+        }
+        comps[n] = block_matrix(ring, _widths(tgt_row), _widths(src_row), blocks)
     return ChainMap(source, target, comps)
 
 
@@ -418,9 +409,12 @@ def lift_square(f: ChainMap, g: ChainMap, top: ChainMap, bottom: ChainMap) -> Ch
     """Solve the square g o phi' = bottom, phi' o f = top for phi': B -> C,
     given f: A -> B a cofibration and g: C -> D a trivial fibration.
 
-    Degreewise: split B_i = im(f_i) + complement via the Smith form of f_i,
-    lift the complement through the surjection g_i, then correct the
-    resulting degreewise solution to a chain map using exactness of ker(g)."""
+    Degreewise: split B_n = im(f_n) + complement via the Smith form of f_n,
+    take psi = top_n on im(f_n) and a preimage of bottom_n through the
+    surjection g_n on the complement.  Where zeta = d psi - phi_{n-1} d is
+    nonzero, it vanishes on im(f_n) and its values are cycles of the exact
+    complex ker(g), so with K a basis of ker(g_n) some u solves
+    d K u = zeta on the complement, and phi_n = psi - K u on it."""
     a, b = f.source, f.target
     c, d = g.source, g.target
     if top.source != a or top.target != c:
@@ -434,29 +428,20 @@ def lift_square(f: ChainMap, g: ChainMap, top: ChainMap, bottom: ChainMap) -> Ch
         raise ClassError("left map must be a cofibration")
     if not classify(g).trivial_fibration:
         raise ClassError("right map must be a trivial fibration")
-    ring = f.ring
-    span = b.top
-    kernels = [kernel_basis(g.component(i)) for i in range(span + 1)]
     phi = []
-    for n in range(span + 1):
+    for n in range(b.top + 1):
         dec = decs[n]
         r = dec.rank
         retract = dec.v @ dec.u.row_select(range(r))
         proj = dec.u.row_select(range(r, dec.u.rows))
         incl = dec.u_inv.col_select(range(r, dec.u_inv.cols))
-        rho = solve(g.component(n), bottom.component(n) @ incl)
-        psi = top.component(n) @ retract + rho @ proj
-        if n == 0:
-            phi.append(psi)
-            continue
-        zeta = c.diff(n) @ psi - phi[n - 1] @ b.diff(n)
-        if zeta.is_zero:
-            phi.append(psi)
-            continue
-        induced = solve(kernels[n - 1], c.diff(n) @ kernels[n])
-        in_kernel = solve(kernels[n - 1], zeta @ incl)
-        u = solve(induced, in_kernel)
-        phi.append(psi - (kernels[n] @ u) @ proj)
+        psi = top.component(n) @ retract + solve(g.component(n), bottom.component(n) @ incl) @ proj
+        if n:
+            zeta = c.diff(n) @ psi - phi[n - 1] @ b.diff(n)
+            if not zeta.is_zero:
+                k = kernel_basis(g.component(n))
+                psi = psi - k @ solve(c.diff(n) @ k, zeta @ incl) @ proj
+        phi.append(psi)
     result = ChainMap(b, c, dict(enumerate(phi)))
     if compose_maps(result, f) != top or compose_maps(g, result) != bottom:
         raise SquareError("the computed lift does not close the square")
@@ -484,9 +469,12 @@ class RlpReport:
 
 
 def rlp_generator_check(f: ChainMap, max_n: int) -> RlpReport:
-    """Decide the RLP against each generator by one surjectivity test:
-    0 -> D(n) needs f_n onto; S(n-1) -> D(n) needs (d, f_n): X_n ->
-    {(z, y) : f(z) = d(y)} onto, computed on a kernel-lattice basis."""
+    """Decide the RLP against each generator from Smith decompositions:
+    0 -> D(n) needs f_n onto; S(n-1) -> D(n) needs N = [d_n; f_n] onto the
+    lattice of pairs (z, y) with d(z) = 0 and f(z) = d(y), which is the
+    kernel of M = [[d_{n-1}, 0], [f_{n-1}, -d_n]].  N lands in that kernel,
+    which is saturated, so N is onto it exactly when N has rank
+    cols(M) - rank(M) and no non-unit invariant factor."""
     x, y = f.source, f.target
     ring = f.ring
     point = is_surjective(f.component(0))
@@ -494,17 +482,15 @@ def rlp_generator_check(f: ChainMap, max_n: int) -> RlpReport:
     disk_results = []
     for n in range(1, max_n + 1):
         disk_results.append(is_surjective(f.component(n)))
-        x_cycles = kernel_basis(x.diff(n - 1))
-        pair_basis = kernel_basis(
-            hcat(ring, y.rank(n - 1), [f.component(n - 1) @ x_cycles, -y.diff(n)])
-        )
-        into_pairs = vcat(
+        pair_eqs = block_matrix(
             ring,
-            x.rank(n),
-            [solve(x_cycles, x.diff(n)), f.component(n)],
+            [x.rank(n - 2), y.rank(n - 1)],
+            [x.rank(n - 1), y.rank(n)],
+            {(0, 0): x.diff(n - 1), (1, 0): f.component(n - 1), (1, 1): -y.diff(n)},
         )
-        omega = solve(pair_basis, into_pairs)
-        sphere_results.append(omega is not None and is_surjective(omega))
+        into_pairs = smith_normal_form(vcat(ring, x.rank(n), [x.diff(n), f.component(n)]))
+        pairs_rank = pair_eqs.cols - smith_normal_form(pair_eqs).rank
+        sphere_results.append(into_pairs.rank == pairs_rank and not into_pairs.torsion)
     return RlpReport(max_n, point, tuple(sphere_results), tuple(disk_results))
 
 
@@ -516,38 +502,59 @@ def complex_to_json(x: ConnComplex) -> dict:
     return {"ring": str(x.ring), "top": x.top, "ranks": list(x.ranks), "diffs": diffs}
 
 
-def complex_from_json(obj, path: str = "complex") -> ConnComplex:
+def _json_object(obj, path: str, keys) -> None:
+    """Check that obj is an object holding every key in keys."""
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected an object")
-    for key in ("ring", "top", "ranks"):
+    for key in keys:
         if key not in obj:
             raise ValueError(f"{path}.{key}: missing")
+
+
+def _json_header(obj, path: str, keys, top_key: str) -> tuple[RingTag, tuple[int, ...]]:
+    """The ring and ranks of a graded document: an object holding keys, a
+    ring string, a list of ranks, and top_key equal to len(ranks) - 1."""
+    _json_object(obj, path, keys)
     if not isinstance(obj["ring"], str):
         raise ValueError(f"{path}.ring: expected a string")
     ring = parse_ring(obj["ring"])
     ranks = obj["ranks"]
     if not isinstance(ranks, list) or not all(isinstance(r, int) and not isinstance(r, bool) and r >= 0 for r in ranks):
         raise ValueError(f"{path}.ranks: expected a list of nonnegative integers")
-    if obj["top"] != len(ranks) - 1:
-        raise ValueError(f"{path}.top: must equal len(ranks) - 1")
-    raw = obj.get("diffs", {})
+    if obj[top_key] != len(ranks) - 1:
+        raise ValueError(f"{path}.{top_key}: must equal len(ranks) - 1")
+    return ring, tuple(ranks)
+
+
+def _degree_matrices(raw, ring: RingTag, path: str) -> dict[int, Matrix]:
+    """Parse an object of matrices keyed by degree."""
     if not isinstance(raw, dict):
-        raise ValueError(f"{path}.diffs: expected an object")
-    diffs = {}
+        raise ValueError(f"{path}: expected an object")
+    out = {}
     for key, val in raw.items():
         try:
             n = int(key)
         except ValueError:
-            raise ValueError(f"{path}.diffs: degree keys must be integers, got {key!r}") from None
-        diffs[n] = mat_from_json(val, ring, path=f"{path}.diffs.{key}")
+            raise ValueError(f"{path}: degree keys must be integers, got {key!r}") from None
+        out[n] = mat_from_json(val, ring, path=f"{path}.{key}")
+    return out
+
+
+def _build(path: str, make, *args):
+    """make(*args), with plain ValueErrors prefixed by path; the typed
+    errors (shape, ring, domain, not a complex) pass through unchanged."""
     try:
-        return ConnComplex(ring, tuple(ranks), diffs)
-    except (ShapeError, RingError):
-        raise
+        return make(*args)
     except ValueError as exc:
-        if isinstance(exc, NotAComplex):
+        if type(exc) is not ValueError:
             raise
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def complex_from_json(obj, path: str = "complex") -> ConnComplex:
+    ring, ranks = _json_header(obj, path, ("ring", "top", "ranks"), "top")
+    diffs = _degree_matrices(obj.get("diffs", {}), ring, f"{path}.diffs")
+    return _build(path, ConnComplex, ring, ranks, diffs)
 
 
 def map_to_json(f: ChainMap) -> dict:
@@ -563,26 +570,8 @@ def map_to_json(f: ChainMap) -> dict:
 
 
 def map_from_json(obj, path: str = "map") -> ChainMap:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: expected an object")
-    for key in ("source", "target"):
-        if key not in obj:
-            raise ValueError(f"{path}.{key}: missing")
+    _json_object(obj, path, ("source", "target"))
     source = complex_from_json(obj["source"], path=f"{path}.source")
     target = complex_from_json(obj["target"], path=f"{path}.target")
-    raw = obj.get("components", {})
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}.components: expected an object")
-    comps = {}
-    for key, val in raw.items():
-        try:
-            n = int(key)
-        except ValueError:
-            raise ValueError(f"{path}.components: degree keys must be integers, got {key!r}") from None
-        comps[n] = mat_from_json(val, source.ring, path=f"{path}.components.{key}")
-    try:
-        return ChainMap(source, target, comps)
-    except (ShapeError, RingError, NotAComplex):
-        raise
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    comps = _degree_matrices(obj.get("components", {}), source.ring, f"{path}.components")
+    return _build(path, ChainMap, source, target, comps)

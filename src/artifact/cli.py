@@ -67,8 +67,12 @@ DOMAIN_ERRORS = (
 
 
 def _load(path: str):
+    """Parse a JSON file; nesting too deep for the decoder is malformed input."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _convert_matrix(mat: Matrix, ring: RingTag) -> Matrix:

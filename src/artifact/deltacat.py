@@ -189,10 +189,6 @@ class Shuffle:
         return -1 if inversions % 2 else 1
 
 
-def shuffle_sign(nu: Shuffle) -> int:
-    return nu.sign()
-
-
 def shuffle_count(p: int, q: int) -> int:
     return comb(p + q, p)
 

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import deltacat
-from .chains import ChainMap, ConnComplex
+from .chains import ChainMap, ConnComplex, _build, _json_header, _json_object
 from .errors import DomainError, NotSimplicial, RingError, ShapeError
 from .linalg import (
     Matrix,
@@ -32,7 +32,7 @@ from .linalg import (
     vcat,
     zeros,
 )
-from .rings import RingTag, parse_ring, ring_ops
+from .rings import RingTag, ring_ops
 
 
 class FinSimplicialSet:
@@ -809,21 +809,7 @@ def module_to_json(m: SimplicialModule) -> dict:
 
 
 def module_from_json(obj, path: str = "module") -> SimplicialModule:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: expected an object")
-    for key in ("ring", "horizon", "ranks", "faces", "degens"):
-        if key not in obj:
-            raise ValueError(f"{path}.{key}: missing")
-    if not isinstance(obj["ring"], str):
-        raise ValueError(f"{path}.ring: expected a string")
-    ring = parse_ring(obj["ring"])
-    ranks = obj["ranks"]
-    if not isinstance(ranks, list) or not all(
-        isinstance(r, int) and not isinstance(r, bool) and r >= 0 for r in ranks
-    ):
-        raise ValueError(f"{path}.ranks: expected a list of nonnegative integers")
-    if obj["horizon"] != len(ranks) - 1:
-        raise ValueError(f"{path}.horizon: must equal len(ranks) - 1")
+    ring, ranks = _json_header(obj, path, ("ring", "horizon", "ranks", "faces", "degens"), "horizon")
     h = len(ranks) - 1
 
     def families(field: str, levels: range) -> dict:
@@ -849,12 +835,7 @@ def module_from_json(obj, path: str = "module") -> SimplicialModule:
 
     faces = families("faces", range(1, h + 1))
     degens = families("degens", range(h))
-    try:
-        return SimplicialModule(ring, tuple(ranks), faces, degens)
-    except (ShapeError, RingError):
-        raise
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return _build(path, SimplicialModule, ring, ranks, faces, degens)
 
 
 def poset_to_json(p: FinPoset) -> dict:
@@ -862,11 +843,7 @@ def poset_to_json(p: FinPoset) -> dict:
 
 
 def poset_from_json(obj, path: str = "poset") -> FinPoset:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: expected an object")
-    for key in ("elements", "leq"):
-        if key not in obj:
-            raise ValueError(f"{path}.{key}: missing")
+    _json_object(obj, path, ("elements", "leq"))
     elements = obj["elements"]
     leq = obj["leq"]
     if not isinstance(elements, list):
@@ -875,9 +852,4 @@ def poset_from_json(obj, path: str = "poset") -> FinPoset:
         isinstance(row, list) and all(isinstance(v, bool) for v in row) for row in leq
     ):
         raise ValueError(f"{path}.leq: expected a table of booleans")
-    try:
-        return FinPoset(tuple(elements), leq)
-    except DomainError:
-        raise
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return _build(path, FinPoset, tuple(elements), leq)

@@ -20,6 +20,7 @@ from artifact import (
     identity,
     identity_chain_map,
     is_exact,
+    is_surjective,
     lift_square,
     map_from_json,
     map_to_json,
@@ -321,6 +322,31 @@ def test_lift_square_builds_one_mapping_cone(monkeypatch):
         assert cones == [g]
 
 
+def test_lift_square_takes_kernels_only_where_it_corrects(monkeypatch):
+    # one solve per degree of B lifts through g; a degree whose first
+    # guess misses a chain map adds one kernel basis and one more solve
+    import artifact.chains as chains
+
+    rng = random.Random(19)
+    squares = [
+        random_lifting_square(rng, ring, max_top=3) for ring in (ZZ, GF(3), QQ) for _ in range(10)
+    ]
+    kernels, solves = [], []
+    kernel, solve = chains.kernel_basis, chains.solve
+    monkeypatch.setattr(chains, "kernel_basis", lambda a: kernels.append(a) or kernel(a))
+    monkeypatch.setattr(chains, "solve", lambda a, b: solves.append(a) or solve(a, b))
+    corrected = 0
+    for f, g, top, bottom in squares:
+        kernels.clear()
+        solves.clear()
+        lift_square(f, g, top, bottom)
+        degrees = f.target.top + 1
+        assert len(solves) == degrees + len(kernels) <= 2 * degrees
+        assert all(k in [g.component(n) for n in range(1, degrees)] for k in kernels)
+        corrected += len(kernels)
+    assert corrected > 0
+
+
 def test_lift_square_rejects_bad_squares():
     zero = ConnComplex(ZZ, (0,))
     s0, s1 = sphere(0), sphere(1)
@@ -377,6 +403,30 @@ def test_rlp_matches_classifier_on_random_maps():
             rep = rlp_generator_check(f, max(f.source.top, f.target.top) + 1)
             assert rep.certifies_trivial_fibration == mc.trivial_fibration
             assert rep.certifies_fibration == mc.fibration
+
+
+def test_rlp_check_reads_smith_decompositions_only(monkeypatch):
+    # per n: f_n for 0 -> D(n), then the pair equations M and the map N
+    # into the pairs for S(n-1) -> D(n); no kernel basis and no solve
+    import artifact.chains as chains
+
+    rng = random.Random(23)
+    maps = [random_chain_map(rng, ring) for ring in (ZZ, QQ, GF(2)) for _ in range(5)]
+    calls = []
+    snf = chains.smith_normal_form
+    monkeypatch.setattr(chains, "smith_normal_form", lambda a: calls.append(a) or snf(a))
+    monkeypatch.setattr(chains, "is_surjective", lambda a: calls.append(a) or is_surjective(a))
+
+    def forbidden(*args):
+        raise AssertionError("the RLP check needs no kernel basis or solve")
+
+    monkeypatch.setattr(chains, "kernel_basis", forbidden)
+    monkeypatch.setattr(chains, "solve", forbidden)
+    for f in maps:
+        calls.clear()
+        max_n = max(f.source.top, f.target.top) + 1
+        rlp_generator_check(f, max_n)
+        assert len(calls) == 1 + 3 * max_n
 
 
 def test_null_homotopic_maps_are_chain_maps():

@@ -284,6 +284,12 @@ def test_malformed_input_exits_two(tmp_path, capsys):
     code, out = run(capsys, "homology", schema)
     assert code == 2 and "error" in out
 
+    # deeper than the decoder's recursion limit
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000)
+    code, out = run(capsys, "homology", str(path))
+    assert code == 2 and "error" in out
+
     wrong_shape = {
         "ring": "Z",
         "top": 1,

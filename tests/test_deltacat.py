@@ -19,7 +19,6 @@ from artifact.deltacat import (
     pair_of_shuffle,
     shuffle_count,
     shuffle_of_pair,
-    shuffle_sign,
     surjection_with_degeneracy_set,
 )
 from artifact.errors import DomainError, ShapeError
@@ -175,8 +174,8 @@ def test_pair_order_respects_target_size_then_descending_values():
 
 def test_shuffle_validation_and_sign():
     nu = Shuffle(2, 1, (1, 3, 2))
-    assert shuffle_sign(nu) == -1
-    assert shuffle_sign(Shuffle(2, 1, (1, 2, 3))) == 1
+    assert nu.sign() == -1
+    assert Shuffle(2, 1, (1, 2, 3)).sign() == 1
     with pytest.raises(ValueError):
         Shuffle(2, 1, (3, 1, 2))  # first block not increasing
     with pytest.raises(ValueError):
@@ -190,7 +189,7 @@ def test_shuffle_enumeration_matches_brute_force_with_signs():
             assert len(got) == shuffle_count(p, q)
             table = brute_shuffles(p, q)
             zero_indexed = {
-                tuple(v - 1 for v in nu.perm): shuffle_sign(nu) for nu in got
+                tuple(v - 1 for v in nu.perm): nu.sign() for nu in got
             }
             assert zero_indexed == table
 
@@ -218,8 +217,8 @@ def test_shuffle_of_pair_rejects_bad_input():
 def test_pinned_degree_two_shuffle_signs():
     sigma_1 = MonotoneMap(2, 1, (0, 1, 1))
     sigma_0 = MonotoneMap(2, 1, (0, 0, 1))
-    assert shuffle_sign(shuffle_of_pair(sigma_1, sigma_0)) == 1
-    assert shuffle_sign(shuffle_of_pair(sigma_0, sigma_1)) == -1
+    assert shuffle_of_pair(sigma_1, sigma_0).sign() == 1
+    assert shuffle_of_pair(sigma_0, sigma_1).sign() == -1
 
 
 def test_monotone_json_round_trip():
