@@ -15,10 +15,10 @@ from .errors import ClassError, DomainError, NotAComplex, RingError, ShapeError,
 from .linalg import (
     HomologyGroup,
     Matrix,
-    SmithDecomposition,
     block_matrix,
     hcat,
     identity,
+    invariant_factors,
     is_surjective,
     kernel_basis,
     kron,
@@ -26,6 +26,7 @@ from .linalg import (
     mat_to_json,
     smith_normal_form,
     solve,
+    torsion,
     vcat,
     zeros,
 )
@@ -172,15 +173,15 @@ def disk(n: int, ring: RingTag = ZZ) -> ConnComplex:
 
 
 def homology(x: ConnComplex) -> tuple[HomologyGroup, ...]:
-    """Homology groups in degrees 0..top, read off one Smith decomposition
-    per differential as in homology_at; only ranks pass between degrees."""
+    """Homology groups in degrees 0..top, read off the invariant factors of
+    each differential once, as in homology_at; only ranks pass between
+    degrees."""
     groups = []
     rank_out = 0
     for n in range(x.top + 1):
-        arriving = smith_normal_form(x.diff(n + 1))
-        groups.append(HomologyGroup(x.rank(n) - rank_out - arriving.rank, arriving.torsion))
-        rank_out = arriving.rank
-        del arriving  # free its transforms before the next decomposition
+        arriving = invariant_factors(x.diff(n + 1))
+        groups.append(HomologyGroup(x.rank(n) - rank_out - len(arriving), torsion(arriving)))
+        rank_out = len(arriving)
     return tuple(groups)
 
 
@@ -285,21 +286,14 @@ class ModelClass:
 
 def classify(f: ChainMap) -> ModelClass:
     """Fibration: surjective in degrees >= 1.  Cofibration: injective with
-    free cokernel in every degree.  Weak equivalence: exact mapping cone."""
+    free cokernel in every degree.  Weak equivalence: exact mapping cone.
+    Each component's invariant factors are computed once."""
     we = is_exact(mapping_cone(f))
-    decs = _component_decompositions(f)
-    fib = all(d.rank == d.s.rows and not d.torsion for d in decs[1:])
-    return ModelClass(fib, _is_cofibration(decs), we)
-
-
-def _component_decompositions(f: ChainMap) -> list[SmithDecomposition]:
-    """One Smith decomposition per component, degrees 0..max(tops)."""
-    return [smith_normal_form(f.component(n)) for n in range(max(f.source.top, f.target.top) + 1)]
-
-
-def _is_cofibration(decs: list[SmithDecomposition]) -> bool:
-    """Every component injective with free cokernel."""
-    return all(d.rank == d.s.cols and not d.torsion for d in decs)
+    comps = [f.component(n) for n in range(max(f.source.top, f.target.top) + 1)]
+    factors = [invariant_factors(c) for c in comps]
+    fib = all(len(t) == c.rows and not torsion(t) for c, t in zip(comps[1:], factors[1:]))
+    cof = all(len(t) == c.cols and not torsion(t) for c, t in zip(comps, factors))
+    return ModelClass(fib, cof, we)
 
 
 def factor_trivcof_fib(f: ChainMap) -> tuple[ChainMap, ChainMap]:
@@ -423,8 +417,8 @@ def lift_square(f: ChainMap, g: ChainMap, top: ChainMap, bottom: ChainMap) -> Ch
         raise ShapeError("bottom map must run from the target of f to the target of g")
     if compose_maps(g, top) != compose_maps(bottom, f):
         raise SquareError("square does not commute")
-    decs = _component_decompositions(f)
-    if not _is_cofibration(decs):
+    decs = [smith_normal_form(f.component(n)) for n in range(max(a.top, b.top) + 1)]
+    if not all(dec.rank == dec.s.cols and not dec.torsion for dec in decs):
         raise ClassError("left map must be a cofibration")
     if not classify(g).trivial_fibration:
         raise ClassError("right map must be a trivial fibration")
@@ -469,7 +463,7 @@ class RlpReport:
 
 
 def rlp_generator_check(f: ChainMap, max_n: int) -> RlpReport:
-    """Decide the RLP against each generator from Smith decompositions:
+    """Decide the RLP against each generator from invariant factors:
     0 -> D(n) needs f_n onto; S(n-1) -> D(n) needs N = [d_n; f_n] onto the
     lattice of pairs (z, y) with d(z) = 0 and f(z) = d(y), which is the
     kernel of M = [[d_{n-1}, 0], [f_{n-1}, -d_n]].  N lands in that kernel,
@@ -488,9 +482,9 @@ def rlp_generator_check(f: ChainMap, max_n: int) -> RlpReport:
             [x.rank(n - 1), y.rank(n)],
             {(0, 0): x.diff(n - 1), (1, 0): f.component(n - 1), (1, 1): -y.diff(n)},
         )
-        into_pairs = smith_normal_form(vcat(ring, x.rank(n), [x.diff(n), f.component(n)]))
-        pairs_rank = pair_eqs.cols - smith_normal_form(pair_eqs).rank
-        sphere_results.append(into_pairs.rank == pairs_rank and not into_pairs.torsion)
+        into_pairs = invariant_factors(vcat(ring, x.rank(n), [x.diff(n), f.component(n)]))
+        pairs_rank = pair_eqs.cols - len(invariant_factors(pair_eqs))
+        sphere_results.append(len(into_pairs) == pairs_rank and not torsion(into_pairs))
     return RlpReport(max_n, point, tuple(sphere_results), tuple(disk_results))
 
 

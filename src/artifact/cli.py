@@ -75,56 +75,33 @@ def _load(path: str):
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-def _convert_matrix(mat: Matrix, ring: RingTag) -> Matrix:
-    ops = ring_ops(ring)
-    try:
-        entries = tuple(tuple(ops.canon(v) for v in row) for row in mat.entries)
-    except (TypeError, ArithmeticError) as exc:
-        raise RingError(f"cannot convert entries to {ring}: {exc}") from exc
-    return Matrix(ring, mat.rows, mat.cols, entries)
+def change_ring(obj, ring: RingTag):
+    """A Matrix, ConnComplex, ChainMap or SimplicialModule with every entry
+    converted to ring; RingError when an entry has no image there."""
+    if obj.ring == ring:
+        return obj
+    if isinstance(obj, Matrix):
+        ops = ring_ops(ring)
+        try:
+            grid = tuple(tuple(ops.canon(v) for v in row) for row in obj.entries)
+        except (TypeError, ArithmeticError) as exc:
+            raise RingError(f"cannot convert entries to {ring}: {exc}") from exc
+        return Matrix(ring, obj.rows, obj.cols, grid)
+    if isinstance(obj, ConnComplex):
+        return ConnComplex(ring, obj.ranks, {n: change_ring(obj.diff(n), ring) for n in range(1, obj.top + 1)})
+    if isinstance(obj, ChainMap):
+        span = max(obj.source.top, obj.target.top)
+        comps = {n: change_ring(obj.component(n), ring) for n in range(span + 1)}
+        return ChainMap(change_ring(obj.source, ring), change_ring(obj.target, ring), comps)
+    h = obj.horizon
+    faces = {lv: [change_ring(obj.face(lv, i), ring) for i in range(lv + 1)] for lv in range(1, h + 1)}
+    degens = {lv: [change_ring(obj.degen(lv, i), ring) for i in range(lv + 1)] for lv in range(h)}
+    return SimplicialModule(ring, obj.ranks, faces, degens)
 
 
-def _convert_complex(x: ConnComplex, ring: RingTag) -> ConnComplex:
-    if x.ring == ring:
-        return x
-    return ConnComplex(
-        ring,
-        x.ranks,
-        {n: _convert_matrix(x.diff(n), ring) for n in range(1, x.top + 1)},
-    )
-
-
-def _convert_map(f: ChainMap, ring: RingTag) -> ChainMap:
-    if f.ring == ring:
-        return f
-    span = max(f.source.top, f.target.top)
-    return ChainMap(
-        _convert_complex(f.source, ring),
-        _convert_complex(f.target, ring),
-        {n: _convert_matrix(f.component(n), ring) for n in range(span + 1)},
-    )
-
-
-def _convert_module(m: SimplicialModule, ring: RingTag) -> SimplicialModule:
-    if m.ring == ring:
-        return m
-    h = m.horizon
-    return SimplicialModule(
-        ring,
-        m.ranks,
-        {
-            lv: [_convert_matrix(m.face(lv, i), ring) for i in range(lv + 1)]
-            for lv in range(1, h + 1)
-        },
-        {
-            lv: [_convert_matrix(m.degen(lv, i), ring) for i in range(lv + 1)]
-            for lv in range(h)
-        },
-    )
-
-
-def _ring_of(args) -> RingTag | None:
-    return parse_ring(args.ring) if args.ring else None
+def _in_ring(args, obj):
+    """obj converted to the ring named by --ring, when one is given."""
+    return change_ring(obj, parse_ring(args.ring)) if args.ring else obj
 
 
 def _model_class_json(mc) -> dict:
@@ -138,18 +115,12 @@ def _model_class_json(mc) -> dict:
 
 
 def _cmd_homology(args) -> dict:
-    x = complex_from_json(_load(args.complex))
-    ring = _ring_of(args)
-    if ring:
-        x = _convert_complex(x, ring)
+    x = _in_ring(args, complex_from_json(_load(args.complex)))
     return {"ring": str(x.ring), "H": [homology_to_json(h) for h in homology(x)]}
 
 
 def _cmd_classify(args) -> dict:
-    f = map_from_json(_load(args.map))
-    ring = _ring_of(args)
-    if ring:
-        f = _convert_map(f, ring)
+    f = _in_ring(args, map_from_json(_load(args.map)))
     mc = classify(f)
     out = _model_class_json(mc)
     if args.certify:
@@ -171,10 +142,7 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_factor(args) -> dict:
-    f = map_from_json(_load(args.map))
-    ring = _ring_of(args)
-    if ring:
-        f = _convert_map(f, ring)
+    f = _in_ring(args, map_from_json(_load(args.map)))
     if args.kind == "trivcof-fib":
         left, right = factor_trivcof_fib(f)
     else:
@@ -187,26 +155,18 @@ def _cmd_lift(args) -> dict:
     g = map_from_json(_load(args.g), path="g")
     top = map_from_json(_load(args.top), path="top")
     bottom = map_from_json(_load(args.bottom), path="bottom")
-    ring = _ring_of(args)
-    if ring:
-        f, g, top, bottom = (_convert_map(m, ring) for m in (f, g, top, bottom))
+    f, g, top, bottom = (_in_ring(args, m) for m in (f, g, top, bottom))
     return {"lift": map_to_json(lift_square(f, g, top, bottom))}
 
 
 def _cmd_dk(args) -> dict:
-    x = complex_from_json(_load(args.complex))
-    ring = _ring_of(args)
-    if ring:
-        x = _convert_complex(x, ring)
+    x = _in_ring(args, complex_from_json(_load(args.complex)))
     horizon = args.horizon if args.horizon is not None else x.top
     return module_to_json(dk(x, horizon))
 
 
 def _cmd_nor(args) -> dict:
-    m = module_from_json(_load(args.module))
-    ring = _ring_of(args)
-    if ring:
-        m = _convert_module(m, ring)
+    m = _in_ring(args, module_from_json(_load(args.module)))
     res = nor(m)
     out = complex_to_json(res.complex)
     out["embeddings"] = [mat_to_json(e) for e in res.embeddings]
@@ -216,18 +176,14 @@ def _cmd_nor(args) -> dict:
 def _cmd_shuffle(args) -> dict:
     x = complex_from_json(_load(args.x), path="x")
     y = complex_from_json(_load(args.y), path="y")
-    ring = _ring_of(args)
-    if ring:
-        x, y = _convert_complex(x, ring), _convert_complex(y, ring)
+    x, y = _in_ring(args, x), _in_ring(args, y)
     return shuffle_to_json(shuffle_product(x, y))
 
 
 def _cmd_ez_check(args) -> dict:
     x = complex_from_json(_load(args.x), path="x")
     y = complex_from_json(_load(args.y), path="y")
-    ring = _ring_of(args)
-    if ring:
-        x, y = _convert_complex(x, ring), _convert_complex(y, ring)
+    x, y = _in_ring(args, x), _in_ring(args, y)
     nabla = ez_map(x, y)
     tensor_h = [homology_to_json(h) for h in homology(nabla.source)]
     shuffle_h = [homology_to_json(h) for h in homology(nabla.target)]
@@ -259,10 +215,7 @@ def _cmd_nerve_homology(args) -> dict:
 
 
 def _cmd_check_identities(args) -> dict:
-    m = module_from_json(_load(args.module))
-    ring = _ring_of(args)
-    if ring:
-        m = _convert_module(m, ring)
+    m = _in_ring(args, module_from_json(_load(args.module)))
     report = check_simplicial_identities(m)
     return {
         "ok": report.ok,

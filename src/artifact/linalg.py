@@ -8,6 +8,7 @@ generate the full kernel lattice, image bases the full image lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Any, Iterable, Optional
 
 from .errors import (
@@ -363,6 +364,151 @@ def smith_normal_form(a: Matrix) -> SmithDecomposition:
     )
 
 
+def invariant_factors(a: Matrix) -> tuple:
+    """The nonzero diagonal of the Smith form of a, in divisibility order
+    (all ones over a field): the rank is its length and its non-unit entries
+    are the cokernel's torsion. Eliminates over sparse rows with native
+    arithmetic and tracks no transform (Dumas-Saunders-Villard 2001)."""
+    ring = a.ring
+    if ring.kind == "Z":
+        return tuple(_integer_invariants(_sparse_rows(a.entries)))
+    if ring.kind == "F":
+        p = ring.p
+        rank = _field_rank(_sparse_rows([x % p for x in row] for row in a.entries), p)
+    else:
+        rank = _rational_rank(_sparse_rows(_integer_row(row) for row in a.entries))
+    return (ring_ops(ring).one,) * rank
+
+
+def _sparse_rows(grid) -> list[dict]:
+    """The nonzero rows of grid as {column: entry} dicts."""
+    rows = [{j: x for j, x in enumerate(row) if x} for row in grid]
+    return [row for row in rows if row]
+
+
+def _integer_row(row) -> list[int]:
+    """A row of fractions scaled by the lcm of its denominators."""
+    scale = lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
+
+
+def _integer_invariants(rows: list[dict]) -> list[int]:
+    """The invariant factors of the integer matrix with these sparse rows,
+    by the steps of smith_normal_form without its transforms: pivot on the
+    smallest |entry| (the first unit found), reduce the pivot column by
+    Euclid steps on rows, then the pivot row by Euclid steps on columns,
+    which touch no other row because the pivot column is clear; a pivot
+    that leaves a remainder is replaced by it. A clear pivot that does not
+    divide some entry gets that entry's row added to its own; one that
+    divides every entry left is the next factor. Every step that records
+    no factor leaves a smaller least |entry|, so the loop ends."""
+    out = []
+    while rows:
+        prow, c = _smallest_entry(rows)
+        v = prow[c]
+        dirty = False
+        for row in rows:
+            x = row.get(c)
+            if x is None or row is prow:
+                continue
+            q = x // v
+            for j, y in prow.items():
+                z = row.get(j, 0) - q * y
+                if z:
+                    row[j] = z
+                else:
+                    del row[j]
+            dirty = dirty or c in row
+        rows = [row for row in rows if row]
+        if dirty:
+            continue
+        for j, y in list(prow.items()):
+            if j != c:
+                if y % v:
+                    prow[j] = y % v
+                    dirty = True
+                else:
+                    del prow[j]
+        if dirty:
+            continue
+        if v != 1 and v != -1:
+            offender = next((row for row in rows if any(x % v for x in row.values())), None)
+            if offender is not None:
+                # add the offender's row and clear it by columns at once, so
+                # the next pivot is a remainder smaller than |v|
+                prow.update((j, x % v) for j, x in offender.items() if x % v)
+                continue
+        out.append(abs(v))
+        rows = [row for row in rows if row is not prow]
+    return out
+
+
+def _smallest_entry(rows: list[dict]) -> tuple[dict, int]:
+    """The row and column of an entry of least absolute value, the first
+    unit met if there is one."""
+    best, size = None, 0
+    for row in rows:
+        for j, x in row.items():
+            if x == 1 or x == -1:
+                return row, j
+            if best is None or abs(x) < size:
+                best, size = (row, j), abs(x)
+    return best
+
+
+def _field_rank(rows: list[dict], p: int) -> int:
+    """The rank mod p of the matrix with these sparse rows of residues."""
+    rank = 0
+    while rows:
+        prow = min(rows, key=len)
+        c, v = next(iter(prow.items()))
+        inv = pow(v, -1, p)
+        for row in rows:
+            x = row.get(c)
+            if x is None or row is prow:
+                continue
+            q = x * inv % p
+            for j, y in prow.items():
+                z = (row.get(j, 0) - q * y) % p
+                if z:
+                    row[j] = z
+                else:
+                    del row[j]
+        rows = [row for row in rows if row and row is not prow]
+        rank += 1
+    return rank
+
+
+def _rational_rank(rows: list[dict]) -> int:
+    """The rank over Q of the integer matrix with these sparse rows, by
+    fraction-free elimination, each new row divided by its content."""
+    rank = 0
+    while rows:
+        prow = min(rows, key=len)
+        c, v = next(iter(prow.items()))
+        for k, row in enumerate(rows):
+            x = row.get(c)
+            if x is None or row is prow:
+                continue
+            g = gcd(v, x)
+            a, b = v // g, x // g
+            new = {j: a * y for j, y in row.items()}
+            for j, y in prow.items():
+                z = new.get(j, 0) - b * y
+                if z:
+                    new[j] = z
+                else:
+                    del new[j]
+            if new:
+                content = gcd(*new.values())
+                if content != 1:
+                    new = {j: y // content for j, y in new.items()}
+            rows[k] = new
+        rows = [row for row in rows if row and row is not prow]
+        rank += 1
+    return rank
+
+
 def _eliminate_columns(ring: RingTag, cols: list[list], rows: int) -> tuple[list, list]:
     """Column-reduce the first `rows` entries of `cols` in place, bottom row
     first: over Z by Euclid reduction on the smallest |entry| of the row,
@@ -487,17 +633,23 @@ def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
     return snf.v @ Matrix(a.ring, a.cols, b.cols, tuple(tuple(row) for row in y))
 
 
+def torsion(factors: tuple) -> tuple[int, ...]:
+    """The invariant factors that are not units: the cokernel's torsion
+    (always empty over a field)."""
+    return tuple(d for d in factors if d != 1)
+
+
 def is_surjective(a: Matrix) -> bool:
-    snf = smith_normal_form(a)
-    return snf.rank == a.rows and not snf.torsion
+    factors = invariant_factors(a)
+    return len(factors) == a.rows and not torsion(factors)
 
 
 def is_injective(a: Matrix) -> bool:
-    return smith_normal_form(a).rank == a.cols
+    return len(invariant_factors(a)) == a.cols
 
 
 def has_free_cokernel(a: Matrix) -> bool:
-    return not smith_normal_form(a).torsion
+    return not torsion(invariant_factors(a))
 
 
 @dataclass(frozen=True)
@@ -523,9 +675,10 @@ def homology_at(d_in: Matrix, d_out: Matrix) -> HomologyGroup:
         )
     if not (d_out @ d_in).is_zero:
         raise NotAComplex("composite differential is nonzero")
-    rank_out = smith_normal_form(d_out).rank
-    arriving = smith_normal_form(d_in)
-    return HomologyGroup(d_in.rows - rank_out - arriving.rank, arriving.torsion)
+    arriving = invariant_factors(d_in)
+    return HomologyGroup(
+        d_in.rows - len(invariant_factors(d_out)) - len(arriving), torsion(arriving)
+    )
 
 
 def homology_to_json(h: HomologyGroup) -> dict:

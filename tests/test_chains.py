@@ -20,7 +20,6 @@ from artifact import (
     identity,
     identity_chain_map,
     is_exact,
-    is_surjective,
     lift_square,
     map_from_json,
     map_to_json,
@@ -199,21 +198,34 @@ def test_classify_pinned_examples():
     assert mcp.trivial_fibration and not mcp.cofibration
 
 
-def test_homology_and_classify_take_one_smith_decomposition_per_matrix(monkeypatch):
+def count_invariant_factors(monkeypatch, calls):
+    """Record every invariant_factors call made from chains or linalg, and
+    make smith_normal_form, kernel_basis and solve raise."""
     import artifact.chains as chains
+    import artifact.linalg as linalg
 
+    factors = linalg.invariant_factors
+
+    def counted(a):
+        calls.append(a)
+        return factors(a)
+
+    def forbidden(*args):
+        raise AssertionError("reading ranks and torsion needs no transform")
+
+    for module in (chains, linalg):
+        monkeypatch.setattr(module, "invariant_factors", counted)
+        monkeypatch.setattr(module, "smith_normal_form", forbidden)
+    monkeypatch.setattr(chains, "kernel_basis", forbidden)
+    monkeypatch.setattr(chains, "solve", forbidden)
+
+
+def test_homology_and_classify_take_one_elimination_per_matrix(monkeypatch):
     rng = random.Random(71)
     complexes = [random_complex(rng, ZZ, max_top=3) for _ in range(5)]
     maps = [random_chain_map(rng, ZZ) for _ in range(5)]
     calls = []
-    snf = chains.smith_normal_form
-    monkeypatch.setattr(chains, "smith_normal_form", lambda a: calls.append(a) or snf(a))
-
-    def forbidden(*args):
-        raise AssertionError("homology and classify need no kernel basis or solve")
-
-    monkeypatch.setattr(chains, "kernel_basis", forbidden)
-    monkeypatch.setattr(chains, "solve", forbidden)
+    count_invariant_factors(monkeypatch, calls)
     for x in complexes:
         calls.clear()
         homology(x)
@@ -405,23 +417,14 @@ def test_rlp_matches_classifier_on_random_maps():
             assert rep.certifies_fibration == mc.fibration
 
 
-def test_rlp_check_reads_smith_decompositions_only(monkeypatch):
+def test_rlp_check_reads_invariant_factors_only(monkeypatch):
     # per n: f_n for 0 -> D(n), then the pair equations M and the map N
-    # into the pairs for S(n-1) -> D(n); no kernel basis and no solve
-    import artifact.chains as chains
-
+    # into the pairs for S(n-1) -> D(n); no Smith decomposition, kernel
+    # basis or solve
     rng = random.Random(23)
     maps = [random_chain_map(rng, ring) for ring in (ZZ, QQ, GF(2)) for _ in range(5)]
     calls = []
-    snf = chains.smith_normal_form
-    monkeypatch.setattr(chains, "smith_normal_form", lambda a: calls.append(a) or snf(a))
-    monkeypatch.setattr(chains, "is_surjective", lambda a: calls.append(a) or is_surjective(a))
-
-    def forbidden(*args):
-        raise AssertionError("the RLP check needs no kernel basis or solve")
-
-    monkeypatch.setattr(chains, "kernel_basis", forbidden)
-    monkeypatch.setattr(chains, "solve", forbidden)
+    count_invariant_factors(monkeypatch, calls)
     for f in maps:
         calls.clear()
         max_n = max(f.source.top, f.target.top) + 1

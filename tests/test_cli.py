@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import artifact
 from artifact import (
@@ -327,3 +332,89 @@ def test_lift_square_error_reports_exit_one(tmp_path, capsys):
     paths[2] = write(tmp_path, "t2.json", map_to_json(wrong))
     code, out = run(capsys, "lift", *paths)
     assert code == 1 and "error" in out
+
+
+# ---------------------------------------------------------------------------
+# fuzzed documents: whatever the input, one JSON document and exit 0, 1 or 2
+
+
+def fuzz_bases():
+    """Small valid documents with every matrix present and nonzero, so a
+    mutated rank meets a shape check before any zero block is built."""
+    x = ConnComplex(ZZ, (1, 2, 1), {1: zmat(1, 2, [[1, -1]]), 2: zmat(2, 1, [[1], [1]])})
+    half = {"ring": "Q", "top": 1, "ranks": [1, 1], "diffs": {"1": {"rows": 1, "cols": 1, "entries": [["1/2"]]}}}
+    ident = ChainMap(x, x, {n: identity(ZZ, x.rank(n)) for n in range(3)})
+    collapse = ChainMap(
+        ConnComplex(ZZ, (2, 1), {1: zmat(2, 1, [[0], [1]])}), sphere(0), {0: zmat(1, 2, [[1, 0]])}
+    )
+    return {
+        "complex": [complex_to_json(x), half],
+        "map": [map_to_json(ident), map_to_json(collapse)],
+        "module": [module_to_json(dk(disk(1), 2))],
+    }
+
+
+FUZZ_BASES = fuzz_bases()
+FUZZ_VERBS = {
+    "complex": [["homology"], ["dk"], ["ez-check", "{doc}"]],
+    "map": [["classify", "--certify"], ["factor", "--kind", "cof-trivfib"]],
+    "module": [["nor"], ["check-identities"]],
+}
+WRONG_TYPES = [None, "x", "1/0", 1.5, True, -7, [], {}, [[1]]]
+BAD_RANKS = [-1, -(2**40), 10**9, 2**63]
+BAD_RINGS = ["F4", "F1", "F", "R", "", "f2", "ZZ", "F" + "7" * 5000, 2, None]
+
+
+def json_slots(node, out):
+    """Every (container, key) in a JSON tree, parents before children."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        out.append((node, key))
+        json_slots(value, out)
+    return out
+
+
+@st.composite
+def mutated_document(draw):
+    kind = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    doc = json.loads(json.dumps(draw(st.sampled_from(FUZZ_BASES[kind]))))
+    slots = json_slots(doc, [])
+    mutation = draw(st.sampled_from(["drop", "retype", "ragged", "rank", "ring"]))
+    if mutation == "drop":
+        node, key = draw(st.sampled_from([s for s in slots if isinstance(s[0], dict)]))
+        del node[key]
+    elif mutation == "retype":
+        node, key = draw(st.sampled_from(slots))
+        node[key] = draw(st.sampled_from(WRONG_TYPES))
+    elif mutation == "ragged":
+        node, key = draw(st.sampled_from([s for s in slots if s[1] == "entries" and s[0][s[1]]]))
+        row = node[key][draw(st.integers(0, len(node[key]) - 1))]
+        if row and draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(0)
+    elif mutation == "rank":
+        node = draw(st.sampled_from([n[k] for n, k in slots if k == "ranks"]))
+        node[draw(st.integers(0, len(node) - 1))] = draw(st.sampled_from(BAD_RANKS))
+    else:
+        node = draw(st.sampled_from([n for n, k in slots if k == "ring"]))
+        node["ring"] = draw(st.sampled_from(BAD_RINGS))
+    return kind, doc
+
+
+@given(mutated_document(), st.data())
+def test_cli_answers_every_mutated_document_with_one_json_document(case, data):
+    kind, doc = case
+    verb = data.draw(st.sampled_from(FUZZ_VERBS[kind]))
+    ring = data.draw(st.sampled_from([[], ["--ring", "Q"], ["--ring", "F2"]]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        argv = [verb[0], path] + [path if a == "{doc}" else a for a in verb[1:]] + ring
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    json.loads(out.getvalue())  # exactly one document
+    assert err.getvalue() == ""

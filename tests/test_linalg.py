@@ -13,24 +13,28 @@ from artifact import (
     Matrix,
     block_matrix,
     canonical_columns,
+    disk,
     has_free_cokernel,
     hcat,
     homology,
     homology_at,
     identity,
     image_basis,
+    invariant_factors,
     is_injective,
     is_surjective,
     kernel_basis,
     kron,
     mat_from_json,
     mat_to_json,
+    shuffle_product,
     smith_normal_form,
     solve,
     vcat,
     zeros,
 )
 from artifact.errors import NotAComplex, RingError, ShapeError
+from artifact.linalg import torsion
 
 from oracles import brute_homology_dim, minor_gcd_invariants
 
@@ -147,6 +151,53 @@ def test_smith_properties_hold_on_random_matrices(rows, cols, seed):
     for ring in RINGS:
         entries = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
         check_smith(m(ring, entries))
+
+
+def invariant_factor_corpus(rng, ring, count):
+    """Seeded matrices from 0x0 to 7x7 over ring, sparse to dense, some with
+    a zero row or a zero column; over Q with fractional entries."""
+    for _ in range(count):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        density = rng.choice((0.2, 0.5, 1.0))
+
+        def entry():
+            if rng.random() > density:
+                return 0
+            if ring == QQ:
+                return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            return rng.randint(-6, 6)
+
+        grid = [[entry() for _ in range(cols)] for _ in range(rows)]
+        if rows and rng.random() < 0.3:
+            grid[rng.randrange(rows)] = [0] * cols
+        if cols and rng.random() < 0.3:
+            j = rng.randrange(cols)
+            for row in grid:
+                row[j] = 0
+        yield grid, Matrix.from_rows(ring, grid, cols)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(3), GF(5), GF(101)], ids=str)
+def test_invariant_factors_match_the_smith_diagonal(ring):
+    rng = random.Random(83)
+    for grid, a in invariant_factor_corpus(rng, ring, 150):
+        factors = invariant_factors(a)
+        assert factors == tuple(d for d in smith_normal_form(a).diagonal() if d != 0)
+        # the determinantal-divisor oracle, where its minors are cheap
+        if ring == ZZ and min(a.rows, a.cols) <= 5:
+            expect = minor_gcd_invariants(grid, a.rows, a.cols)
+            assert factors == tuple(expect)
+            assert torsion(factors) == tuple(d for d in expect if d != 1)
+
+
+def test_invariant_factors_of_the_disk_shuffle_product():
+    x = shuffle_product(disk(4), disk(4)).underlying
+    assert [invariant_factors(x.diff(n)) for n in range(5, 9)] == [
+        (1,) * 20,
+        (1,) * 90,
+        (1,) * 140,
+        (1,) * 70,
+    ]
 
 
 def test_canonical_columns_is_a_lower_echelon_form():
