@@ -38,7 +38,7 @@ from .errors import (
     SquareError,
 )
 from .linalg import Matrix, homology_to_json, mat_to_json
-from .rings import RingTag, ZZ, parse_ring, ring_ops
+from .rings import RingTag, ZZ, parse_ring
 from .shuffle import ez_map, shuffle_product, shuffle_to_json
 from .simplicial import (
     SimplicialModule,
@@ -81,12 +81,7 @@ def change_ring(obj, ring: RingTag):
     if obj.ring == ring:
         return obj
     if isinstance(obj, Matrix):
-        ops = ring_ops(ring)
-        try:
-            grid = tuple(tuple(ops.canon(v) for v in row) for row in obj.entries)
-        except (TypeError, ArithmeticError) as exc:
-            raise RingError(f"cannot convert entries to {ring}: {exc}") from exc
-        return Matrix(ring, obj.rows, obj.cols, grid)
+        return obj.change_ring(ring)
     if isinstance(obj, ConnComplex):
         return ConnComplex(ring, obj.ranks, {n: change_ring(obj.diff(n), ring) for n in range(1, obj.top + 1)})
     if isinstance(obj, ChainMap):

@@ -1,4 +1,4 @@
-"""Exact dense matrix algebra over the supported coefficient rings.
+"""Exact sparse matrix algebra over the supported coefficient rings.
 
 Matrices act on column vectors, so the composite g o f is the product G @ F.
 Over the integers every basis this module returns is saturated: kernel bases
@@ -8,6 +8,7 @@ generate the full kernel lattice, image bases the full image lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import gcd, lcm
 from typing import Any, Iterable, Optional
 
@@ -20,53 +21,123 @@ from .errors import (
 from .rings import RingTag, ring_ops, scalar_from_json, scalar_to_json
 
 
-@dataclass(frozen=True)
 class Matrix:
-    ring: RingTag
-    rows: int
-    cols: int
-    entries: tuple[tuple[Any, ...], ...]
+    """An immutable matrix over one ring that stores only its nonzero
+    entries: the nonzero rows, each as a {column: entry} dict of canonical
+    nonzero entries.  No zero is stored, so equality is structural and
+    storage does not grow with the shape.
 
-    def __post_init__(self) -> None:
+    The public constructor takes a dense grid of rows and canonicalizes
+    every entry into the ring.  The operations below build their results
+    through _make, canonical by construction, and use native arithmetic,
+    reducing mod p once per entry."""
+
+    __slots__ = ("ring", "rows", "cols", "_rows")
+
+    def __init__(self, ring: RingTag, rows: int, cols: int, entries) -> None:
+        _set_ring(self, ring)
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        self.__post_init__(entries)
+
+    def __post_init__(self, entries) -> None:
+        """Check the grid against the shape and keep its nonzero entries,
+        canonicalized; only the public constructor runs this."""
         if self.rows < 0 or self.cols < 0:
             raise ShapeError("negative dimensions")
-        if len(self.entries) != self.rows or any(
-            len(row) != self.cols for row in self.entries
-        ):
+        if len(entries) != self.rows or any(len(row) != self.cols for row in entries):
             raise ShapeError(
                 f"entry grid does not match shape {self.rows}x{self.cols}"
             )
+        _set_data(self, _canonical_rows(self.ring, enumerate(enumerate(row) for row in entries)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Matrix is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return _make, (self.ring, self.rows, self.cols, self._rows)
 
     @staticmethod
     def from_rows(ring: RingTag, rows: Iterable[Iterable[Any]], cols: int | None = None) -> "Matrix":
-        ops = ring_ops(ring)
-        grid = tuple(tuple(ops.canon(x) for x in row) for row in rows)
+        grid = tuple(tuple(row) for row in rows)
         if cols is None:
             cols = len(grid[0]) if grid else 0
         return Matrix(ring, len(grid), cols, grid)
 
+    @property
+    def entries(self) -> tuple[tuple[Any, ...], ...]:
+        """A dense, read-only copy as a tuple of rows; builds all
+        rows * cols cells on every access."""
+        zero = ring_ops(self.ring).zero
+        blank = (zero,) * self.cols
+        out = []
+        for i in range(self.rows):
+            row = self._rows.get(i)
+            if row is None:
+                out.append(blank)
+                continue
+            dense = list(blank)
+            for j, x in row.items():
+                dense[j] = x
+            out.append(tuple(dense))
+        return tuple(out)
+
     def __getitem__(self, idx: tuple[int, int]):
         i, j = idx
-        return self.entries[i][j]
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise ShapeError(f"index {idx} outside a {self.rows}x{self.cols} matrix")
+        return self._rows.get(i, _EMPTY).get(j, ring_ops(self.ring).zero)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return (
+            self.ring == other.ring
+            and self.rows == other.rows
+            and self.cols == other.cols
+            and self._rows == other._rows
+        )
+
+    def __hash__(self) -> int:
+        cells = frozenset((i, frozenset(row.items())) for i, row in self._rows.items())
+        return hash((self.ring, self.rows, self.cols, cells))
+
+    def __repr__(self) -> str:
+        return f"Matrix({self.ring}, {self.rows}x{self.cols}, {self._rows})"
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._match(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("sum of differently shaped matrices")
-        add = ring_ops(self.ring).add
-        grid = tuple(
-            tuple(add(a, b) for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)
-        )
-        return Matrix(self.ring, self.rows, self.cols, grid)
+        p = self.ring.p
+        out = dict(self._rows)
+        for i, brow in other._rows.items():
+            arow = out.get(i)
+            if arow is None:
+                out[i] = brow
+                continue
+            row = dict(arow)
+            for j, y in brow.items():
+                z = row.get(j, 0) + y
+                if p:
+                    z %= p
+                if z:
+                    row[j] = z
+                else:
+                    del row[j]
+            if row:
+                out[i] = row
+            else:
+                del out[i]
+        return _make(self.ring, self.rows, self.cols, out)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        neg = ring_ops(self.ring).neg
-        grid = tuple(tuple(neg(a) for a in row) for row in self.entries)
-        return Matrix(self.ring, self.rows, self.cols, grid)
+        return self.scale(-1)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._match(other)
@@ -74,89 +145,174 @@ class Matrix:
             raise ShapeError(
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}"
             )
-        ops = ring_ops(self.ring)
-        zero, add, mul = ops.zero, ops.add, ops.mul
-        out = []
-        for i in range(self.rows):
-            arow = self.entries[i]
-            acc = [zero] * other.cols
-            for k in range(self.cols):
-                a = arow[k]
-                if a == zero:
-                    continue
-                brow = other.entries[k]
-                acc = [add(acc[j], mul(a, brow[j])) for j in range(other.cols)]
-            out.append(tuple(acc))
-        return Matrix(self.ring, self.rows, other.cols, tuple(out))
+        p = self.ring.p
+        right = other._rows
+        out = {}
+        for i, arow in self._rows.items():
+            acc: dict = {}
+            for k, x in arow.items():
+                brow = right.get(k)
+                if brow is not None:
+                    for j, y in brow.items():
+                        acc[j] = acc.get(j, 0) + x * y
+            if p:
+                acc = {j: z % p for j, z in acc.items() if z % p}
+            else:
+                acc = {j: z for j, z in acc.items() if z}
+            if acc:
+                out[i] = acc
+        return _make(self.ring, self.rows, other.cols, out)
 
     def scale(self, c) -> "Matrix":
-        ops = ring_ops(self.ring)
-        c = ops.canon(c)
-        grid = tuple(tuple(ops.mul(c, a) for a in row) for row in self.entries)
-        return Matrix(self.ring, self.rows, self.cols, grid)
+        c = ring_ops(self.ring).canon(c)
+        p = self.ring.p
+        if not c:
+            out = {}
+        elif p:
+            out = {i: {j: c * x % p for j, x in row.items()} for i, row in self._rows.items()}
+        else:
+            out = {i: {j: c * x for j, x in row.items()} for i, row in self._rows.items()}
+        return _make(self.ring, self.rows, self.cols, out)
 
     def transpose(self) -> "Matrix":
-        grid = tuple(
-            tuple(self.entries[i][j] for i in range(self.rows))
-            for j in range(self.cols)
-        )
-        return Matrix(self.ring, self.cols, self.rows, grid)
+        return _make(self.ring, self.cols, self.rows, _columns(self))
 
     @property
     def is_zero(self) -> bool:
-        zero = ring_ops(self.ring).zero
-        return all(a == zero for row in self.entries for a in row)
+        return not self._rows
+
+    def change_ring(self, ring: RingTag) -> "Matrix":
+        """The same entries mapped into ring (dropping those that become
+        zero); RingError when an entry has no image there."""
+        rows = _canonical_rows(ring, ((i, row.items()) for i, row in self._rows.items()))
+        return _make(ring, self.rows, self.cols, rows)
 
     def col_select(self, idxs: Iterable[int]) -> "Matrix":
         idxs = list(idxs)
-        grid = tuple(tuple(row[j] for j in idxs) for row in self.entries)
-        return Matrix(self.ring, self.rows, len(idxs), grid)
+        _check_indices(idxs, self.cols, "column")
+        targets: dict[int, list[int]] = {}
+        for n, j in enumerate(idxs):
+            targets.setdefault(j, []).append(n)
+        out = {}
+        for i, row in self._rows.items():
+            new = {n: x for j, x in row.items() for n in targets.get(j, ())}
+            if new:
+                out[i] = new
+        return _make(self.ring, self.rows, len(idxs), out)
 
     def row_select(self, idxs: Iterable[int]) -> "Matrix":
         idxs = list(idxs)
-        grid = tuple(self.entries[i] for i in idxs)
-        return Matrix(self.ring, len(idxs), self.cols, grid)
+        _check_indices(idxs, self.rows, "row")
+        data = self._rows
+        out = {n: data[i] for n, i in enumerate(idxs) if i in data}
+        return _make(self.ring, len(idxs), self.cols, out)
 
     def _match(self, other: "Matrix") -> None:
         if self.ring != other.ring:
             raise RingError(f"mixed rings {self.ring} and {other.ring}")
 
 
+_set_ring = Matrix.ring.__set__
+_set_rows = Matrix.rows.__set__
+_set_cols = Matrix.cols.__set__
+_set_data = Matrix._rows.__set__
+_EMPTY: dict = {}
+
+
+def _make(ring: RingTag, rows: int, cols: int, data: dict) -> Matrix:
+    """A matrix from nonzero rows that are canonical by construction: every
+    key in range, every row nonempty, every entry canonical and nonzero.
+    The rows are shared, never copied, so no caller may change them later."""
+    m = object.__new__(Matrix)
+    _set_ring(m, ring)
+    _set_rows(m, rows)
+    _set_cols(m, cols)
+    _set_data(m, data)
+    return m
+
+
+def _canonical_rows(ring: RingTag, rows) -> dict:
+    """The nonzero rows of rows, an iterable of (row index, iterable of
+    (column, entry)) pairs, with every entry canonicalized into ring;
+    RingError when an entry has no image there."""
+    canon = ring_ops(ring).canon
+    out = {}
+    try:
+        for i, row in rows:
+            new = {}
+            for j, x in row:
+                x = canon(x)
+                if x:
+                    new[j] = x
+            if new:
+                out[i] = new
+    except (TypeError, ArithmeticError) as exc:
+        raise RingError(f"cannot convert entries to {ring}: {exc}") from exc
+    return out
+
+
+def _columns(a: Matrix) -> dict[int, dict]:
+    """The nonzero columns of a as fresh {row: entry} dicts."""
+    cols: dict[int, dict] = {}
+    for i, row in a._rows.items():
+        for j, x in row.items():
+            col = cols.get(j)
+            if col is None:
+                cols[j] = {i: x}
+            else:
+                col[i] = x
+    return cols
+
+
+def _check_indices(idxs: list[int], bound: int, kind: str) -> None:
+    for k in idxs:
+        if not 0 <= k < bound:
+            raise ShapeError(f"{kind} index {k} outside 0..{bound - 1}")
+
+
 def zeros(ring: RingTag, rows: int, cols: int) -> Matrix:
-    zero = ring_ops(ring).zero
-    return Matrix(ring, rows, cols, tuple(tuple([zero] * cols) for _ in range(rows)))
+    if rows < 0 or cols < 0:
+        raise ShapeError("negative dimensions")
+    return _make(ring, rows, cols, {})
 
 
 def identity(ring: RingTag, n: int) -> Matrix:
-    ops = ring_ops(ring)
-    grid = tuple(
-        tuple(ops.one if i == j else ops.zero for j in range(n)) for i in range(n)
-    )
-    return Matrix(ring, n, n, grid)
+    if n < 0:
+        raise ShapeError("negative dimensions")
+    one = ring_ops(ring).one
+    return _make(ring, n, n, {i: {i: one} for i in range(n)})
 
 
 def hcat(ring: RingTag, rows: int, mats: Iterable[Matrix]) -> Matrix:
-    mats = list(mats)
+    out: dict[int, dict] = {}
+    offset = 0
     for m in mats:
         if m.rows != rows:
             raise ShapeError("hcat with mismatched row counts")
         if m.ring != ring:
             raise RingError("hcat with mixed rings")
-    grid = tuple(
-        tuple(x for m in mats for x in m.entries[i]) for i in range(rows)
-    )
-    return Matrix(ring, rows, sum(m.cols for m in mats), grid)
+        for i, row in m._rows.items():
+            new = out.get(i)
+            if new is None:
+                new = out[i] = {}
+            for j, x in row.items():
+                new[j + offset] = x
+        offset += m.cols
+    return _make(ring, rows, offset, out)
 
 
 def vcat(ring: RingTag, cols: int, mats: Iterable[Matrix]) -> Matrix:
-    mats = list(mats)
+    out: dict[int, dict] = {}
+    offset = 0
     for m in mats:
         if m.cols != cols:
             raise ShapeError("vcat with mismatched column counts")
         if m.ring != ring:
             raise RingError("vcat with mixed rings")
-    grid = tuple(row for m in mats for row in m.entries)
-    return Matrix(ring, sum(m.rows for m in mats), cols, grid)
+        for i, row in m._rows.items():
+            out[i + offset] = row
+        offset += m.rows
+    return _make(ring, offset, cols, out)
 
 
 def block_matrix(
@@ -166,43 +322,43 @@ def block_matrix(
     blocks: dict[tuple[int, int], Matrix],
 ) -> Matrix:
     """Assemble a matrix from blocks; absent blocks are zero."""
-    zero = ring_ops(ring).zero
-    rows, cols = sum(row_sizes), sum(col_sizes)
-    grid = [[zero] * cols for _ in range(rows)]
     row_off = [0]
     for r in row_sizes:
         row_off.append(row_off[-1] + r)
     col_off = [0]
     for c in col_sizes:
         col_off.append(col_off[-1] + c)
+    out: dict[int, dict] = {}
     for (bi, bj), m in blocks.items():
         if m.rows != row_sizes[bi] or m.cols != col_sizes[bj]:
             raise ShapeError(f"block ({bi},{bj}) has shape {m.rows}x{m.cols}")
         if m.ring != ring:
             raise RingError("block with mixed ring")
         r0, c0 = row_off[bi], col_off[bj]
-        for i, row in enumerate(m.entries):
-            grid[r0 + i][c0 : c0 + m.cols] = row
-    return Matrix(ring, rows, cols, tuple(tuple(r) for r in grid))
+        for i, row in m._rows.items():
+            new = out.get(r0 + i)
+            if new is None:
+                new = out[r0 + i] = {}
+            for j, x in row.items():
+                new[c0 + j] = x
+    return _make(ring, row_off[-1], col_off[-1], out)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product in the row-major basis convention:
     basis vector i*b.cols + j of the source is e_i (x) e_j."""
     a._match(b)
-    mul = ring_ops(a.ring).mul
-    rows, cols = a.rows * b.rows, a.cols * b.cols
-    grid = []
-    for i in range(a.rows):
-        for k in range(b.rows):
-            grid.append(
-                tuple(
-                    mul(a.entries[i][j], b.entries[k][l])
-                    for j in range(a.cols)
-                    for l in range(b.cols)
-                )
-            )
-    return Matrix(a.ring, rows, cols, tuple(grid))
+    p = a.ring.p
+    br, bc = b.rows, b.cols
+    out = {}
+    for i, arow in a._rows.items():
+        for k, brow in b._rows.items():
+            if p:
+                row = {j * bc + l: x * y % p for j, x in arow.items() for l, y in brow.items()}
+            else:
+                row = {j * bc + l: x * y for j, x in arow.items() for l, y in brow.items()}
+            out[i * br + k] = row
+    return _make(a.ring, a.rows * br, a.cols * bc, out)
 
 
 @dataclass(frozen=True)
@@ -230,9 +386,7 @@ class SmithDecomposition:
         return tuple(int(d) for d in self.diagonal() if d != ops.zero and d != ops.one)
 
     def diagonal(self) -> list:
-        return [
-            self.s.entries[t][t] for t in range(min(self.s.rows, self.s.cols))
-        ]
+        return [self.s[t, t] for t in range(min(self.s.rows, self.s.cols))]
 
 
 def _quot(ops, a, b):
@@ -353,7 +507,7 @@ def smith_normal_form(a: Matrix) -> SmithDecomposition:
         elif d != ops.one:
             row_scale(t, ops.divide_exact(ops.one, d))
 
-    wrap = lambda grid, r, c: Matrix(a.ring, r, c, tuple(tuple(row) for row in grid))
+    wrap = lambda grid, r, c: _make(a.ring, r, c, _nonzero_rows(grid))
     return SmithDecomposition(
         matrix=a,
         u=wrap(u, m, m),
@@ -367,29 +521,47 @@ def smith_normal_form(a: Matrix) -> SmithDecomposition:
 def invariant_factors(a: Matrix) -> tuple:
     """The nonzero diagonal of the Smith form of a, in divisibility order
     (all ones over a field): the rank is its length and its non-unit entries
-    are the cokernel's torsion. Eliminates over sparse rows with native
-    arithmetic and tracks no transform (Dumas-Saunders-Villard 2001)."""
+    are the cokernel's torsion. Eliminates over copies of the sparse rows,
+    taken in row and column order, with native arithmetic and tracks no
+    transform (Dumas-Saunders-Villard 2001)."""
     ring = a.ring
+    rows = [dict(sorted(row.items())) for _, row in sorted(a._rows.items())]
     if ring.kind == "Z":
-        return tuple(_integer_invariants(_sparse_rows(a.entries)))
+        return tuple(_integer_invariants(rows))
     if ring.kind == "F":
-        p = ring.p
-        rank = _field_rank(_sparse_rows([x % p for x in row] for row in a.entries), p)
+        rank = _field_rank(rows, ring.p)
     else:
-        rank = _rational_rank(_sparse_rows(_integer_row(row) for row in a.entries))
+        rank = _rational_rank([_integer_row(row) for row in rows])
     return (ring_ops(ring).one,) * rank
 
 
-def _sparse_rows(grid) -> list[dict]:
-    """The nonzero rows of grid as {column: entry} dicts."""
-    rows = [{j: x for j, x in enumerate(row) if x} for row in grid]
-    return [row for row in rows if row]
+def _nonzero_rows(grid) -> dict:
+    """The nonzero rows of a dense grid of canonical entries."""
+    out = {}
+    for i, row in enumerate(grid):
+        new = {j: x for j, x in enumerate(row) if x}
+        if new:
+            out[i] = new
+    return out
 
 
-def _integer_row(row) -> list[int]:
-    """A row of fractions scaled by the lcm of its denominators."""
-    scale = lcm(*(x.denominator for x in row))
-    return [x.numerator * (scale // x.denominator) for x in row]
+def _integer_row(row: dict) -> dict:
+    """A sparse row of fractions scaled by the lcm of its denominators."""
+    scale = lcm(*(x.denominator for x in row.values()))
+    return {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
+
+
+def _sub_multiple(col: dict, q, piv: dict, p: int) -> None:
+    """col -= q * piv in place, mod p when p is nonzero, keeping only
+    nonzero entries."""
+    for j, y in piv.items():
+        z = col.get(j, 0) - q * y
+        if p:
+            z %= p
+        if z:
+            col[j] = z
+        else:
+            col.pop(j, None)
 
 
 def _integer_invariants(rows: list[dict]) -> list[int]:
@@ -411,13 +583,7 @@ def _integer_invariants(rows: list[dict]) -> list[int]:
             x = row.get(c)
             if x is None or row is prow:
                 continue
-            q = x // v
-            for j, y in prow.items():
-                z = row.get(j, 0) - q * y
-                if z:
-                    row[j] = z
-                else:
-                    del row[j]
+            _sub_multiple(row, x // v, prow, 0)
             dirty = dirty or c in row
         rows = [row for row in rows if row]
         if dirty:
@@ -467,13 +633,7 @@ def _field_rank(rows: list[dict], p: int) -> int:
             x = row.get(c)
             if x is None or row is prow:
                 continue
-            q = x * inv % p
-            for j, y in prow.items():
-                z = (row.get(j, 0) - q * y) % p
-                if z:
-                    row[j] = z
-                else:
-                    del row[j]
+            _sub_multiple(row, x * inv % p, prow, p)
         rows = [row for row in rows if row and row is not prow]
         rank += 1
     return rank
@@ -493,12 +653,7 @@ def _rational_rank(rows: list[dict]) -> int:
             g = gcd(v, x)
             a, b = v // g, x // g
             new = {j: a * y for j, y in row.items()}
-            for j, y in prow.items():
-                z = new.get(j, 0) - b * y
-                if z:
-                    new[j] = z
-                else:
-                    del new[j]
+            _sub_multiple(new, b, prow, 0)
             if new:
                 content = gcd(*new.values())
                 if content != 1:
@@ -509,42 +664,62 @@ def _rational_rank(rows: list[dict]) -> int:
     return rank
 
 
-def _eliminate_columns(ring: RingTag, cols: list[list], rows: int) -> tuple[list, list]:
-    """Column-reduce the first `rows` entries of `cols` in place, bottom row
-    first: over Z by Euclid reduction on the smallest |entry| of the row,
-    with unimodular column operations only; over a field by pivot and clear.
-    Returns the pivots as (row, column) pairs, bottom row first, each column
-    zero below its row, and the other columns, now zero in all `rows`
-    entries. Entries past `rows` ride along, so they record the column
-    transform when `cols` is [A; I]."""
-    ops = ring_ops(ring)
-    zero = ops.zero
-    remaining = list(cols)
+def _eliminate_columns(ring: RingTag, cols: list[tuple[dict, dict]]) -> tuple[list, list]:
+    """Column-reduce cols, pairs (head, tail) of sparse {row: entry}
+    columns, in place, bottom row first: the columns whose heads end in
+    the current row are reduced over Z by Euclid steps on the smallest
+    |entry| with unimodular column operations only, over a field by pivot
+    and clear, until one (the pivot) is left. Tails ride along, so they
+    record the column transform when they start as the identity.
+    Returns the pivots as (row, column) pairs, bottom row first, each head
+    zero below its row, and the columns whose heads are now zero."""
+    p = ring.p
+    by_low: dict[int, list] = {}
+    lows: list[int] = []
+    null = []
+
+    def place(col) -> None:
+        if not col[0]:
+            null.append(col)
+            return
+        low = max(col[0])
+        bucket = by_low.get(low)
+        if bucket is None:
+            by_low[low] = [col]
+            heappush(lows, -low)
+        else:
+            bucket.append(col)
+
+    for col in cols:
+        place(col)
     pivots = []
-    for r in range(rows - 1, -1, -1):
-        active = [c for c in remaining if c[r] != zero]
-        if not active:
-            continue
+    while lows:
+        r = -heappop(lows)
+        active = by_low.pop(r)
         if ring.kind == "Z":
             while len(active) > 1:
-                piv = min(active, key=lambda c: abs(c[r]))
+                piv = min(active, key=lambda c: abs(c[0][r]))
                 left = [piv]
-                for c in active:
-                    if c is not piv:
-                        q = c[r] // piv[r]
-                        c[:] = [x - q * y for x, y in zip(c, piv)]
-                        if c[r]:
-                            left.append(c)
+                for col in active:
+                    if col is not piv:
+                        q = col[0][r] // piv[0][r]
+                        _sub_multiple(col[0], q, piv[0], 0)
+                        _sub_multiple(col[1], q, piv[1], 0)
+                        if r in col[0]:
+                            left.append(col)
+                        else:
+                            place(col)
                 active = left
         else:
             piv = active[0]
-            inv = ops.divide_exact(ops.one, piv[r])
-            for c in active[1:]:
-                q = ops.mul(c[r], inv)
-                c[:] = [ops.sub(x, ops.mul(q, y)) for x, y in zip(c, piv)]
+            inv = pow(piv[0][r], -1, p) if p else 1 / piv[0][r]
+            for col in active[1:]:
+                q = col[0][r] * inv % p if p else col[0][r] * inv
+                _sub_multiple(col[0], q, piv[0], p)
+                _sub_multiple(col[1], q, piv[1], p)
+                place(col)
         pivots.append((r, active[0]))
-        remaining = [c for c in remaining if c is not active[0]]
-    return pivots, remaining
+    return pivots, null
 
 
 def canonical_columns(b: Matrix) -> Matrix:
@@ -555,53 +730,43 @@ def canonical_columns(b: Matrix) -> Matrix:
     pivot rows reduced. Each column is reduced against the nearest pivot
     first, so no later step undoes an earlier one and the result depends
     only on the lattice (over a field, the span)."""
-    ops = ring_ops(b.ring)
-    zero = ops.zero
-    cols = [[b.entries[i][j] for i in range(b.rows)] for j in range(b.cols)]
-    pivots, _ = _eliminate_columns(b.ring, cols, b.rows)
-    pivots.reverse()
-    prows = [r for r, _ in pivots]
+    return _hermite(b.ring, b.rows, list(_columns(b).values()))
+
+
+def _hermite(ring: RingTag, rows: int, cols: list[dict]) -> Matrix:
+    """canonical_columns of the matrix with `rows` rows and these sparse
+    columns, which it consumes."""
+    p = ring.p
+    pivots, _ = _eliminate_columns(ring, [(col, {}) for col in cols])
     basis = []
-    for r, piv in pivots:
-        if ops.tag.kind == "Z":
-            if piv[r] < 0:
-                piv = [-x for x in piv]
-        else:
-            inv = ops.divide_exact(ops.one, piv[r])
-            piv = [ops.mul(inv, x) for x in piv]
-        basis.append(piv)
-    for i in range(len(basis)):
-        for j in reversed(range(i)):
-            r = prows[j]
-            a = basis[i][r]
-            if a == zero:
+    for r, (head, _) in reversed(pivots):
+        v = head[r]
+        if ring.kind == "Z":
+            if v < 0:
+                head = {i: -x for i, x in head.items()}
+        elif v != 1:
+            inv = pow(v, -1, p) if p else 1 / v
+            head = {i: x * inv % p if p else x * inv for i, x in head.items()}
+        basis.append((r, head))
+    for n, (_, col) in enumerate(basis):
+        for r, piv in reversed(basis[:n]):
+            a = col.get(r)
+            if a is None:
                 continue
-            if ops.tag.kind == "Z":
-                q = a // basis[j][r]
-            else:
-                q = ops.divide_exact(a, basis[j][r])
-            if q != zero:
-                basis[i] = [
-                    ops.sub(x, ops.mul(q, y)) for x, y in zip(basis[i], basis[j])
-                ]
-    grid = tuple(
-        tuple(basis[j][i] for j in range(len(basis))) for i in range(b.rows)
-    )
-    return Matrix(b.ring, b.rows, len(basis), grid)
+            # field pivots are 1
+            q = a // piv[r] if ring.kind == "Z" else a
+            if q:
+                _sub_multiple(col, q, piv, p)
+    return _make(ring, len(basis), rows, {n: col for n, (_, col) in enumerate(basis)}).transpose()
 
 
 def kernel_basis(a: Matrix) -> Matrix:
     """Columns form a basis of ker(a); over Z the full kernel lattice: the
     transform part of the columns of [A; I] whose A-part eliminates to zero."""
-    ops = ring_ops(a.ring)
-    cols = [
-        [a.entries[i][j] for i in range(a.rows)]
-        + [ops.one if i == j else ops.zero for i in range(a.cols)]
-        for j in range(a.cols)
-    ]
-    _, null = _eliminate_columns(a.ring, cols, a.rows)
-    grid = tuple(tuple(c[a.rows + i] for c in null) for i in range(a.cols))
-    return canonical_columns(Matrix(a.ring, a.cols, len(null), grid))
+    one = ring_ops(a.ring).one
+    heads = _columns(a)
+    _, null = _eliminate_columns(a.ring, [(heads.get(j, {}), {j: one}) for j in range(a.cols)])
+    return _hermite(a.ring, a.cols, [tail for _, tail in null])
 
 
 def image_basis(a: Matrix) -> Matrix:
@@ -614,23 +779,20 @@ def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
     a._match(b)
     if a.rows != b.rows:
         raise ShapeError(f"solve: {a.rows} rows vs {b.rows} rows")
-    ops = ring_ops(a.ring)
+    divide_exact = ring_ops(a.ring).divide_exact
     snf = smith_normal_form(a)
     c = snf.u @ b
     r = snf.rank
-    y = [[ops.zero] * b.cols for _ in range(a.cols)]
-    for i in range(a.rows):
-        if i < r:
-            d = snf.s.entries[i][i]
-            for j in range(b.cols):
-                try:
-                    y[i][j] = ops.divide_exact(c.entries[i][j], d)
-                except DivisibilityError:
-                    return None
-        else:
-            if any(c.entries[i][j] != ops.zero for j in range(b.cols)):
-                return None
-    return snf.v @ Matrix(a.ring, a.cols, b.cols, tuple(tuple(row) for row in y))
+    y = {}
+    for i, row in c._rows.items():
+        if i >= r:
+            return None
+        d = snf.s[i, i]
+        try:
+            y[i] = {j: divide_exact(x, d) for j, x in row.items()}
+        except DivisibilityError:
+            return None
+    return snf.v @ _make(a.ring, a.cols, b.cols, y)
 
 
 def torsion(factors: tuple) -> tuple[int, ...]:
@@ -710,12 +872,14 @@ def mat_from_json(obj, ring: RingTag, path: str = "matrix") -> Matrix:
     grid = obj["entries"]
     if not isinstance(grid, list) or len(grid) != rows:
         raise ValueError(f"{path}.entries: expected {rows} rows")
-    out = []
+    data = {}
     for i, row in enumerate(grid):
         if not isinstance(row, list) or len(row) != cols:
             raise ValueError(f"{path}.entries[{i}]: expected {cols} entries")
         try:
-            out.append(tuple(scalar_from_json(ring, x) for x in row))
+            new = {j: x for j, x in enumerate(scalar_from_json(ring, v) for v in row) if x}
         except (TypeError, ValueError, ArithmeticError) as exc:
             raise ValueError(f"{path}.entries[{i}]: {exc}") from exc
-    return Matrix(ring, rows, cols, tuple(out))
+        if new:
+            data[i] = new
+    return _make(ring, rows, cols, data)

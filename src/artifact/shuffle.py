@@ -29,7 +29,6 @@ from .chains import (
 from .deltacat import MonotoneMap, compose, enumerate_jointly_monic_pairs, face, shuffle_of_pair
 from .errors import DomainError, RingError
 from .linalg import HomologyGroup, Matrix, block_matrix, identity, kron
-from .rings import ring_ops
 
 
 Pair = tuple[MonotoneMap, MonotoneMap]
@@ -78,10 +77,9 @@ def shuffle_product(x: ConnComplex, y: ConnComplex) -> ShuffleComplex:
     if x.ring != y.ring:
         raise RingError(f"factors over {x.ring} and {y.ring}")
     ring = x.ring
-    ops = ring_ops(ring)
 
     def signed(mat: Matrix, exponent: int) -> Matrix:
-        return mat.scale(ops.neg(ops.one)) if exponent % 2 else mat
+        return -mat if exponent % 2 else mat
 
     top = x.top + y.top
     pairs_at = [enumerate_jointly_monic_pairs(n, x.top, y.top) for n in range(top + 1)]
@@ -192,7 +190,6 @@ def ez_map(x: ConnComplex, y: ConnComplex) -> ChainMap:
     tensored = tensor(x, y)
     layout = tensor_blocks(x, y)
     ring = x.ring
-    ops = ring_ops(ring)
     comps = {}
     for n in range(boxed.top + 1):
         pairs = boxed.blocks[n]
@@ -208,7 +205,7 @@ def ez_map(x: ConnComplex, y: ConnComplex) -> ChainMap:
             sign = shuffle_of_pair(f, g).sign()
             block = identity(ring, row_widths[ri])
             if sign < 0:
-                block = block.scale(ops.neg(ops.one))
+                block = -block
             blocks[(ri, col_at[(k, l)])] = block
         comps[n] = block_matrix(ring, row_widths, col_widths, blocks)
     return ChainMap(tensored, boxed.underlying, comps)

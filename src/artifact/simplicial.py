@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 
 from . import deltacat
 from .chains import ChainMap, ConnComplex, _build, _json_header, _json_object
@@ -32,7 +33,7 @@ from .linalg import (
     vcat,
     zeros,
 )
-from .rings import RingTag, ring_ops
+from .rings import RingTag
 
 
 class FinSimplicialSet:
@@ -486,11 +487,8 @@ def compose_simplicial(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
 
 
 def _index_matrix(ring: RingTag, rows: int, index_map: tuple[int, ...]) -> Matrix:
-    ops = ring_ops(ring)
-    grid = [[ops.zero] * len(index_map) for _ in range(rows)]
-    for col, row in enumerate(index_map):
-        grid[row][col] = ops.one
-    return Matrix(ring, rows, len(index_map), tuple(tuple(r) for r in grid))
+    """The 0/1 matrix whose column c is the basis vector at index_map[c]."""
+    return identity(ring, rows).col_select(index_map)
 
 
 def free_module(u: FinSimplicialSet, ring: RingTag) -> SimplicialModule:
@@ -518,37 +516,53 @@ def dk_blocks(n: int) -> list[deltacat.MonotoneMap]:
     return blocks
 
 
+@cache
+def _dk_tops(n: int) -> tuple[int, ...]:
+    """The target top k of each block of dk_blocks(n), in order."""
+    return tuple(f.target_top for f in dk_blocks(n))
+
+
+@cache
+def _dk_layout(eta: deltacat.MonotoneMap) -> tuple[tuple[int, int, int, int], ...]:
+    """The nonzero blocks of dk_transition(x, eta) for every complex x, as
+    (row block, column block, k, sign): the identity of X_k when sign is 0,
+    sign times the degree-k differential otherwise."""
+    m, n = eta.source_top, eta.target_top
+    row_at = {f.values: idx for idx, f in enumerate(dk_blocks(m))}
+    layout = []
+    for ci, g in enumerate(dk_blocks(n)):
+        k = g.target_top
+        mono, epi = deltacat.epi_mono_factorize(deltacat.compose(g, eta))
+        ri = row_at[epi.values]
+        if mono.target_top == mono.source_top:
+            layout.append((ri, ci, k, 0))
+        elif mono.source_top == k - 1 and mono.values == tuple(range(k)):
+            layout.append((ri, ci, k, -1 if k % 2 else 1))
+    return tuple(layout)
+
+
 def dk_transition(x: ConnComplex, eta: deltacat.MonotoneMap) -> Matrix:
     """The structure matrix of eta: [m] -> [n] on the degreewise sum
     indexed by surjections.  Column block g: [n] ->> [k] contributes to the
     row block holding the epi part of g o eta: the identity when the mono
     part is the identity, the degree-k differential times (-1)^k when the
     mono part omits exactly the top element k, zero otherwise."""
-    m, n = eta.source_top, eta.target_top
-    row_blocks = dk_blocks(m)
-    col_blocks = dk_blocks(n)
-    row_at = {f.values: idx for idx, f in enumerate(row_blocks)}
-    row_sizes = [x.rank(f.target_top) for f in row_blocks]
-    col_sizes = [x.rank(g.target_top) for g in col_blocks]
-    ops = ring_ops(x.ring)
     blocks = {}
-    for ci, g in enumerate(col_blocks):
-        k = g.target_top
-        mono, epi = deltacat.epi_mono_factorize(deltacat.compose(g, eta))
-        ri = row_at[epi.values]
-        if mono.target_top == mono.source_top:
+    for ri, ci, k, sign in _dk_layout(eta):
+        if sign == 0:
             if x.rank(k):
                 blocks[(ri, ci)] = identity(x.ring, x.rank(k))
-        elif mono.source_top == k - 1 and mono.values == tuple(range(k)):
-            d = x.diff(k)
-            blocks[(ri, ci)] = d.scale(ops.neg(ops.one)) if k % 2 else d
+        else:
+            blocks[(ri, ci)] = -x.diff(k) if sign < 0 else x.diff(k)
+    row_sizes = [x.rank(k) for k in _dk_tops(eta.source_top)]
+    col_sizes = [x.rank(k) for k in _dk_tops(eta.target_top)]
     return block_matrix(x.ring, row_sizes, col_sizes, blocks)
 
 
 def dk(x: ConnComplex, horizon: int) -> SimplicialModule:
     """The simplicial module with level n the sum of X_k over surjections
     [n] ->> [k], built to the requested horizon."""
-    ranks = tuple(sum(x.rank(f.target_top) for f in dk_blocks(n)) for n in range(horizon + 1))
+    ranks = tuple(sum(x.rank(k) for k in _dk_tops(n)) for n in range(horizon + 1))
     faces = {
         n: [dk_transition(x, deltacat.face(n, i)) for i in range(n + 1)]
         for n in range(1, horizon + 1)
@@ -751,21 +765,13 @@ def verify_nerve_contraction(p: FinPoset, horizon: int, ring: RingTag) -> Contra
         return ContractionReport(None, (), ())
     u = nerve(p, horizon)
     m = free_module(u, ring)
-    ops = ring_ops(ring)
     index = [{c: i for i, c in enumerate(level)} for level in u.cells]
 
     def prefix_matrix(lv: int) -> Matrix:
-        grid = [[ops.zero] * m.rank(lv) for _ in range(m.rank(lv + 1))]
-        for col, c in enumerate(u.cells[lv]):
-            grid[index[lv + 1][(e,) + c]][col] = ops.one
-        return Matrix(ring, m.rank(lv + 1), m.rank(lv), tuple(tuple(r) for r in grid))
+        return _index_matrix(ring, m.rank(lv + 1), [index[lv + 1][(e,) + c] for c in u.cells[lv]])
 
     def collapse_matrix(lv: int) -> Matrix:
-        grid = [[ops.one] * m.rank(lv)]
-        target = index[lv][(e,) * (lv + 1)]
-        out = [[ops.zero] * m.rank(lv) for _ in range(m.rank(lv))]
-        out[target] = grid[0]
-        return Matrix(ring, m.rank(lv), m.rank(lv), tuple(tuple(r) for r in out))
+        return _index_matrix(ring, m.rank(lv), [index[lv][(e,) * (lv + 1)]] * m.rank(lv))
 
     nor_part = nor(m)
     deg_part = degenerate_part(m)

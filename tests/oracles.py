@@ -11,6 +11,7 @@ since validity is enforced by its constructors either way.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import gcd
 
 import artifact as a
@@ -83,6 +84,77 @@ def minor_gcd_invariants(entries, rows, cols):
         factors.append(g // previous)
         previous = g
     return factors
+
+
+# ---------------------------------------------------------------------------
+# dense reference for the Matrix operations
+#
+# A dense matrix is (rows, cols, grid) with grid a list of row lists, so
+# that 0 x n and n x 0 shapes keep both dimensions.  Arithmetic is plain
+# Python on every cell, reduced into the ring by its tag alone.
+
+
+def reduce_into(ring, x):
+    if ring.kind == "F":
+        return x % ring.p
+    if ring.kind == "Q":
+        return Fraction(x)
+    return x
+
+
+def dense(m):
+    return (m.rows, m.cols, [list(row) for row in m.entries])
+
+
+def dense_map(ring, fn, *mats):
+    """The cellwise fn of equally shaped dense matrices."""
+    rows, cols = mats[0][:2]
+    grid = [
+        [reduce_into(ring, fn(*(m[2][i][j] for m in mats))) for j in range(cols)]
+        for i in range(rows)
+    ]
+    return (rows, cols, grid)
+
+
+def dense_matmul(ring, a, b):
+    rows, inner, cols = a[0], a[1], b[1]
+    grid = [
+        [reduce_into(ring, sum(a[2][i][k] * b[2][k][j] for k in range(inner))) for j in range(cols)]
+        for i in range(rows)
+    ]
+    return (rows, cols, grid)
+
+
+def dense_transpose(a):
+    return (a[1], a[0], [[a[2][i][j] for i in range(a[0])] for j in range(a[1])])
+
+
+def dense_kron(ring, a, b):
+    rows, cols = a[0] * b[0], a[1] * b[1]
+    grid = [
+        [
+            reduce_into(ring, a[2][i // b[0]][j // b[1]] * b[2][i % b[0]][j % b[1]])
+            for j in range(cols)
+        ]
+        for i in range(rows)
+    ]
+    return (rows, cols, grid)
+
+
+def dense_blocks(ring, row_sizes, col_sizes, blocks):
+    """Blocks keyed by (block row, block column); absent blocks are zero."""
+    rows, cols = sum(row_sizes), sum(col_sizes)
+    grid = [[reduce_into(ring, 0)] * cols for _ in range(rows)]
+    for (bi, bj), block in blocks.items():
+        r0, c0 = sum(row_sizes[:bi]), sum(col_sizes[:bj])
+        for i in range(block[0]):
+            for j in range(block[1]):
+                grid[r0 + i][c0 + j] = block[2][i][j]
+    return (rows, cols, grid)
+
+
+def dense_select(a, row_idxs, col_idxs):
+    return (len(row_idxs), len(col_idxs), [[a[2][i][j] for j in col_idxs] for i in row_idxs])
 
 
 # ---------------------------------------------------------------------------

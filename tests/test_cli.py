@@ -276,6 +276,34 @@ def test_nor_on_a_non_simplicial_module_exits_one(tmp_path, capsys):
     assert list(json.loads(proc.stdout)) == ["error"]
 
 
+@pytest.mark.parametrize("ranks, large", [([1, 10**8], 1), ([10**8, 1], 0)])
+def test_homology_of_a_huge_declared_rank_fits_a_small_address_space(tmp_path, ranks, large):
+    # a 1 x 10^8 zero differential stored densely takes about 800 MB; the
+    # child may map 512 MB in all
+    pytest.importorskip("resource")
+    path = write(tmp_path, "huge.json", {"ring": "Z", "top": 1, "ranks": ranks})
+    cap = 512 * 2**20
+    child = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+        "from artifact.cli import main\n"
+        "sys.exit(main())\n"
+    )
+    src = os.path.dirname(os.path.dirname(artifact.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "homology", path],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    groups = json.loads(proc.stdout)["H"]
+    assert groups[large] == {"rank": 10**8}
+    assert groups[1 - large] == {"rank": 1}
+
+
 def test_malformed_input_exits_two(tmp_path, capsys):
     code, out = run(capsys, "homology", str(tmp_path / "missing.json"))
     assert code == 2 and "error" in out

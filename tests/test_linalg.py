@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -36,7 +38,17 @@ from artifact import (
 from artifact.errors import NotAComplex, RingError, ShapeError
 from artifact.linalg import torsion
 
-from oracles import brute_homology_dim, minor_gcd_invariants
+from oracles import (
+    brute_homology_dim,
+    dense,
+    dense_blocks,
+    dense_kron,
+    dense_map,
+    dense_matmul,
+    dense_select,
+    dense_transpose,
+    minor_gcd_invariants,
+)
 
 RINGS = [ZZ, QQ, GF(2), GF(5)]
 
@@ -100,6 +112,128 @@ def test_kron_row_major_convention():
         (0, 0, 2, 0),
         (0, 0, 0, 2),
     )
+
+
+def test_public_constructor_canonicalizes_its_grid():
+    assert Matrix(QQ, 1, 1, ((2,),)) == Matrix.from_rows(QQ, [[2]])
+    assert Matrix(QQ, 1, 1, ((2,),)).entries == ((Fraction(2),),)
+    assert Matrix(GF(5), 1, 2, ((7, -1),)).entries == ((2, 4),)
+    # an entry that reduces to zero is not stored, so equality holds
+    assert Matrix(GF(2), 2, 2, ((2, 0), (0, 4))) == zeros(GF(2), 2, 2)
+    assert Matrix(ZZ, 2, 3, ((0, 0, 0), (0, 0, 0))).is_zero
+    # no image in the ring: the same typed error as a ring change
+    for ring, grid in ((ZZ, ((Fraction(1, 2),),)), (GF(3), ((Fraction(1, 3),),)), (ZZ, ((1.5,),))):
+        with pytest.raises(RingError):
+            Matrix(ring, 1, 1, grid)
+    with pytest.raises(ShapeError):
+        Matrix(ZZ, 1, 2, ((1, 2, 3),))
+    with pytest.raises(ShapeError):
+        Matrix(ZZ, -1, 0, ())
+    x = m(ZZ, [[1, 2], [3, 4]])
+    for idx in ((2, 0), (0, -1)):
+        with pytest.raises(ShapeError):
+            x[idx]
+    with pytest.raises(ShapeError):
+        x.col_select([2])
+    with pytest.raises(ShapeError):
+        x.row_select([-1])
+    with pytest.raises(AttributeError):
+        x.rows = 3
+    assert pickle.loads(pickle.dumps(x)) == x and copy.deepcopy(x) == x
+
+
+def test_change_ring_drops_entries_that_become_zero():
+    a = m(ZZ, [[2, 3], [4, -6]])
+    assert a.change_ring(GF(2)) == Matrix(GF(2), 2, 2, ((0, 1), (0, 0)))
+    assert a.change_ring(GF(2)) == m(GF(2), [[0, 1], [0, 0]])
+    assert a.change_ring(QQ).entries == tuple(tuple(Fraction(x) for x in row) for row in a.entries)
+    assert a.change_ring(GF(3)).change_ring(GF(3)) == a.change_ring(GF(3))
+    assert a.change_ring(GF(2)).change_ring(ZZ) == m(ZZ, [[0, 1], [0, 0]])
+    with pytest.raises(RingError):
+        m(QQ, [[Fraction(1, 2)]]).change_ring(ZZ)
+
+
+def test_storage_does_not_grow_with_the_shape():
+    huge = zeros(ZZ, 10**8, 10**8)
+    assert huge.is_zero and huge == zeros(ZZ, 10**8, 10**8)
+    e = identity(ZZ, 1)
+    corner = block_matrix(ZZ, [1, 10**8], [10**8, 1], {(0, 1): e, (1, 0): zeros(ZZ, 10**8, 10**8)})
+    assert corner[0, 10**8] == 1 and corner[10**8, 0] == 0
+    assert (corner @ corner.transpose())[0, 0] == 1
+    assert kron(corner, e).transpose().transpose() == corner
+
+
+MATRIX_RINGS = [ZZ, QQ, GF(2), GF(3), GF(5)]
+
+
+def random_sparse(rng, ring, rows, cols):
+    density = rng.choice((0.0, 0.3, 0.7, 1.0))
+
+    def entry():
+        if rng.random() >= density:
+            return 0
+        if ring == QQ and rng.random() < 0.3:
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return rng.randint(-4, 4)
+
+    return Matrix(ring, rows, cols, tuple(tuple(entry() for _ in range(cols)) for _ in range(rows)))
+
+
+@pytest.mark.parametrize("ring", MATRIX_RINGS, ids=str)
+def test_matrix_operations_match_the_dense_reference(ring):
+    """Every operation against cellwise dense arithmetic, on seeded shapes
+    with zero rows or columns and sums that cancel.  Comparing with the
+    public constructor of the reference grid also checks that no zero is
+    stored: a stored zero would make the two unequal."""
+    rng = random.Random(97)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1)] + [
+        (rng.randint(0, 4), rng.randint(0, 4)) for _ in range(60)
+    ]
+
+    def check(got, want):
+        rows, cols, grid = want
+        assert (got.rows, got.cols) == (rows, cols)
+        assert got.entries == tuple(tuple(row) for row in grid)
+        assert got == Matrix(ring, rows, cols, grid)
+        assert hash(got) == hash(Matrix(ring, rows, cols, grid))
+        assert got.is_zero == all(x == 0 for row in grid for x in row)
+
+    for rows, cols in shapes:
+        a = random_sparse(rng, ring, rows, cols)
+        c = random_sparse(rng, ring, rows, cols)
+        # b = c - a, so that a + b = c cancels wherever c is zero
+        b = Matrix(ring, rows, cols, dense_map(ring, lambda x, y: x - y, dense(c), dense(a))[2])
+        da, db = dense(a), dense(b)
+        check(a, da)
+        check(a + b, dense(c))
+        check(a + b, dense_map(ring, lambda x, y: x + y, da, db))
+        check(a - b, dense_map(ring, lambda x, y: x - y, da, db))
+        check(a - a, dense_map(ring, lambda x: 0, da))
+        check(a + (-a), dense_map(ring, lambda x: 0, da))
+        check(-a, dense_map(ring, lambda x: -x, da))
+        for s in (0, 1, -1, 2, 3):
+            check(a.scale(s), dense_map(ring, lambda x: s * x, da))
+        check(a.transpose(), dense_transpose(da))
+        other = random_sparse(rng, ring, cols, rng.randint(0, 4))
+        check(a @ other, dense_matmul(ring, da, dense(other)))
+        check(a @ a.transpose(), dense_matmul(ring, da, dense_transpose(da)))
+        small = random_sparse(rng, ring, rng.randint(0, 3), rng.randint(0, 3))
+        check(kron(a, small), dense_kron(ring, da, dense(small)))
+        check(kron(small, b), dense_kron(ring, dense(small), db))
+        check(hcat(ring, rows, [a, b, a]), dense_blocks(ring, [rows], [cols] * 3, {(0, 0): da, (0, 1): db, (0, 2): da}))
+        check(vcat(ring, cols, [b, a]), dense_blocks(ring, [rows, rows], [cols], {(0, 0): db, (1, 0): da}))
+        blocks = {(0, 1): da, (1, 0): db, (1, 1): da}
+        check(
+            block_matrix(ring, [rows, rows], [cols, cols], {(0, 1): a, (1, 0): b, (1, 1): a}),
+            dense_blocks(ring, [rows, rows], [cols, cols], blocks),
+        )
+        picked_rows = [rng.randrange(rows) for _ in range(rng.randint(0, 5))] if rows else []
+        picked_cols = [rng.randrange(cols) for _ in range(rng.randint(0, 5))] if cols else []
+        check(a.row_select(picked_rows), dense_select(da, picked_rows, range(cols)))
+        check(a.col_select(picked_cols), dense_select(da, range(rows), picked_cols))
+        assert (a == b) == (da[2] == db[2])
+        assert a + b == b + a and a + b - b == a
+        assert all(a[i, j] == da[2][i][j] for i in range(rows) for j in range(cols))
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,25 @@ def test_dk_transition_matrix_for_the_level_two_inclusion():
     assert m.face(2, 2) == got
 
 
+def test_dk_layout_is_resolved_once_per_structure_map(monkeypatch):
+    # the block layout is simplex combinatorics only: once dk has met a
+    # face or degeneracy, another complex reuses it without factorizing
+    import artifact.deltacat as deltacat
+
+    rng = random.Random(19)
+    dk(random_complex(rng, ZZ, max_top=3, max_rank=2), 3)
+    x = random_complex(rng, GF(3), max_top=3, max_rank=2)
+
+    def forbidden(*args):
+        raise AssertionError("the Dold-Kan layout was resolved again")
+
+    monkeypatch.setattr(deltacat, "compose", forbidden)
+    monkeypatch.setattr(deltacat, "epi_mono_factorize", forbidden)
+    m = dk(x, 3)
+    assert check_simplicial_identities(m).ok
+    assert m.ranks == tuple(sum(comb(n, k) * x.rank(k) for k in range(n + 1)) for n in range(4))
+
+
 def test_nor_of_the_interval_module_is_pinned():
     for ring in (ZZ, QQ, GF(5)):
         res = nor(free_module(simplex_set(1, 3), ring))
