@@ -24,7 +24,6 @@ from .linalg import (
     kron,
     mat_from_json,
     mat_to_json,
-    smith_normal_form,
     solve,
     torsion,
     vcat,
@@ -176,11 +175,18 @@ def homology(x: ConnComplex) -> tuple[HomologyGroup, ...]:
     """Homology groups in degrees 0..top, read off the invariant factors of
     each differential once, as in homology_at; only ranks pass between
     degrees."""
+    return _homology(x.rank, x.diff, x.top)
+
+
+def _homology(rank, diff, top: int) -> tuple[HomologyGroup, ...]:
+    """Homology in degrees 0..top of the complex whose degree n has rank
+    rank(n) and whose differential leaving degree n is diff(n), given up to
+    unimodular changes of basis, which keep its invariant factors."""
     groups = []
     rank_out = 0
-    for n in range(x.top + 1):
-        arriving = invariant_factors(x.diff(n + 1))
-        groups.append(HomologyGroup(x.rank(n) - rank_out - len(arriving), torsion(arriving)))
+    for n in range(top + 1):
+        arriving = invariant_factors(diff(n + 1))
+        groups.append(HomologyGroup(rank(n) - rank_out - len(arriving), torsion(arriving)))
         rank_out = len(arriving)
     return tuple(groups)
 
@@ -269,6 +275,19 @@ def mapping_cone(f: ChainMap) -> ConnComplex:
     return ConnComplex(ring, ranks, diffs)
 
 
+def _cone_matrix(f: ChainMap, n: int) -> Matrix:
+    """[[d^X_n, 0], [f_n, d^Y_{n+1}]]: X_n + Y_{n+1} -> X_{n-1} + Y_n, the
+    cone differential D_{n+1} up to the signs of its block rows and block
+    columns, so with the same invariant factors."""
+    x, y = f.source, f.target
+    return block_matrix(
+        f.ring,
+        [x.rank(n - 1), y.rank(n)],
+        [x.rank(n), y.rank(n + 1)],
+        {(0, 0): x.diff(n), (1, 0): f.component(n), (1, 1): y.diff(n + 1)},
+    )
+
+
 @dataclass(frozen=True)
 class ModelClass:
     fibration: bool
@@ -286,10 +305,17 @@ class ModelClass:
 
 def classify(f: ChainMap) -> ModelClass:
     """Fibration: surjective in degrees >= 1.  Cofibration: injective with
-    free cokernel in every degree.  Weak equivalence: exact mapping cone.
-    Each component's invariant factors are computed once."""
-    we = is_exact(mapping_cone(f))
-    comps = [f.component(n) for n in range(max(f.source.top, f.target.top) + 1)]
+    free cokernel in every degree.  Weak equivalence: exact mapping cone,
+    read off _cone_matrix without building the cone.  Each component's
+    invariant factors are computed once."""
+    x, y = f.source, f.target
+    cone = _homology(
+        lambda n: x.rank(n - 1) + y.rank(n),
+        lambda n: _cone_matrix(f, n - 1),
+        max(x.top + 1, y.top),
+    )
+    we = all(h.is_zero for h in cone)
+    comps = [f.component(n) for n in range(max(x.top, y.top) + 1)]
     factors = [invariant_factors(c) for c in comps]
     fib = all(len(t) == c.rows and not torsion(t) for c, t in zip(comps[1:], factors[1:]))
     cof = all(len(t) == c.cols and not torsion(t) for c, t in zip(comps, factors))
@@ -403,41 +429,51 @@ def lift_square(f: ChainMap, g: ChainMap, top: ChainMap, bottom: ChainMap) -> Ch
     """Solve the square g o phi' = bottom, phi' o f = top for phi': B -> C,
     given f: A -> B a cofibration and g: C -> D a trivial fibration.
 
-    Degreewise: split B_n = im(f_n) + complement via the Smith form of f_n,
-    take psi = top_n on im(f_n) and a preimage of bottom_n through the
-    surjection g_n on the complement.  Where zeta = d psi - phi_{n-1} d is
-    nonzero, it vanishes on im(f_n) and its values are cycles of the exact
-    complex ker(g), so with K a basis of ker(g_n) some u solves
-    d K u = zeta on the complement, and phi_n = psi - K u on it."""
+    Degreewise: f_n is split injective, with a retraction r_n (r_n f_n = I)
+    exactly when it is injective with a free cokernel; P_n = I - f_n r_n
+    kills im(f_n).  Take psi = top_n r_n + s P_n with g_n s = bottom_n, so
+    psi f_n = top_n and g_n psi = bottom_n.  Where zeta = d psi -
+    phi_{n-1} d is nonzero, its columns are cycles of the exact complex
+    ker(g), so with K a basis of ker(g_n) some u solves d K u = zeta, and
+    phi_n = psi - K u P_n.  This is a lift:
+      zeta f_n = d top_n - top_{n-1} d = 0, so zeta P_n = zeta and
+      d phi_n = d psi - zeta = phi_{n-1} d;
+      P_n f_n = 0 and g K = 0 keep phi_n f_n = top_n and g_n phi_n = bottom_n."""
     a, b = f.source, f.target
     c, d = g.source, g.target
     if top.source != a or top.target != c:
         raise ShapeError("top map must run from the source of f to the source of g")
     if bottom.source != b or bottom.target != d:
         raise ShapeError("bottom map must run from the target of f to the target of g")
-    if compose_maps(g, top) != compose_maps(bottom, f):
+    if any(
+        g.component(n) @ top.component(n) != bottom.component(n) @ f.component(n)
+        for n in range(max(a.top, d.top) + 1)
+    ):
         raise SquareError("square does not commute")
-    decs = [smith_normal_form(f.component(n)) for n in range(max(a.top, b.top) + 1)]
-    if not all(dec.rank == dec.s.cols and not dec.torsion for dec in decs):
-        raise ClassError("left map must be a cofibration")
+    ring = f.ring
+    retractions = []
+    for n in range(max(a.top, b.top) + 1):
+        r = solve(f.component(n).transpose(), identity(ring, a.rank(n)))
+        if r is None:
+            raise ClassError("left map must be a cofibration")
+        retractions.append(r.transpose())
     if not classify(g).trivial_fibration:
         raise ClassError("right map must be a trivial fibration")
     phi = []
     for n in range(b.top + 1):
-        dec = decs[n]
-        r = dec.rank
-        retract = dec.v @ dec.u.row_select(range(r))
-        proj = dec.u.row_select(range(r, dec.u.rows))
-        incl = dec.u_inv.col_select(range(r, dec.u_inv.cols))
-        psi = top.component(n) @ retract + solve(g.component(n), bottom.component(n) @ incl) @ proj
+        r = retractions[n]
+        proj = identity(ring, b.rank(n)) - f.component(n) @ r
+        psi = top.component(n) @ r + solve(g.component(n), bottom.component(n)) @ proj
         if n:
             zeta = c.diff(n) @ psi - phi[n - 1] @ b.diff(n)
             if not zeta.is_zero:
                 k = kernel_basis(g.component(n))
-                psi = psi - k @ solve(c.diff(n) @ k, zeta @ incl) @ proj
+                psi = psi - k @ solve(c.diff(n) @ k, zeta) @ proj
         phi.append(psi)
     result = ChainMap(b, c, dict(enumerate(phi)))
-    if compose_maps(result, f) != top or compose_maps(g, result) != bottom:
+    upper = (result.component(n) @ f.component(n) == top.component(n) for n in range(max(a.top, c.top) + 1))
+    lower = (g.component(n) @ result.component(n) == bottom.component(n) for n in range(max(b.top, d.top) + 1))
+    if not (all(upper) and all(lower)):
         raise SquareError("the computed lift does not close the square")
     return result
 
@@ -468,21 +504,17 @@ def rlp_generator_check(f: ChainMap, max_n: int) -> RlpReport:
     lattice of pairs (z, y) with d(z) = 0 and f(z) = d(y), which is the
     kernel of M = [[d_{n-1}, 0], [f_{n-1}, -d_n]].  N lands in that kernel,
     which is saturated, so N is onto it exactly when N has rank
-    cols(M) - rank(M) and no non-unit invariant factor."""
-    x, y = f.source, f.target
-    ring = f.ring
+    cols(M) - rank(M) and no non-unit invariant factor.  M is
+    _cone_matrix(f, n - 1) up to the sign of its second block column, so
+    has the same rank."""
+    x = f.source
     point = is_surjective(f.component(0))
     sphere_results = []
     disk_results = []
     for n in range(1, max_n + 1):
         disk_results.append(is_surjective(f.component(n)))
-        pair_eqs = block_matrix(
-            ring,
-            [x.rank(n - 2), y.rank(n - 1)],
-            [x.rank(n - 1), y.rank(n)],
-            {(0, 0): x.diff(n - 1), (1, 0): f.component(n - 1), (1, 1): -y.diff(n)},
-        )
-        into_pairs = invariant_factors(vcat(ring, x.rank(n), [x.diff(n), f.component(n)]))
+        pair_eqs = _cone_matrix(f, n - 1)
+        into_pairs = invariant_factors(vcat(f.ring, x.rank(n), [x.diff(n), f.component(n)]))
         pairs_rank = pair_eqs.cols - len(invariant_factors(pair_eqs))
         sphere_results.append(len(into_pairs) == pairs_rank and not torsion(into_pairs))
     return RlpReport(max_n, point, tuple(sphere_results), tuple(disk_results))

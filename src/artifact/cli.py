@@ -286,12 +286,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        result = args.handler(args)
+        text = json.dumps(args.handler(args), indent=2 if args.pretty else None)
     except DOMAIN_ERRORS as exc:
         print(json.dumps({"error": str(exc)}))
+        return 1
+    except MemoryError:
+        print(json.dumps({"error": "out of memory: the answer is too large"}))
         return 1
     except (ValueError, TypeError, KeyError, OSError) as exc:
         print(json.dumps({"error": str(exc)}))
         return 2
-    print(json.dumps(result, indent=2 if args.pretty else None))
+    print(text)
     return 0

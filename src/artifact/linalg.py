@@ -12,12 +12,7 @@ from heapq import heappop, heappush
 from math import gcd, lcm
 from typing import Any, Iterable, Optional
 
-from .errors import (
-    DivisibilityError,
-    NotAComplex,
-    RingError,
-    ShapeError,
-)
+from .errors import NotAComplex, RingError, ShapeError
 from .rings import RingTag, ring_ops, scalar_from_json, scalar_to_json
 
 
@@ -377,13 +372,6 @@ class SmithDecomposition:
     def rank(self) -> int:
         zero = ring_ops(self.matrix.ring).zero
         return sum(1 for d in self.diagonal() if d != zero)
-
-    @property
-    def torsion(self) -> tuple[int, ...]:
-        """The nonzero diagonal entries that are not units: the cokernel's
-        torsion invariant factors (always empty over a field)."""
-        ops = ring_ops(self.matrix.ring)
-        return tuple(int(d) for d in self.diagonal() if d != ops.zero and d != ops.one)
 
     def diagonal(self) -> list:
         return [self.s[t, t] for t in range(min(self.s.rows, self.s.cols))]
@@ -760,12 +748,18 @@ def _hermite(ring: RingTag, rows: int, cols: list[dict]) -> Matrix:
     return _make(ring, len(basis), rows, {n: col for n, (_, col) in enumerate(basis)}).transpose()
 
 
+def _eliminate_with_transform(a: Matrix) -> tuple[list, list]:
+    """_eliminate_columns on the columns of [A; I]: every (head, tail) it
+    returns has a @ tail == head."""
+    one = ring_ops(a.ring).one
+    heads = _columns(a)
+    return _eliminate_columns(a.ring, [(heads.get(j, {}), {j: one}) for j in range(a.cols)])
+
+
 def kernel_basis(a: Matrix) -> Matrix:
     """Columns form a basis of ker(a); over Z the full kernel lattice: the
     transform part of the columns of [A; I] whose A-part eliminates to zero."""
-    one = ring_ops(a.ring).one
-    heads = _columns(a)
-    _, null = _eliminate_columns(a.ring, [(heads.get(j, {}), {j: one}) for j in range(a.cols)])
+    _, null = _eliminate_with_transform(a)
     return _hermite(a.ring, a.cols, [tail for _, tail in null])
 
 
@@ -775,24 +769,39 @@ def image_basis(a: Matrix) -> Matrix:
 
 
 def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
-    """An exact solution x of a @ x = b (column by column), or None."""
+    """An exact solution x of a @ x = b (column by column), or None when
+    some column of b is outside the column lattice of a (over a field, its
+    span). The column elimination of [A; I] gives A V = H, the pivot
+    columns of H in echelon form; each column of b is reduced against them
+    bottom row first, dividing at each pivot, and x collects the matching
+    columns of V; whatever is left of b means no solution. The answer
+    depends only on (a, b)."""
     a._match(b)
     if a.rows != b.rows:
         raise ShapeError(f"solve: {a.rows} rows vs {b.rows} rows")
-    divide_exact = ring_ops(a.ring).divide_exact
-    snf = smith_normal_form(a)
-    c = snf.u @ b
-    r = snf.rank
-    y = {}
-    for i, row in c._rows.items():
-        if i >= r:
+    ring = a.ring
+    p = ring.p
+    pivots, _ = _eliminate_with_transform(a)
+    x = {}
+    for k, residual in _columns(b).items():
+        col: dict = {}
+        for r, (head, tail) in pivots:
+            y = residual.get(r)
+            if y is None:
+                continue
+            v = head[r]
+            # over Z a remainder stays in row r, which no later pivot reaches
+            if ring.kind == "Z":
+                q = y // v
+            else:
+                q = y * pow(v, -1, p) % p if p else y / v
+            _sub_multiple(residual, q, head, p)
+            _sub_multiple(col, -q, tail, p)
+        if residual:
             return None
-        d = snf.s[i, i]
-        try:
-            y[i] = {j: divide_exact(x, d) for j, x in row.items()}
-        except DivisibilityError:
-            return None
-    return snf.v @ _make(a.ring, a.cols, b.cols, y)
+        if col:
+            x[k] = col
+    return _make(ring, b.cols, a.cols, x).transpose()
 
 
 def torsion(factors: tuple) -> tuple[int, ...]:

@@ -64,7 +64,9 @@ def _restrict_off_top(f: MonotoneMap) -> MonotoneMap:
 
 
 def _block_widths(x: ConnComplex, y: ConnComplex, pairs) -> list[int]:
-    return [x.rank(f.target_top) * y.rank(g.target_top) for f, g in pairs]
+    """rank X_k * rank Y_l for each pair onto [k], [l] of the product of x and y."""
+    xr, yr = x.ranks, y.ranks
+    return [xr[f.target_top] * yr[g.target_top] for f, g in pairs]
 
 
 def shuffle_product(x: ConnComplex, y: ConnComplex) -> ShuffleComplex:
@@ -83,11 +85,12 @@ def shuffle_product(x: ConnComplex, y: ConnComplex) -> ShuffleComplex:
 
     top = x.top + y.top
     pairs_at = [enumerate_jointly_monic_pairs(n, x.top, y.top) for n in range(top + 1)]
-    ranks = tuple(sum(_block_widths(x, y, pairs)) for pairs in pairs_at)
+    widths_at = [_block_widths(x, y, pairs) for pairs in pairs_at]
+    ranks = tuple(sum(widths) for widths in widths_at)
     diffs = {}
     for n in range(1, top + 1):
-        col_widths = _block_widths(x, y, pairs_at[n])
-        row_widths = _block_widths(x, y, pairs_at[n - 1])
+        col_widths = widths_at[n]
+        row_widths = widths_at[n - 1]
         row_at = {(f.values, g.values): idx for idx, (f, g) in enumerate(pairs_at[n - 1])}
         contributions: dict[tuple[int, int], Matrix] = {}
 
@@ -95,9 +98,9 @@ def shuffle_product(x: ConnComplex, y: ConnComplex) -> ShuffleComplex:
             key = (ri, ci)
             contributions[key] = contributions[key] + mat if key in contributions else mat
 
-        for ci, (f, g) in enumerate(pairs_at[n]):
-            if col_widths[ci] == 0:
-                continue
+        pairs = pairs_at[n]
+        for ci in [ci for ci, width in enumerate(col_widths) if width]:
+            f, g = pairs[ci]
             k, l = f.target_top, g.target_top
             for i in range(n + 1):
                 delta = face(n, i)

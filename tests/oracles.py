@@ -33,7 +33,8 @@ def brute_homology_dim(d_in, d_out, p):
     """
     out_rows, out_cols, out_entries = d_out
     in_rows, in_cols, in_entries = d_in
-    assert in_rows == out_cols
+    if in_rows != out_cols:
+        raise ValueError(f"d_in lands in rank {in_rows}, d_out leaves rank {out_cols}")
     kernel = 0
     for vec in itertools.product(range(p), repeat=out_cols):
         if all(v == 0 for v in _mat_vec_mod(out_entries, vec, p)) if out_rows else True:
@@ -49,6 +50,15 @@ def brute_homology_dim(d_in, d_out, p):
     while p**image_dim < len(image):
         image_dim += 1
     return kernel_dim - image_dim
+
+
+def brute_span(entries, rows, cols, p):
+    """Every vector A v over F_p, as tuples of length rows, by enumerating
+    all of F_p^cols.  Only sane for tiny dimensions."""
+    return {
+        tuple(sum(entries[i][j] * vec[j] for j in range(cols)) % p for i in range(rows))
+        for vec in itertools.product(range(p), repeat=cols)
+    }
 
 
 def _det(entries):

@@ -198,6 +198,19 @@ def test_classify_pinned_examples():
     assert mcp.trivial_fibration and not mcp.cofibration
 
 
+def forbid_smith_normal_form(monkeypatch):
+    """Make smith_normal_form raise wherever chains could reach it: chains
+    does not import it, and linalg's own binding raises."""
+    import artifact.chains as chains
+    import artifact.linalg as linalg
+
+    def forbidden(*args):
+        raise AssertionError("no internal path takes a Smith decomposition")
+
+    assert not hasattr(chains, "smith_normal_form")
+    monkeypatch.setattr(linalg, "smith_normal_form", forbidden)
+
+
 def count_invariant_factors(monkeypatch, calls):
     """Record every invariant_factors call made from chains or linalg, and
     make smith_normal_form, kernel_basis and solve raise."""
@@ -215,7 +228,7 @@ def count_invariant_factors(monkeypatch, calls):
 
     for module in (chains, linalg):
         monkeypatch.setattr(module, "invariant_factors", counted)
-        monkeypatch.setattr(module, "smith_normal_form", forbidden)
+    forbid_smith_normal_form(monkeypatch)
     monkeypatch.setattr(chains, "kernel_basis", forbidden)
     monkeypatch.setattr(chains, "solve", forbidden)
 
@@ -318,25 +331,28 @@ def test_lift_square_on_generated_squares():
             # the lift is itself a chain map by construction of ChainMap
 
 
-def test_lift_square_builds_one_mapping_cone(monkeypatch):
-    # the cofibration test on f reads its components; only the trivial
-    # fibration test on g needs a cone
+def test_lift_square_builds_no_mapping_cone(monkeypatch):
+    # the cofibration test on f takes retractions and classify reads the
+    # cone's exactness off its differential blocks, so no cone is built
     import artifact.chains as chains
 
     rng = random.Random(13)
     squares = [random_lifting_square(rng, ring) for ring in (ZZ, GF(3), QQ)]
-    cones = []
-    cone = chains.mapping_cone
-    monkeypatch.setattr(chains, "mapping_cone", lambda f: cones.append(f) or cone(f))
+
+    def forbidden(f):
+        raise AssertionError("no mapping cone is needed")
+
+    monkeypatch.setattr(chains, "mapping_cone", forbidden)
     for f, g, top, bottom in squares:
-        cones.clear()
-        lift_square(f, g, top, bottom)
-        assert cones == [g]
+        lift = lift_square(f, g, top, bottom)
+        assert compose_maps(lift, f) == top and compose_maps(g, lift) == bottom
+        classify(f)
 
 
-def test_lift_square_takes_kernels_only_where_it_corrects(monkeypatch):
-    # one solve per degree of B lifts through g; a degree whose first
-    # guess misses a chain map adds one kernel basis and one more solve
+def test_lift_square_solves_once_per_retraction_lift_and_correction(monkeypatch):
+    # one solve per degree of f for its retraction, one per degree of B to
+    # lift through g, and a degree whose first guess misses a chain map adds
+    # one kernel basis and one more solve; no Smith decomposition anywhere
     import artifact.chains as chains
 
     rng = random.Random(19)
@@ -347,14 +363,19 @@ def test_lift_square_takes_kernels_only_where_it_corrects(monkeypatch):
     kernel, solve = chains.kernel_basis, chains.solve
     monkeypatch.setattr(chains, "kernel_basis", lambda a: kernels.append(a) or kernel(a))
     monkeypatch.setattr(chains, "solve", lambda a, b: solves.append(a) or solve(a, b))
+    forbid_smith_normal_form(monkeypatch)
     corrected = 0
     for f, g, top, bottom in squares:
         kernels.clear()
         solves.clear()
         lift_square(f, g, top, bottom)
-        degrees = f.target.top + 1
-        assert len(solves) == degrees + len(kernels) <= 2 * degrees
-        assert all(k in [g.component(n) for n in range(1, degrees)] for k in kernels)
+        degrees_f = max(f.source.top, f.target.top) + 1
+        degrees_b = f.target.top + 1
+        assert len(kernels) < degrees_b
+        assert len(solves) == degrees_f + degrees_b + len(kernels)
+        retractions = [f.component(n).transpose() for n in range(degrees_f)]
+        assert solves[:degrees_f] == retractions
+        assert all(k in [g.component(n) for n in range(1, degrees_b)] for k in kernels)
         corrected += len(kernels)
     assert corrected > 0
 

@@ -276,12 +276,11 @@ def test_nor_on_a_non_simplicial_module_exits_one(tmp_path, capsys):
     assert list(json.loads(proc.stdout)) == ["error"]
 
 
-@pytest.mark.parametrize("ranks, large", [([1, 10**8], 1), ([10**8, 1], 0)])
-def test_homology_of_a_huge_declared_rank_fits_a_small_address_space(tmp_path, ranks, large):
-    # a 1 x 10^8 zero differential stored densely takes about 800 MB; the
-    # child may map 512 MB in all
+def run_capped(tmp_path, ranks, verb, *options):
+    """The CLI verb on a complex of the given ranks with no differentials,
+    in a child that may map 512 MB in all."""
     pytest.importorskip("resource")
-    path = write(tmp_path, "huge.json", {"ring": "Z", "top": 1, "ranks": ranks})
+    path = write(tmp_path, "huge.json", {"ring": "Z", "top": len(ranks) - 1, "ranks": ranks})
     cap = 512 * 2**20
     child = (
         "import resource, sys\n"
@@ -291,17 +290,32 @@ def test_homology_of_a_huge_declared_rank_fits_a_small_address_space(tmp_path, r
     )
     src = os.path.dirname(os.path.dirname(artifact.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", child, "homology", path],
+    return subprocess.run(
+        [sys.executable, "-c", child, verb, path, *options],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("ranks, large", [([1, 10**8], 1), ([10**8, 1], 0)])
+def test_homology_of_a_huge_declared_rank_fits_a_small_address_space(tmp_path, ranks, large):
+    # a 1 x 10^8 zero differential stored densely takes about 800 MB
+    proc = run_capped(tmp_path, ranks, "homology")
     assert proc.returncode == 0 and proc.stderr == ""
     groups = json.loads(proc.stdout)["H"]
     assert groups[large] == {"rank": 10**8}
     assert groups[1 - large] == {"rank": 1}
+
+
+@pytest.mark.parametrize("ranks, extra", [([1, 10**8], []), ([10**8, 1], ["--horizon", "1"])])
+def test_dk_of_a_huge_declared_rank_runs_out_of_memory_with_one_error_document(tmp_path, ranks, extra):
+    # the answer itself is too large: dense JSON rows of a 1 x 10^8 face,
+    # or a 10^8 x 10^8 identity block of a degeneracy
+    proc = run_capped(tmp_path, ranks, "dk", *extra)
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert list(json.loads(proc.stdout)) == ["error"]
 
 
 def test_malformed_input_exits_two(tmp_path, capsys):
