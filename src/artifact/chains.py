@@ -269,9 +269,12 @@ def mapping_cone(f: ChainMap) -> ConnComplex:
     ranks = tuple(x.rank(n - 1) + y.rank(n) for n in range(top + 1))
     diffs = {}
     for n in range(1, top + 1):
-        upper = hcat(ring, x.rank(n - 2), [-x.diff(n - 1), zeros(ring, x.rank(n - 2), y.rank(n))])
-        lower = hcat(ring, y.rank(n - 1), [-f.component(n - 1), y.diff(n)])
-        diffs[n] = vcat(ring, ranks[n], [upper, lower])
+        diffs[n] = block_matrix(
+            ring,
+            [x.rank(n - 2), y.rank(n - 1)],
+            [x.rank(n - 1), y.rank(n)],
+            {(0, 0): -x.diff(n - 1), (1, 0): -f.component(n - 1), (1, 1): y.diff(n)},
+        )
     return ConnComplex(ring, ranks, diffs)
 
 
@@ -322,6 +325,11 @@ def classify(f: ChainMap) -> ModelClass:
     return ModelClass(fib, cof, we)
 
 
+def _first_summand(ring: RingTag, rank: int, rest: int) -> Matrix:
+    """The inclusion of R^rank as the first summand of R^rank + R^rest."""
+    return block_matrix(ring, [rank, rest], [rank], {(0, 0): identity(ring, rank)})
+
+
 def factor_trivcof_fib(f: ChainMap) -> tuple[ChainMap, ChainMap]:
     """f = eta o kappa with kappa a trivial cofibration and eta a fibration.
     The middle object is X plus one exact two-term summand per basis element
@@ -336,34 +344,17 @@ def factor_trivcof_fib(f: ChainMap) -> tuple[ChainMap, ChainMap]:
     ranks = tuple(x.rank(m) + t_rank(m) + b_rank(m) for m in range(top + 1))
     diffs = {}
     for m in range(1, top + 1):
-        rows_x = hcat(
+        diffs[m] = block_matrix(
             ring,
-            x.rank(m - 1),
-            [x.diff(m), zeros(ring, x.rank(m - 1), t_rank(m) + b_rank(m))],
+            [x.rank(m - 1), t_rank(m - 1), b_rank(m - 1)],
+            [x.rank(m), t_rank(m), b_rank(m)],
+            {(0, 0): x.diff(m), (2, 1): identity(ring, t_rank(m))},
         )
-        rows_t = zeros(ring, t_rank(m - 1), ranks[m])
-        rows_b = hcat(
-            ring,
-            b_rank(m - 1),
-            [
-                zeros(ring, b_rank(m - 1), x.rank(m)),
-                identity(ring, t_rank(m)),
-                zeros(ring, b_rank(m - 1), b_rank(m)),
-            ],
-        )
-        diffs[m] = vcat(ring, ranks[m], [rows_x, rows_t, rows_b])
     middle = ConnComplex(ring, ranks, diffs)
     kappa = ChainMap(
         x,
         middle,
-        {
-            m: vcat(
-                ring,
-                x.rank(m),
-                [identity(ring, x.rank(m)), zeros(ring, t_rank(m) + b_rank(m), x.rank(m))],
-            )
-            for m in range(top + 1)
-        },
+        {m: _first_summand(ring, x.rank(m), t_rank(m) + b_rank(m)) for m in range(top + 1)},
     )
     eta = ChainMap(
         middle,
@@ -396,9 +387,7 @@ def factor_cof_trivfib(f: ChainMap) -> tuple[ChainMap, ChainMap]:
     q_ranks = [x.rank(0) + y.rank(0)]
     q_diffs = []
     eta_comps = [hcat(ring, y.rank(0), [f.component(0), identity(ring, y.rank(0))])]
-    kappa_comps = [
-        vcat(ring, x.rank(0), [identity(ring, x.rank(0)), zeros(ring, y.rank(0), x.rank(0))])
-    ]
+    kappa_comps = [_first_summand(ring, x.rank(0), y.rank(0))]
     cycles = identity(ring, q_ranks[0])
     for n in range(1, stages + 1):
         z = cycles.cols
@@ -410,9 +399,7 @@ def factor_cof_trivfib(f: ChainMap) -> tuple[ChainMap, ChainMap]:
         d = hcat(ring, q_ranks[n - 1], [kappa_comps[n - 1] @ x.diff(n), cycles @ w_top])
         q_diffs.append(d)
         eta_comps.append(hcat(ring, y.rank(n), [f.component(n), w_bot]))
-        kappa_comps.append(
-            vcat(ring, x.rank(n), [identity(ring, x.rank(n)), zeros(ring, fresh, x.rank(n))])
-        )
+        kappa_comps.append(_first_summand(ring, x.rank(n), fresh))
         cycles = kernel_basis(d)
     while len(q_ranks) > 1 and q_ranks[-1] == 0:
         q_ranks.pop()

@@ -193,9 +193,13 @@ def scalar_to_json(tag: RingTag, x):
 
 
 def scalar_from_json(tag: RingTag, value):
-    """Parse a scalar from JSON: accepts numbers, decimal strings, and "a/b"."""
+    """Parse a scalar from JSON: accepts integers, and strings of an integer,
+    a decimal fraction ("1.25") or a quotient ("a/b").  A string with an
+    exponent is rejected: "1e100000000" would build a 10^8-digit integer."""
     ops = ring_ops(tag)
     if isinstance(value, str):
+        if "e" in value.lower():
+            raise ValueError(f"scalar with an exponent in JSON: {value!r}")
         return ops.canon(Fraction(value))
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"bad scalar in JSON: {value!r}")

@@ -2,12 +2,12 @@
 comparison map.
 
 Degree n of X boxtimes Y is the sum of X_k (x) Y_l over jointly monic pairs
-of surjections (f: [n] ->> [k], g: [n] ->> [l]); the differential evaluates
-the alternating face sum through the degreewise Dold-Kan structure maps,
-resolved case-by-case from the degeneracy sets.  The comparison map from
-the ordinary tensor product lands in the complementary blocks with shuffle
-signs.  A fully independent route through normalization of the levelwise
-tensor of degreewise sums is kept as a cross-check.
+of surjections (f: [n] ->> [k], g: [n] ->> [l]); the differential is the
+alternating face sum of the diagonal of the two Dold-Kan modules, read
+block by block from the rule that also builds their structure maps.  The
+comparison map from the ordinary tensor product lands in the complementary
+blocks with shuffle signs.  A fully independent route through normalization
+of the levelwise tensor of degreewise sums is kept as a cross-check.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ from .chains import (
     tensor,
     tensor_blocks,
 )
-from .deltacat import MonotoneMap, compose, enumerate_jointly_monic_pairs, face, shuffle_of_pair
+from .deltacat import MonotoneMap, enumerate_jointly_monic_pairs, face, shuffle_of_pair
 from .errors import DomainError, RingError
 from .linalg import HomologyGroup, Matrix, block_matrix, identity, kron
+from .simplicial import _dk_block, _dk_rule, nor, tensor_sm
 
 
 Pair = tuple[MonotoneMap, MonotoneMap]
@@ -57,12 +58,6 @@ class ShuffleComplex:
         return self.underlying.diff(n)
 
 
-def _restrict_off_top(f: MonotoneMap) -> MonotoneMap:
-    """Reinterpret a map that misses only the top of its target as a
-    surjection onto the one-smaller ordinal."""
-    return MonotoneMap(f.source_top, f.target_top - 1, f.values)
-
-
 def _block_widths(x: ConnComplex, y: ConnComplex, pairs) -> list[int]:
     """rank X_k * rank Y_l for each pair onto [k], [l] of the product of x and y."""
     xr, yr = x.ranks, y.ranks
@@ -72,63 +67,47 @@ def _block_widths(x: ConnComplex, y: ConnComplex, pairs) -> list[int]:
 def shuffle_product(x: ConnComplex, y: ConnComplex) -> ShuffleComplex:
     """The jointly-monic-pair complex with the alternating-face differential.
 
-    Each face i < n contributes the identity into the pair of composites
-    when both stay surjective and nothing otherwise; the last face also
-    picks up the degree-k and degree-l differentials, with signs (-1)^k and
-    (-1)^l, on the factors whose composite drops off the top."""
+    Face i sends the block of (f, g) to the block of the epi parts of
+    (f o d_i, g o d_i) by the tensor of the two Dold-Kan block maps that
+    _dk_rule gives for f and g, with sign (-1)^i; it is zero when either
+    block map is."""
     if x.ring != y.ring:
         raise RingError(f"factors over {x.ring} and {y.ring}")
     ring = x.ring
-
-    def signed(mat: Matrix, exponent: int) -> Matrix:
-        return -mat if exponent % 2 else mat
-
     top = x.top + y.top
     pairs_at = [enumerate_jointly_monic_pairs(n, x.top, y.top) for n in range(top + 1)]
     widths_at = [_block_widths(x, y, pairs) for pairs in pairs_at]
     ranks = tuple(sum(widths) for widths in widths_at)
     diffs = {}
     for n in range(1, top + 1):
-        col_widths = widths_at[n]
-        row_widths = widths_at[n - 1]
-        row_at = {(f.values, g.values): idx for idx, (f, g) in enumerate(pairs_at[n - 1])}
-        contributions: dict[tuple[int, int], Matrix] = {}
-
-        def add(ri: int, ci: int, mat: Matrix) -> None:
-            key = (ri, ci)
-            contributions[key] = contributions[key] + mat if key in contributions else mat
-
-        pairs = pairs_at[n]
-        for ci in [ci for ci, width in enumerate(col_widths) if width]:
-            f, g = pairs[ci]
-            k, l = f.target_top, g.target_top
-            for i in range(n + 1):
-                delta = face(n, i)
-                fd = compose(f, delta)
-                gd = compose(g, delta)
-                f_onto = fd.is_surjective
-                g_onto = gd.is_surjective
-                if i < n:
-                    if f_onto and g_onto:
-                        add(row_at[(fd.values, gd.values)], ci, signed(identity(ring, col_widths[ci]), i))
+        faces = [face(n, i) for i in range(n + 1)]
+        row_at = {
+            (f.values, g.values): ri
+            for ri, (f, g) in enumerate(pairs_at[n - 1])
+            if widths_at[n - 1][ri]
+        }
+        blocks: dict[tuple[int, int], Matrix] = {}
+        for ci, (f, g) in enumerate(pairs_at[n]):
+            if not widths_at[n][ci]:
+                continue
+            for i, delta in enumerate(faces):
+                f_rule = _dk_rule(f, delta)
+                g_rule = _dk_rule(g, delta)
+                if f_rule is None or g_rule is None:
                     continue
-                if f_onto and g_onto:
-                    add(row_at[(fd.values, gd.values)], ci, signed(identity(ring, col_widths[ci]), n))
-                elif g_onto:
-                    mat = signed(kron(x.diff(k), identity(ring, y.rank(l))), n + k)
-                    add(row_at[(_restrict_off_top(fd).values, gd.values)], ci, mat)
-                elif f_onto:
-                    mat = signed(kron(identity(ring, x.rank(k)), y.diff(l)), n + l)
-                    add(row_at[(fd.values, _restrict_off_top(gd).values)], ci, mat)
-                else:
-                    mat = signed(kron(x.diff(k), y.diff(l)), n + k + l)
-                    add(row_at[(_restrict_off_top(fd).values, _restrict_off_top(gd).values)], ci, mat)
-        diffs[n] = block_matrix(
-            ring,
-            row_widths,
-            col_widths,
-            {key: m for key, m in contributions.items() if not m.is_zero},
-        )
+                # a dead row is a zero-height block
+                ri = row_at.get((f_rule[0].values, g_rule[0].values))
+                if ri is None:
+                    continue
+                mat = kron(
+                    _dk_block(x, f.target_top, f_rule[1]),
+                    _dk_block(y, g.target_top, g_rule[1]),
+                )
+                if i % 2:
+                    mat = -mat
+                key = (ri, ci)
+                blocks[key] = blocks[key] + mat if key in blocks else mat
+        diffs[n] = block_matrix(ring, widths_at[n - 1], widths_at[n], blocks)
     underlying = ConnComplex(ring, ranks, diffs)
     return ShuffleComplex(underlying, tuple(tuple(p) for p in pairs_at))
 
@@ -241,8 +220,6 @@ class NorTensorReport:
 
 def nor_tensor_compare(m, n) -> NorTensorReport:
     """Both routes to the product complex, compared degree by degree."""
-    from .simplicial import nor, tensor_sm
-
     if m.ring != n.ring:
         raise RingError(f"factors over {m.ring} and {n.ring}")
     if m.horizon != n.horizon:

@@ -523,21 +523,39 @@ def _dk_tops(n: int) -> tuple[int, ...]:
 
 
 @cache
+def _dk_rule(g: deltacat.MonotoneMap, eta: deltacat.MonotoneMap):
+    """The Dold-Kan block map that eta: [m] -> [n] induces on the block of
+    g: [n] ->> [k], as (epi part of g o eta, sign): the identity of X_k when
+    sign is 0, sign times the degree-k differential otherwise.  None when
+    the block map is zero, that is when the mono part of g o eta is neither
+    the identity nor the face that omits exactly the top element k."""
+    mono, epi = deltacat.epi_mono_factorize(deltacat.compose(g, eta))
+    k = g.target_top
+    if mono.source_top == k:
+        return epi, 0
+    if mono.source_top == k - 1 and mono.values == tuple(range(k)):
+        return epi, -1 if k % 2 else 1
+    return None
+
+
+def _dk_block(x: ConnComplex, k: int, sign: int) -> Matrix:
+    """The matrix of a block map of _dk_rule on the complex x."""
+    if sign == 0:
+        return identity(x.ring, x.rank(k))
+    return -x.diff(k) if sign < 0 else x.diff(k)
+
+
+@cache
 def _dk_layout(eta: deltacat.MonotoneMap) -> tuple[tuple[int, int, int, int], ...]:
     """The nonzero blocks of dk_transition(x, eta) for every complex x, as
-    (row block, column block, k, sign): the identity of X_k when sign is 0,
-    sign times the degree-k differential otherwise."""
-    m, n = eta.source_top, eta.target_top
-    row_at = {f.values: idx for idx, f in enumerate(dk_blocks(m))}
+    (row block, column block, k, sign) in the sense of _dk_rule."""
+    row_at = {f.values: idx for idx, f in enumerate(dk_blocks(eta.source_top))}
     layout = []
-    for ci, g in enumerate(dk_blocks(n)):
-        k = g.target_top
-        mono, epi = deltacat.epi_mono_factorize(deltacat.compose(g, eta))
-        ri = row_at[epi.values]
-        if mono.target_top == mono.source_top:
-            layout.append((ri, ci, k, 0))
-        elif mono.source_top == k - 1 and mono.values == tuple(range(k)):
-            layout.append((ri, ci, k, -1 if k % 2 else 1))
+    for ci, g in enumerate(dk_blocks(eta.target_top)):
+        rule = _dk_rule(g, eta)
+        if rule is not None:
+            epi, sign = rule
+            layout.append((row_at[epi.values], ci, g.target_top, sign))
     return tuple(layout)
 
 
@@ -547,13 +565,7 @@ def dk_transition(x: ConnComplex, eta: deltacat.MonotoneMap) -> Matrix:
     row block holding the epi part of g o eta: the identity when the mono
     part is the identity, the degree-k differential times (-1)^k when the
     mono part omits exactly the top element k, zero otherwise."""
-    blocks = {}
-    for ri, ci, k, sign in _dk_layout(eta):
-        if sign == 0:
-            if x.rank(k):
-                blocks[(ri, ci)] = identity(x.ring, x.rank(k))
-        else:
-            blocks[(ri, ci)] = -x.diff(k) if sign < 0 else x.diff(k)
+    blocks = {(ri, ci): _dk_block(x, k, sign) for ri, ci, k, sign in _dk_layout(eta)}
     row_sizes = [x.rank(k) for k in _dk_tops(eta.source_top)]
     col_sizes = [x.rank(k) for k in _dk_tops(eta.target_top)]
     return block_matrix(x.ring, row_sizes, col_sizes, blocks)

@@ -1,6 +1,7 @@
 """Test-wide settings: hypothesis draws the same examples on every run and
-every machine (derandomized, no example database), with a fixed example
-count for tests that do not set their own."""
+every machine with the same hypothesis version (derandomized, no example
+database), with a fixed example count for tests that do not set their own.
+CI pins that version in .github/workflows/tier1.yml."""
 
 from hypothesis import settings
 

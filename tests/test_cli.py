@@ -337,6 +337,15 @@ def test_malformed_input_exits_two(tmp_path, capsys):
     code, out = run(capsys, "homology", str(path))
     assert code == 2 and "error" in out
 
+    exponent = {
+        "ring": "Q",
+        "top": 1,
+        "ranks": [1, 1],
+        "diffs": {"1": {"rows": 1, "cols": 1, "entries": [["1e100000000"]]}},
+    }
+    code, out = run(capsys, "homology", write(tmp_path, "exponent.json", exponent))
+    assert code == 2 and "exponent" in out["error"]
+
     wrong_shape = {
         "ring": "Z",
         "top": 1,

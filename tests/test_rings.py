@@ -94,3 +94,8 @@ def test_scalar_json_round_trip():
         scalar_from_json(ZZ, 1.5)
     with pytest.raises(DivisibilityError):
         scalar_from_json(ZZ, "1/2")
+    assert scalar_from_json(QQ, "-1.25") == Fraction(-5, 4)
+    # an exponent would let a short string demand a huge integer
+    for text in ("1e100000000", "2E-3", "1.5e2"):
+        with pytest.raises(ValueError):
+            scalar_from_json(QQ, text)

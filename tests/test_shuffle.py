@@ -15,12 +15,14 @@ from artifact import (
     compose_maps,
     disk,
     dk,
+    dk_blocks,
     ez_map,
     homology,
     identity,
     identity_chain_map,
     is_exact,
     mapping_cone,
+    moore,
     nor_tensor_compare,
     shuffle_map_left,
     shuffle_map_right,
@@ -29,7 +31,9 @@ from artifact import (
     sphere,
     tensor,
     tensor_map,
+    tensor_sm,
 )
+from artifact.cli import change_ring
 from artifact.deltacat import enumerate_jointly_monic_pairs
 from artifact.errors import DomainError, RingError
 
@@ -100,6 +104,68 @@ def test_shuffle_squares_to_zero_and_respects_rings():
             assert (s.diff(n - 1) @ s.diff(n)).is_zero
     with pytest.raises(RingError):
         shuffle_product(sphere(1), sphere(1, QQ))
+
+
+def _jointly_monic_indices(x, y, n):
+    """Kronecker indices, in pair order, of the jointly monic blocks of level
+    n of dk(x) (x) dk(y); row-major within each block, as kron lays it out."""
+    offsets = []
+    for z in (x, y):
+        start, at = 0, {}
+        for f in dk_blocks(n):
+            at[f.values] = start
+            start += z.rank(f.target_top)
+        offsets.append((at, start))
+    (x_at, _), (y_at, y_dim) = offsets
+    return [
+        (x_at[f.values] + i) * y_dim + y_at[g.values] + j
+        for f, g in enumerate_jointly_monic_pairs(n, x.top, y.top)
+        for i in range(x.rank(f.target_top))
+        for j in range(y.rank(g.target_top))
+    ]
+
+
+def test_shuffle_differential_is_the_moore_differential_of_the_dk_diagonal():
+    # the defining relation: restricted to the jointly monic blocks, the
+    # alternating face sum of dk(X) (x) dk(Y) is the shuffle differential
+    rng = random.Random(23)
+    checks = 0
+    for ring in (ZZ, GF(2), GF(3), QQ):
+        for _ in range(8):
+            x = random_complex(rng, ring, max_top=3, max_rank=2)
+            y = random_complex(rng, ring, max_top=2, max_rank=2)
+            h = x.top + y.top
+            diagonal = moore(tensor_sm(dk(x, h), dk(y, h)))
+            s = shuffle_product(x, y)
+            for n in range(1, h + 1):
+                rows = _jointly_monic_indices(x, y, n - 1)
+                cols = _jointly_monic_indices(x, y, n)
+                assert diagonal.diff(n).row_select(rows).col_select(cols) == s.diff(n)
+                checks += 1
+    assert checks >= 64
+
+
+def test_shuffle_face_rules_are_resolved_once_per_structure_map(monkeypatch):
+    # like the Dold-Kan layout, the face rule of each block is simplex
+    # combinatorics only: a second product with the same ranks reuses it
+    import artifact.deltacat as deltacat
+    import artifact.shuffle
+    import artifact.simplicial
+
+    rng = random.Random(29)
+    x = random_complex(rng, ZZ, max_top=3, max_rank=2)
+    y = random_complex(rng, ZZ, max_top=2, max_rank=2)
+    over_z = shuffle_product(x, y).underlying
+    x2, y2 = change_ring(x, GF(5)), change_ring(y, GF(5))
+
+    def forbidden(*args):
+        raise AssertionError("a shuffle face rule was resolved again")
+
+    for module in (deltacat, artifact.simplicial, artifact.shuffle):
+        for name in ("compose", "epi_mono_factorize"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    assert shuffle_product(x2, y2).underlying == change_ring(over_z, GF(5))
 
 
 # ---------------------------------------------------------------------------
