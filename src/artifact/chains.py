@@ -545,10 +545,13 @@ def _degree_matrices(raw, ring: RingTag, path: str) -> dict[int, Matrix]:
         raise ValueError(f"{path}: expected an object")
     out = {}
     for key, val in raw.items():
+        # one spelling per degree, so "1" and "01" cannot both name it
         try:
             n = int(key)
         except ValueError:
-            raise ValueError(f"{path}: degree keys must be integers, got {key!r}") from None
+            n = None
+        if n is None or str(n) != key:
+            raise ValueError(f"{path}: degree keys must be integers in canonical decimal form, got {key!r}")
         out[n] = mat_from_json(val, ring, path=f"{path}.{key}")
     return out
 

@@ -370,140 +370,78 @@ class SmithDecomposition:
 
     @property
     def rank(self) -> int:
-        zero = ring_ops(self.matrix.ring).zero
-        return sum(1 for d in self.diagonal() if d != zero)
+        return sum(1 for d in self.diagonal() if d)
 
     def diagonal(self) -> list:
         return [self.s[t, t] for t in range(min(self.s.rows, self.s.cols))]
 
 
-def _quot(ops, a, b):
-    """A quotient q with |a - q*b| < |b|; exact over fields."""
-    if ops.tag.kind == "Z":
-        return a // b
-    return ops.divide_exact(a, b)
-
-
 def smith_normal_form(a: Matrix) -> SmithDecomposition:
-    ops = ring_ops(a.ring)
-    zero = ops.zero
-    m, n = a.rows, a.cols
-    s = [list(row) for row in a.entries]
-    u = [list(row) for row in identity(a.ring, m).entries]
-    ui = [list(row) for row in identity(a.ring, m).entries]
-    v = [list(row) for row in identity(a.ring, n).entries]
-    vi = [list(row) for row in identity(a.ring, n).entries]
-
-    def row_swap(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-        for r in range(m):
-            ui[r][i], ui[r][j] = ui[r][j], ui[r][i]
-
-    def col_swap(i, j):
-        for r in range(m):
-            s[r][i], s[r][j] = s[r][j], s[r][i]
-        for r in range(n):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-        vi[i], vi[j] = vi[j], vi[i]
-
-    def row_addmul(i, j, c):
-        # row i += c * row j
-        s[i] = [ops.add(x, ops.mul(c, y)) for x, y in zip(s[i], s[j])]
-        u[i] = [ops.add(x, ops.mul(c, y)) for x, y in zip(u[i], u[j])]
-        for r in range(m):
-            ui[r][j] = ops.sub(ui[r][j], ops.mul(c, ui[r][i]))
-
-    def col_addmul(j, i, c):
-        # col j += c * col i
-        for r in range(m):
-            s[r][j] = ops.add(s[r][j], ops.mul(c, s[r][i]))
-        for r in range(n):
-            v[r][j] = ops.add(v[r][j], ops.mul(c, v[r][i]))
-        vi[i] = [ops.sub(x, ops.mul(c, y)) for x, y in zip(vi[i], vi[j])]
-
-    def row_scale(i, unit):
-        inv = ops.divide_exact(ops.one, unit)
-        s[i] = [ops.mul(unit, x) for x in s[i]]
-        u[i] = [ops.mul(unit, x) for x in u[i]]
-        for r in range(m):
-            ui[r][i] = ops.mul(ui[r][i], inv)
-
-    t = 0
-    bound = min(m, n)
-    while t < bound:
-        # pivot: smallest nonzero by abs_key, ties by lowest (row, col)
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = s[i][j]
-                if x != zero:
-                    key = (ops.abs_key(x), i, j)
-                    if best is None or key < best[0]:
-                        best = (key, i, j)
-        if best is None:
+    """U @ a @ V == S by alternating column Hermite forms of [A; I] and
+    [Aᵀ; I] (Kannan-Bachem 1979) until each row and column holds at most one
+    entry: the tails of the reduced lines build one transform, the other side
+    carries the other. The pivots go onto the diagonal in pivot order; over Z
+    Bezout steps make them a divisibility chain. Hermite passes leave the
+    pivots positive (1 over a field) and Bezout steps keep them so. The
+    inverses come from solve."""
+    ring = a.ring
+    lines = _identity_tails(a)
+    cross = [{i: ring_ops(ring).one} for i in range(a.rows)]
+    transposed = False
+    while True:
+        basis, null = _hermite_pairs(ring, lines)
+        line_tails = [tail for _, _, tail in basis] + [tail for _, tail in null]
+        if all(len(head) == 1 for _, head, _ in basis):
             break
-        _, pi, pj = best
-        if pi != t:
-            row_swap(t, pi)
-        if pj != t:
-            col_swap(t, pj)
-
-        dirty = False
-        for i in range(t + 1, m):
-            if s[i][t] != zero:
-                q = _quot(ops, s[i][t], s[t][t])
-                if q != zero:
-                    row_addmul(i, t, ops.neg(q))
-                if s[i][t] != zero:
-                    dirty = True
-        if dirty:
-            continue
-        for j in range(t + 1, n):
-            if s[t][j] != zero:
-                q = _quot(ops, s[t][j], s[t][t])
-                if q != zero:
-                    col_addmul(j, t, ops.neg(q))
-                if s[t][j] != zero:
-                    dirty = True
-        if dirty:
-            continue
-
-        # the pivot must divide the rest of the submatrix
-        offender = None
-        if ops.tag.kind == "Z":
-            p = s[t][t]
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if s[i][j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-        if offender is not None:
-            row_addmul(t, offender, ops.one)
-            continue
-        t += 1
-
-    for t in range(bound):
-        d = s[t][t]
-        if d == zero:
-            continue
-        if ops.tag.kind == "Z":
-            if d < 0:
-                row_scale(t, -1)
-        elif d != ops.one:
-            row_scale(t, ops.divide_exact(ops.one, d))
-
-    wrap = lambda grid, r, c: _make(a.ring, r, c, _nonzero_rows(grid))
+        heads = [{} for _ in cross]
+        for k, (_, head, _) in enumerate(basis):
+            for i, x in head.items():
+                heads[i][k] = x
+        lines, cross = list(zip(heads, cross)), line_tails
+        transposed = not transposed
+    rest = dict(enumerate(cross))
+    cross_tails = [rest.pop(r) for r, _, _ in basis] + list(rest.values())
+    rows, cols = (line_tails, cross_tails) if transposed else (cross_tails, line_tails)
+    if ring.kind == "Z":
+        _bezout_chain([head[r] for r, head, _ in basis], rows, cols)
+    u = _make(ring, a.rows, a.rows, dict(enumerate(rows)))
+    v = _make(ring, a.cols, a.cols, dict(enumerate(cols))).transpose()
     return SmithDecomposition(
         matrix=a,
-        u=wrap(u, m, m),
-        s=wrap(s, m, n),
-        v=wrap(v, n, n),
-        u_inv=wrap(ui, m, m),
-        v_inv=wrap(vi, n, n),
+        u=u,
+        s=u @ a @ v,
+        v=v,
+        u_inv=solve(u, identity(ring, a.rows)),
+        v_inv=solve(v, identity(ring, a.cols)),
     )
+
+
+def _bezout_chain(diag: list, rows: list, cols: list) -> None:
+    """Make the positive integer diagonal diag a divisibility chain in
+    place: each pair a, b with a before b and a not dividing b becomes
+    g = gcd(a, b) = s a + t b and a b / g, by the unimodular rows
+    [[s, t], [-b/g, a/g]] on rows and columns [[1, -t b/g], [1, s a/g]] on
+    cols. Once a position has met every later one it divides them all, and
+    later steps keep that."""
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            a, b = diag[i], diag[j]
+            if b % a == 0:
+                continue
+            g = gcd(a, b)
+            s = pow(a // g, -1, b // g)
+            t = (g - s * a) // b
+            rows[i], rows[j] = _combine(s, rows[i], t, rows[j]), _combine(-b // g, rows[i], a // g, rows[j])
+            cols[i], cols[j] = _combine(1, cols[i], 1, cols[j]), _combine(-t * b // g, cols[i], s * a // g, cols[j])
+            diag[i], diag[j] = g, a // g * b
+
+
+def _combine(c: int, x: dict, d: int, y: dict) -> dict:
+    """c * x + d * y for sparse integer vectors, keeping only nonzero
+    entries."""
+    out = {k: c * z for k, z in x.items()} if c else {}
+    _sub_multiple(out, -d, y, 0)
+    return out
 
 
 def invariant_factors(a: Matrix) -> tuple:
@@ -521,16 +459,6 @@ def invariant_factors(a: Matrix) -> tuple:
     else:
         rank = _rational_rank([_integer_row(row) for row in rows])
     return (ring_ops(ring).one,) * rank
-
-
-def _nonzero_rows(grid) -> dict:
-    """The nonzero rows of a dense grid of canonical entries."""
-    out = {}
-    for i, row in enumerate(grid):
-        new = {j: x for j, x in enumerate(row) if x}
-        if new:
-            out[i] = new
-    return out
 
 
 def _integer_row(row: dict) -> dict:
@@ -554,14 +482,14 @@ def _sub_multiple(col: dict, q, piv: dict, p: int) -> None:
 
 def _integer_invariants(rows: list[dict]) -> list[int]:
     """The invariant factors of the integer matrix with these sparse rows,
-    by the steps of smith_normal_form without its transforms: pivot on the
-    smallest |entry| (the first unit found), reduce the pivot column by
-    Euclid steps on rows, then the pivot row by Euclid steps on columns,
-    which touch no other row because the pivot column is clear; a pivot
-    that leaves a remainder is replaced by it. A clear pivot that does not
-    divide some entry gets that entry's row added to its own; one that
-    divides every entry left is the next factor. Every step that records
-    no factor leaves a smaller least |entry|, so the loop ends."""
+    tracking no transform: pivot on the smallest |entry| (the first unit
+    found), reduce the pivot column by Euclid steps on rows, then the pivot
+    row by Euclid steps on columns, which touch no other row because the
+    pivot column is clear; a pivot that leaves a remainder is replaced by
+    it. A clear pivot that does not divide some entry gets that entry's row
+    added to its own; one that divides every entry left is the next factor.
+    Every step that records no factor leaves a smaller least |entry|, so
+    the loop ends."""
     out = []
     while rows:
         prow, c = _smallest_entry(rows)
@@ -724,20 +652,28 @@ def canonical_columns(b: Matrix) -> Matrix:
 def _hermite(ring: RingTag, rows: int, cols: list[dict]) -> Matrix:
     """canonical_columns of the matrix with `rows` rows and these sparse
     columns, which it consumes."""
+    basis, _ = _hermite_pairs(ring, [(col, {}) for col in cols])
+    return _make(ring, len(basis), rows, {n: head for n, (_, head, _) in enumerate(basis)}).transpose()
+
+
+def _hermite_pairs(ring: RingTag, cols: list[tuple[dict, dict]]) -> tuple[list, list]:
+    """canonical_columns of the heads of cols, pairs (head, tail), with the
+    tails riding along: the pivot columns as (row, head, tail) triples by
+    increasing pivot row, and the pairs whose heads are now zero."""
     p = ring.p
-    pivots, _ = _eliminate_columns(ring, [(col, {}) for col in cols])
+    pivots, null = _eliminate_columns(ring, cols)
     basis = []
-    for r, (head, _) in reversed(pivots):
+    for r, (head, tail) in reversed(pivots):
         v = head[r]
         if ring.kind == "Z":
-            if v < 0:
-                head = {i: -x for i, x in head.items()}
-        elif v != 1:
-            inv = pow(v, -1, p) if p else 1 / v
-            head = {i: x * inv % p if p else x * inv for i, x in head.items()}
-        basis.append((r, head))
-    for n, (_, col) in enumerate(basis):
-        for r, piv in reversed(basis[:n]):
+            c = -1 if v < 0 else 1
+        else:
+            c = pow(v, -1, p) if p else 1 / v
+        if c != 1:
+            head, tail = _scaled(head, c, p), _scaled(tail, c, p)
+        basis.append((r, head, tail))
+    for n, (_, col, tail) in enumerate(basis):
+        for r, piv, piv_tail in reversed(basis[:n]):
             a = col.get(r)
             if a is None:
                 continue
@@ -745,21 +681,29 @@ def _hermite(ring: RingTag, rows: int, cols: list[dict]) -> Matrix:
             q = a // piv[r] if ring.kind == "Z" else a
             if q:
                 _sub_multiple(col, q, piv, p)
-    return _make(ring, len(basis), rows, {n: col for n, (_, col) in enumerate(basis)}).transpose()
+                _sub_multiple(tail, q, piv_tail, p)
+    return basis, null
 
 
-def _eliminate_with_transform(a: Matrix) -> tuple[list, list]:
-    """_eliminate_columns on the columns of [A; I]: every (head, tail) it
-    returns has a @ tail == head."""
+def _scaled(col: dict, c, p: int) -> dict:
+    """c * col, mod p when p is nonzero, for a unit c."""
+    if p:
+        return {i: x * c % p for i, x in col.items()}
+    return {i: x * c for i, x in col.items()}
+
+
+def _identity_tails(a: Matrix) -> list[tuple[dict, dict]]:
+    """The columns of [A; I] as (head, tail) pairs; the column operations
+    keep a @ tail == head."""
     one = ring_ops(a.ring).one
     heads = _columns(a)
-    return _eliminate_columns(a.ring, [(heads.get(j, {}), {j: one}) for j in range(a.cols)])
+    return [(heads.get(j, {}), {j: one}) for j in range(a.cols)]
 
 
 def kernel_basis(a: Matrix) -> Matrix:
     """Columns form a basis of ker(a); over Z the full kernel lattice: the
     transform part of the columns of [A; I] whose A-part eliminates to zero."""
-    _, null = _eliminate_with_transform(a)
+    _, null = _eliminate_columns(a.ring, _identity_tails(a))
     return _hermite(a.ring, a.cols, [tail for _, tail in null])
 
 
@@ -781,7 +725,7 @@ def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
         raise ShapeError(f"solve: {a.rows} rows vs {b.rows} rows")
     ring = a.ring
     p = ring.p
-    pivots, _ = _eliminate_with_transform(a)
+    pivots, _ = _eliminate_columns(ring, _identity_tails(a))
     x = {}
     for k, residual in _columns(b).items():
         col: dict = {}

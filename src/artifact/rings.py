@@ -7,6 +7,7 @@ denominator), and ``int`` residues in ``[0, p)`` for a prime field.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -93,15 +94,7 @@ class RingOps:
     add: Callable[[Any, Any], Any]
     neg: Callable[[Any], Any]
     mul: Callable[[Any, Any], Any]
-    is_unit: Callable[[Any], bool]
     divide_exact: Callable[[Any, Any], Any]
-    abs_key: Callable[[Any], Any]
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def is_zero(self, a) -> bool:
-        return a == self.zero
 
 
 def _canon_int(x) -> int:
@@ -128,7 +121,7 @@ def _div_frac(a: Fraction, b: Fraction) -> Fraction:
 
 @lru_cache(maxsize=None)
 def ring_ops(tag: RingTag) -> RingOps:
-    """The arithmetic table (add, neg, mul, is_unit, divide_exact) for ``tag``."""
+    """The arithmetic table (canon, add, neg, mul, divide_exact) for ``tag``."""
     if tag.kind == "Z":
         return RingOps(
             tag=tag,
@@ -138,9 +131,7 @@ def ring_ops(tag: RingTag) -> RingOps:
             add=lambda a, b: a + b,
             neg=lambda a: -a,
             mul=lambda a, b: a * b,
-            is_unit=lambda a: a in (1, -1),
             divide_exact=_div_int,
-            abs_key=abs,
         )
     if tag.kind == "Q":
         return RingOps(
@@ -151,9 +142,7 @@ def ring_ops(tag: RingTag) -> RingOps:
             add=lambda a, b: a + b,
             neg=lambda a: -a,
             mul=lambda a, b: a * b,
-            is_unit=lambda a: a != 0,
             divide_exact=_div_frac,
-            abs_key=abs,
         )
     p = tag.p
 
@@ -179,9 +168,7 @@ def ring_ops(tag: RingTag) -> RingOps:
         add=lambda a, b: (a + b) % p,
         neg=lambda a: (-a) % p,
         mul=lambda a, b: a * b % p,
-        is_unit=lambda a: a % p != 0,
         divide_exact=div_mod,
-        abs_key=lambda a: a,
     )
 
 
@@ -192,14 +179,18 @@ def scalar_to_json(tag: RingTag, x):
     return x
 
 
+_SCALAR = re.compile(r"\s*[-+]?[0-9]+(?:[./][0-9]+)?\s*", re.ASCII)
+
+
 def scalar_from_json(tag: RingTag, value):
     """Parse a scalar from JSON: accepts integers, and strings of an integer,
-    a decimal fraction ("1.25") or a quotient ("a/b").  A string with an
-    exponent is rejected: "1e100000000" would build a 10^8-digit integer."""
+    a decimal fraction ("1.25") or a quotient ("a/b") with an optional sign
+    and surrounding spaces. Fraction alone would also take an exponent
+    ("1e100000000" builds a 10^8-digit integer) and digit separators."""
     ops = ring_ops(tag)
     if isinstance(value, str):
-        if "e" in value.lower():
-            raise ValueError(f"scalar with an exponent in JSON: {value!r}")
+        if not _SCALAR.fullmatch(value):
+            raise ValueError(f"not an integer, decimal or quotient string (no exponent or '_'): {value!r}")
         return ops.canon(Fraction(value))
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"bad scalar in JSON: {value!r}")

@@ -346,6 +346,22 @@ def test_malformed_input_exits_two(tmp_path, capsys):
     code, out = run(capsys, "homology", write(tmp_path, "exponent.json", exponent))
     assert code == 2 and "exponent" in out["error"]
 
+    # a degree has one spelling, and a scalar string has no digit separators
+    def one(x):
+        return {"rows": 1, "cols": 1, "entries": [[x]]}
+
+    for key in ("01", "+1", " 1", "1_0"):
+        doc = {"ring": "Z", "top": 1, "ranks": [1, 1], "diffs": {key: one(2)}}
+        code, out = run(capsys, "homology", write(tmp_path, "key.json", doc))
+        assert code == 2 and out["error"].startswith("complex.diffs: "), key
+    collide = {"ring": "Z", "top": 1, "ranks": [1, 1], "diffs": {"1": one(2), "01": one(3)}}
+    code, out = run(capsys, "homology", write(tmp_path, "collide.json", collide))
+    assert code == 2 and "'01'" in out["error"]
+    for text in ("1_0", "1_0/3"):
+        doc = {"ring": "Q", "top": 1, "ranks": [1, 1], "diffs": {"1": one(text)}}
+        code, out = run(capsys, "homology", write(tmp_path, "underscore.json", doc))
+        assert code == 2 and out["error"].startswith("complex.diffs.1.entries[0]: "), text
+
     wrong_shape = {
         "ring": "Z",
         "top": 1,

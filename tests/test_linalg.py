@@ -248,6 +248,7 @@ def check_smith(a):
     assert dec.u @ a @ dec.v == dec.s
     assert dec.u @ dec.u_inv == identity(a.ring, a.rows)
     assert dec.v @ dec.v_inv == identity(a.ring, a.cols)
+    assert all(i == j for i in range(a.rows) for j in range(a.cols) if dec.s[i, j] != 0)
     diag = dec.diagonal()
     assert all(x != 0 for x in diag[: dec.rank])
     assert all(x == 0 for x in diag[dec.rank :])
@@ -265,6 +266,15 @@ def test_smith_pinned_integer_example():
     # minor gcds by hand: d1 = 2, d2 = 4, d3 = det = 624, so (2, 2, 156)
     dec = check_smith(m(ZZ, [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]))
     assert dec.diagonal() == [2, 2, 156]
+    # a diagonal that is no divisibility chain needs Bezout steps
+    assert check_smith(m(ZZ, [[6, 0, 0], [0, 10, 0], [0, 0, 15]])).diagonal() == [1, 30, 30]
+    # without the Hermite reduction, alternating echelon forms stall at a
+    # triangular fixed point on `stall`; repairing divisibility by adding an
+    # offending row and alternating again takes over 2 s on `slow`
+    stall = [[1, 4, 0], [6, -3, -5], [1, -6, 0], [0, 3, 6], [6, -6, 5], [1, -2, 5]]
+    assert check_smith(m(ZZ, stall)).diagonal() == [1, 1, 1]
+    slow = [[-1, 1, -2, 4], [2, 3, 5, -6], [0, 6, 5, 2], [6, -4, 2, 6], [2, -3, 0, -6], [1, -1, 3, 2]]
+    assert check_smith(m(ZZ, slow)).diagonal() == [1, 1, 1, 2]
 
 
 def test_smith_invariant_factors_match_minor_gcds():

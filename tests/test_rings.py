@@ -48,14 +48,12 @@ def test_integer_division_is_exact_or_raises():
         ops.divide_exact(1, 2)
     with pytest.raises(DivisibilityError):
         ops.divide_exact(1, 0)
-    assert ops.is_unit(-1) and ops.is_unit(1) and not ops.is_unit(2)
 
 
 def test_rational_field_arithmetic():
     ops = ring_ops(QQ)
     assert ops.canon(3) == Fraction(3)
     assert ops.divide_exact(Fraction(1), Fraction(3)) == Fraction(1, 3)
-    assert ops.is_unit(Fraction(-2, 7)) and not ops.is_unit(Fraction(0))
     with pytest.raises(DivisibilityError):
         ops.divide_exact(Fraction(1), Fraction(0))
 
@@ -95,7 +93,11 @@ def test_scalar_json_round_trip():
     with pytest.raises(DivisibilityError):
         scalar_from_json(ZZ, "1/2")
     assert scalar_from_json(QQ, "-1.25") == Fraction(-5, 4)
-    # an exponent would let a short string demand a huge integer
-    for text in ("1e100000000", "2E-3", "1.5e2"):
+    assert scalar_from_json(QQ, " +3/6 ") == Fraction(1, 2)
+    for x in (Fraction(-5, 4), Fraction(3), Fraction(0), Fraction(10**30, 7)):
+        assert scalar_from_json(QQ, scalar_to_json(QQ, x)) == x
+    # an exponent would let a short string demand a huge integer; the rest
+    # fall outside the grammar (sign, digits, optional .digits or /digits)
+    for text in ("1e100000000", "2E-3", "1.5e2", "1_0", "1_0/3", ".5", "1.", "1.2/3", ""):
         with pytest.raises(ValueError):
             scalar_from_json(QQ, text)
