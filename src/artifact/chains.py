@@ -15,6 +15,8 @@ from .errors import ClassError, DomainError, NotAComplex, RingError, ShapeError,
 from .linalg import (
     HomologyGroup,
     Matrix,
+    _is_natural,
+    _json_object,
     block_matrix,
     hcat,
     identity,
@@ -43,7 +45,7 @@ class ConnComplex:
         ranks = tuple(ranks)
         if not ranks:
             raise ValueError("ranks must cover degree 0")
-        if any(not isinstance(r, int) or r < 0 for r in ranks):
+        if not all(map(_is_natural, ranks)):
             raise ValueError("ranks must be nonnegative integers")
         self.ring = ring
         self.ranks = ranks
@@ -515,27 +517,20 @@ def complex_to_json(x: ConnComplex) -> dict:
     return {"ring": str(x.ring), "top": x.top, "ranks": list(x.ranks), "diffs": diffs}
 
 
-def _json_object(obj, path: str, keys) -> None:
-    """Check that obj is an object holding every key in keys."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: expected an object")
-    for key in keys:
-        if key not in obj:
-            raise ValueError(f"{path}.{key}: missing")
-
-
-def _json_header(obj, path: str, keys, top_key: str) -> tuple[RingTag, tuple[int, ...]]:
-    """The ring and ranks of a graded document: an object holding keys, a
-    ring string, a list of ranks, and top_key equal to len(ranks) - 1."""
-    _json_object(obj, path, keys)
+def _json_header(obj, path: str, keys, top_key: str, optional=()) -> tuple[RingTag, tuple[int, ...]]:
+    """The ring and ranks of a graded document: an object holding keys and
+    at most optional besides, a ring string, a list of ranks, and top_key
+    the integer len(ranks) - 1."""
+    _json_object(obj, path, keys, optional)
     if not isinstance(obj["ring"], str):
         raise ValueError(f"{path}.ring: expected a string")
     ring = parse_ring(obj["ring"])
     ranks = obj["ranks"]
-    if not isinstance(ranks, list) or not all(isinstance(r, int) and not isinstance(r, bool) and r >= 0 for r in ranks):
+    if not isinstance(ranks, list) or not all(map(_is_natural, ranks)):
         raise ValueError(f"{path}.ranks: expected a list of nonnegative integers")
-    if obj[top_key] != len(ranks) - 1:
-        raise ValueError(f"{path}.{top_key}: must equal len(ranks) - 1")
+    top = obj[top_key]
+    if not _is_natural(top) or top != len(ranks) - 1:
+        raise ValueError(f"{path}.{top_key}: must be the integer len(ranks) - 1")
     return ring, tuple(ranks)
 
 
@@ -568,7 +563,7 @@ def _build(path: str, make, *args):
 
 
 def complex_from_json(obj, path: str = "complex") -> ConnComplex:
-    ring, ranks = _json_header(obj, path, ("ring", "top", "ranks"), "top")
+    ring, ranks = _json_header(obj, path, ("ring", "top", "ranks"), "top", ("diffs",))
     diffs = _degree_matrices(obj.get("diffs", {}), ring, f"{path}.diffs")
     return _build(path, ConnComplex, ring, ranks, diffs)
 
@@ -586,7 +581,7 @@ def map_to_json(f: ChainMap) -> dict:
 
 
 def map_from_json(obj, path: str = "map") -> ChainMap:
-    _json_object(obj, path, ("source", "target"))
+    _json_object(obj, path, ("source", "target"), ("components",))
     source = complex_from_json(obj["source"], path=f"{path}.source")
     target = complex_from_json(obj["target"], path=f"{path}.target")
     comps = _degree_matrices(obj.get("components", {}), source.ring, f"{path}.components")

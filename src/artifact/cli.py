@@ -67,10 +67,22 @@ DOMAIN_ERRORS = (
 
 
 def _load(path: str):
-    """Parse a JSON file; nesting too deep for the decoder is malformed input."""
+    """Parse a JSON file; a key repeated in one object, at any depth, or
+    nesting too deep for the decoder is malformed input."""
+
+    def unique_keys(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen: set = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise ValueError(f"{path}: duplicate key {key!r}")
+                seen.add(key)
+        return obj
+
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
 

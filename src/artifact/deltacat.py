@@ -18,6 +18,7 @@ from functools import cache
 from math import comb
 
 from .errors import DomainError, ShapeError
+from .linalg import _is_natural, _json_object
 
 
 @dataclass(frozen=True)
@@ -244,13 +245,12 @@ def monotone_to_json(f: MonotoneMap) -> dict:
 
 
 def monotone_from_json(obj, path: str = "map") -> MonotoneMap:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: expected an object")
-    for key in ("source", "target", "values"):
-        if key not in obj:
-            raise ValueError(f"{path}.{key}: missing")
+    _json_object(obj, path, ("source", "target", "values"))
+    for key in ("source", "target"):
+        if not _is_natural(obj[key]):
+            raise ValueError(f"{path}.{key}: expected a natural")
     values = obj["values"]
-    if not isinstance(values, list) or not all(isinstance(v, int) for v in values):
+    if not isinstance(values, list) or not all(map(_is_natural, values)):
         raise ValueError(f"{path}.values: expected a list of naturals")
     try:
         return MonotoneMap(obj["source"], obj["target"], tuple(values))

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import gcd, lcm
+from sys import byteorder
 from typing import Any, Iterable, Optional
 
 from .errors import NotAComplex, RingError, ShapeError
@@ -447,10 +448,14 @@ def _combine(c: int, x: dict, d: int, y: dict) -> dict:
 def invariant_factors(a: Matrix) -> tuple:
     """The nonzero diagonal of the Smith form of a, in divisibility order
     (all ones over a field): the rank is its length and its non-unit entries
-    are the cokernel's torsion. Eliminates over copies of the sparse rows,
-    taken in row and column order, with native arithmetic and tracks no
-    transform (Dumas-Saunders-Villard 2001)."""
+    are the cokernel's torsion. Over F2 each row is one bitmask; otherwise
+    eliminates over copies of the sparse rows, taken in row and column
+    order, with native arithmetic, and over other F_p hands the rows still
+    left to packed elimination once they fill in. Tracks no transform
+    (Dumas-Saunders-Villard 2001)."""
     ring = a.ring
+    if ring.p == 2:
+        return (1,) * _f2_rank(a._rows.values())
     rows = [dict(sorted(row.items())) for _, row in sorted(a._rows.items())]
     if ring.kind == "Z":
         return tuple(_integer_invariants(rows))
@@ -538,11 +543,84 @@ def _smallest_entry(rows: list[dict]) -> tuple[dict, int]:
     return best
 
 
+# Sparse elimination over F_p hands over to packed rows once at least this
+# many rows are left and every one of them holds at least this many
+# nonzeros.  Chosen from the sparse-against-packed table in CHANGES.md:
+# packed rows lose below about 12x12 and on rows that stay very sparse.
+_PACK_AT = 12
+# the native unsigned formats of memoryview.cast, by width in bytes
+_WORD_FORMATS = {memoryview(bytes(8)).cast(f).itemsize: f for f in "BHIQ"}
+
+
+def _f2_rank(rows: Iterable[dict]) -> int:
+    """The rank mod 2 of the matrix with these sparse rows, each taken as
+    one bitmask of its columns and reduced by XOR against the pivots found
+    so far, keyed by leading bit (M4RI, Albrecht-Bard-Hart 2010)."""
+    pivots: dict[int, int] = {}
+    bit = (1).__lshift__
+    for row in rows:
+        m = sum(map(bit, row))
+        while m:
+            lead = m.bit_length() - 1
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = m
+                break
+            m ^= piv
+    return len(pivots)
+
+
+def _packed_rank(rows: list[dict], p: int) -> int:
+    """The rank mod p of the matrix with these sparse rows of residues,
+    each packed into one integer with a byte-aligned slot per column
+    present (Kronecker substitution, Dumas-Fousse-Salvy 2011). A row is
+    reduced mod p only when it becomes the pivot; every other row gains
+    (p - x) times the pivot, so a slot grows by less than p² per pivot and
+    never reaches p² * len(rows), the bound the slots are sized for."""
+    slot: dict[int, int] = {}
+    for row in rows:
+        for j in row:
+            if j not in slot:
+                slot[j] = len(slot)
+    width = ((p * p * len(rows)).bit_length() + 7) // 8
+    if width <= 8:
+        # a machine word, so a row unpacks in one native cast
+        width = 1 << (width - 1).bit_length()
+    word = _WORD_FORMATS.get(width)
+    nbytes = len(slot) * width
+    shifts = [8 * width * k for k in range(len(slot))]
+    mask = (1 << 8 * width) - 1
+    packed = [sum(x << shifts[slot[j]] for j, x in row.items()) for row in rows]
+    rank = 0
+    while packed and rank < len(slot):
+        data = packed.pop().to_bytes(nbytes, byteorder)
+        if word:
+            residues = [x % p for x in memoryview(data).cast(word)]
+        else:
+            residues = [int.from_bytes(data[k : k + width], byteorder) % p for k in range(0, nbytes, width)]
+        c = next((k for k, x in enumerate(residues) if x), None)
+        if c is None:
+            continue
+        inv = pow(residues[c], -1, p)
+        piv = sum((x * inv % p) << s for x, s in zip(residues[c:], shifts[c:]))
+        s = shifts[c]
+        for k, row in enumerate(packed):
+            x = (row >> s & mask) % p
+            if x:
+                packed[k] = row + (p - x) * piv
+        rank += 1
+    return rank
+
+
 def _field_rank(rows: list[dict], p: int) -> int:
-    """The rank mod p of the matrix with these sparse rows of residues."""
+    """The rank mod p of the matrix with these sparse rows of residues:
+    pivot on a shortest row and clear its column, until the rows left fill
+    in to _PACK_AT nonzeros each (Dumas-Villard 2002)."""
     rank = 0
     while rows:
         prow = min(rows, key=len)
+        if len(prow) >= _PACK_AT and len(rows) >= _PACK_AT:
+            return rank + _packed_rank(rows, p)
         c, v = next(iter(prow.items()))
         inv = pow(v, -1, p)
         for row in rows:
@@ -813,14 +891,28 @@ def mat_to_json(a: Matrix) -> dict:
     }
 
 
-def mat_from_json(obj, ring: RingTag, path: str = "matrix") -> Matrix:
+def _json_object(obj, path: str, keys, optional=()) -> None:
+    """Check that obj is an object holding every key in keys and no key
+    outside keys and optional."""
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected an object")
-    for key in ("rows", "cols", "entries"):
+    for key in keys:
         if key not in obj:
             raise ValueError(f"{path}.{key}: missing")
+    for key in obj:
+        if key not in keys and key not in optional:
+            raise ValueError(f"{path}.{key}: unknown key")
+
+
+def _is_natural(x) -> bool:
+    """x is a nonnegative int; JSON's true and false are not."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def mat_from_json(obj, ring: RingTag, path: str = "matrix") -> Matrix:
+    _json_object(obj, path, ("rows", "cols", "entries"))
     rows, cols = obj["rows"], obj["cols"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 0 or cols < 0:
+    if not _is_natural(rows) or not _is_natural(cols):
         raise ValueError(f"{path}: rows/cols must be naturals")
     grid = obj["entries"]
     if not isinstance(grid, list) or len(grid) != rows:

@@ -17,10 +17,12 @@ from dataclasses import dataclass
 from functools import cache
 
 from . import deltacat
-from .chains import ChainMap, ConnComplex, _build, _json_header, _json_object
+from .chains import ChainMap, ConnComplex, _build, _json_header
 from .errors import DomainError, NotSimplicial, RingError, ShapeError
 from .linalg import (
     Matrix,
+    _is_natural,
+    _json_object,
     block_matrix,
     hcat,
     identity,
@@ -332,7 +334,7 @@ class SimplicialModule:
         ranks = tuple(ranks)
         if not ranks:
             raise ValueError("ranks must cover level 0")
-        if any(not isinstance(r, int) or r < 0 for r in ranks):
+        if not all(map(_is_natural, ranks)):
             raise ValueError("ranks must be nonnegative integers")
         self.ring = ring
         self.ranks = ranks

@@ -69,6 +69,9 @@ def test_complex_constructor_guards():
         ConnComplex(ZZ, (), {})
     with pytest.raises(ValueError):
         ConnComplex(ZZ, (1, -1), {})
+    # a bool is not a rank, so complex_to_json never writes "ranks": [true, 2]
+    with pytest.raises(ValueError):
+        ConnComplex(ZZ, (True, 2), {})
     with pytest.raises(ValueError):
         ConnComplex(ZZ, (1,), {3: zmat(1, 1, [[0]])})
 
@@ -101,6 +104,27 @@ def test_sphere_and_disk_shapes_and_homology():
     hs = homology(sphere(2))
     assert [h.free_rank for h in hs] == [0, 0, 1]
     assert is_exact(disk(4))
+
+
+def test_dense_homology_obeys_the_universal_coefficient_theorem():
+    """H_n(X; F_p) has dimension rank H_n + t_p(H_n) + t_p(H_{n-1}), with
+    t_p counting the invariant factors divisible by p, on dense 32x32
+    two-term complexes whose rows are scaled so that F2 and F101 lose rank,
+    one of them with zero rows so that both degrees have free rank."""
+    rng = random.Random(32)
+    for zero_rows in (0, 5):
+        scale = [2, 2, 6, 101, 202] + [1] * (27 - zero_rows) + [0] * zero_rows
+        grid = [[c * rng.randint(-9, 9) for _ in range(32)] for c in scale]
+        over_z = homology(ConnComplex(ZZ, (32, 32), {1: Matrix.from_rows(ZZ, grid)}))
+        assert over_z[1].free_rank >= zero_rows and over_z[0].free_rank >= zero_rows
+        for p in (2, 101):
+            ring = GF(p)
+            over_p = homology(ConnComplex(ring, (32, 32), {1: Matrix.from_rows(ring, grid)}))
+            t = [sum(1 for d in h.torsion if d % p == 0) for h in over_z]
+            assert t[0] > 0
+            assert [h.free_rank for h in over_p] == [
+                h.free_rank + t[n] + (t[n - 1] if n else 0) for n, h in enumerate(over_z)
+            ]
 
 
 def test_compose_and_identity_maps():

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 import artifact
 from artifact import (
+    GF,
+    QQ,
     ZZ,
     ChainMap,
     ConnComplex,
@@ -29,10 +31,10 @@ from artifact import (
     poset_to_json,
     sphere,
 )
-from artifact.chains import complex_to_json, map_from_json as parse_map
-from artifact.cli import main
+from artifact.chains import complex_from_json, complex_to_json, map_from_json as parse_map
+from artifact.cli import _load, main
 
-from oracles import non_simplicial_module
+from oracles import non_simplicial_module, random_chain_map, random_complex
 
 
 def zmat(rows, cols, grid):
@@ -362,6 +364,28 @@ def test_malformed_input_exits_two(tmp_path, capsys):
         code, out = run(capsys, "homology", write(tmp_path, "underscore.json", doc))
         assert code == 2 and out["error"].startswith("complex.diffs.1.entries[0]: "), text
 
+    # a key once per object, no unknown key, and no true or false for a number
+    path = tmp_path / "twice.json"
+    path.write_text('{"ring": "Z", "top": 1, "ranks": [1, 1], "diffs": {"1": %s, "1": %s}}' % (json.dumps(one(2)), json.dumps(one(3))))
+    code, out = run(capsys, "homology", str(path))
+    assert code == 2 and out["error"] == f"{path}: duplicate key '1'"
+    base = {"ring": "Z", "top": 1, "ranks": [1, 1]}
+    flag = {"rows": True, "cols": True, "entries": [[2]]}
+    for doc, prefix in (
+        ({**base, "difs": {"1": one(2)}}, "complex.difs: "),
+        ({**base, "diffs": {"1": {**one(2), "extra": 0}}}, "complex.diffs.1.extra: "),
+        ({**base, "top": True, "diffs": {"1": flag}}, "complex.top: "),
+        ({**base, "diffs": {"1": flag}}, "complex.diffs.1: "),
+    ):
+        code, out = run(capsys, "homology", write(tmp_path, "strict.json", doc))
+        assert code == 2 and out["error"].startswith(prefix), prefix
+    ident = {**map_to_json(ChainMap(sphere(0), sphere(0), {0: identity(ZZ, 1)})), "extra": 0}
+    code, out = run(capsys, "classify", write(tmp_path, "map.json", ident))
+    assert code == 2 and out["error"].startswith("map.extra: ")
+    poset = {**poset_to_json(chain_poset(1)), "extra": 0}
+    code, out = run(capsys, "nerve-homology", write(tmp_path, "poset.json", poset))
+    assert code == 2 and out["error"].startswith("poset.extra: ")
+
     wrong_shape = {
         "ring": "Z",
         "top": 1,
@@ -469,19 +493,94 @@ def mutated_document(draw):
     return kind, doc
 
 
-@given(mutated_document(), st.data())
-def test_cli_answers_every_mutated_document_with_one_json_document(case, data):
-    kind, doc = case
+def run_fuzzed(kind, text, data):
+    """Exit status and stdout of a verb drawn for kind, on the document text."""
     verb = data.draw(st.sampled_from(FUZZ_VERBS[kind]))
     ring = data.draw(st.sampled_from([[], ["--ring", "Q"], ["--ring", "F2"]]))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+            fh.write(text)
         argv = [verb[0], path] + [path if a == "{doc}" else a for a in verb[1:]] + ring
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-    assert code in (0, 1, 2)
-    json.loads(out.getvalue())  # exactly one document
     assert err.getvalue() == ""
+    return code, json.loads(out.getvalue())  # exactly one document
+
+
+@given(mutated_document(), st.data())
+def test_cli_answers_every_mutated_document_with_one_json_document(case, data):
+    kind, doc = case
+    code, _ = run_fuzzed(kind, json.dumps(doc), data)
+    assert code in (0, 1, 2)
+
+
+def dumps_repeating(node, target, key, value):
+    """JSON text of node in which the object target holds key a second
+    time, last, with value."""
+    if isinstance(node, dict):
+        items = [(k, dumps_repeating(v, target, key, value)) for k, v in node.items()]
+        if node is target:
+            items.append((key, json.dumps(value)))
+        return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in items) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(dumps_repeating(v, target, key, value) for v in node) + "]"
+    return json.dumps(node)
+
+
+DEGREE_FIELDS = ("diffs", "components", "faces", "degens")
+
+
+@st.composite
+def grammar_mutated_document(draw):
+    """A valid document broken at the level of its grammar: a key renamed
+    or repeated, a degree key respelled, or an underscore in a scalar."""
+    kind = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    doc = json.loads(json.dumps(draw(st.sampled_from(FUZZ_BASES[kind]))))
+    slots = json_slots(doc, [])
+    objects = [doc] + [n[k] for n, k in slots if isinstance(n[k], dict) and n[k]]
+    mutation = draw(st.sampled_from(["rename", "repeat", "degree", "underscore"]))
+    if mutation == "repeat":
+        node = draw(st.sampled_from(objects))
+        key = draw(st.sampled_from(sorted(node)))
+        return kind, dumps_repeating(doc, node, key, draw(st.sampled_from([node[key]] + WRONG_TYPES)))
+    if mutation == "underscore":
+        row = draw(st.sampled_from([row for n, k in slots if k == "entries" for row in n[k] if row]))
+        j = draw(st.integers(0, len(row) - 1))
+        text = str(row[j])
+        digits = 1 if text.startswith("-") else 0
+        row[j] = text[:digits] + "0_" + text[digits:]
+        return kind, json.dumps(doc)
+    if mutation == "rename":
+        node = draw(st.sampled_from(objects))
+        key = draw(st.sampled_from(sorted(node)))
+        new = key + draw(st.sampled_from(["s", "x", "_", " "]))
+    else:
+        node = draw(st.sampled_from([n[k] for n, k in slots if k in DEGREE_FIELDS and n[k]]))
+        key = draw(st.sampled_from(sorted(node)))
+        new = draw(st.sampled_from(["0", "+", " ", "0_"])) + key
+    node[new] = node.pop(key)
+    return kind, json.dumps(doc)
+
+
+@given(grammar_mutated_document(), st.data())
+def test_cli_refuses_every_grammar_mutation(case, data):
+    kind, text = case
+    code, out = run_fuzzed(kind, text, data)
+    assert code == 2 and list(out) == ["error"]
+
+
+def test_every_written_document_reads_back_unchanged(tmp_path):
+    """What complex_to_json, map_to_json and module_to_json write passes the
+    CLI's loader and the strict readers, and reads back as the same object."""
+    rng = random.Random(2029)
+    for ring in (ZZ, QQ, GF(2), GF(5)):
+        for _ in range(10):
+            cases = (
+                (random_complex(rng, ring), complex_to_json, complex_from_json),
+                (random_chain_map(rng, ring), map_to_json, map_from_json),
+                (dk(random_complex(rng, ring, 2, 2), rng.randint(0, 3)), module_to_json, module_from_json),
+            )
+            for obj, to_json, from_json in cases:
+                assert from_json(_load(write(tmp_path, "doc.json", to_json(obj)))) == obj

@@ -228,3 +228,12 @@ def test_monotone_json_round_trip():
         monotone_from_json({"source": 1, "target": 1})
     with pytest.raises(ValueError):
         monotone_from_json({"source": 1, "target": 1, "values": [0, "x"]})
+    # JSON true and false are not naturals, and every key is known
+    for bad in (
+        {"source": 1, "target": 1, "values": [0, True]},
+        {"source": True, "target": 1, "values": [0, 1]},
+        {"source": 1, "target": True, "values": [0, 1]},
+        {"source": 1, "target": 1, "values": [0, 1], "extra": 0},
+    ):
+        with pytest.raises(ValueError):
+            monotone_from_json(bad)

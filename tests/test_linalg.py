@@ -36,6 +36,7 @@ from artifact import (
     vcat,
     zeros,
 )
+from artifact import linalg
 from artifact.errors import NotAComplex, RingError, ShapeError
 from artifact.linalg import torsion
 
@@ -335,6 +336,59 @@ def test_invariant_factors_match_the_smith_diagonal(ring):
             expect = minor_gcd_invariants(grid, a.rows, a.cols)
             assert factors == tuple(expect)
             assert torsion(factors) == tuple(d for d in expect if d != 1)
+
+
+def field_rank_corpus(rng, p):
+    """Seeded matrices over F_p that reach the packed rows: 0xn, nx0 and
+    all-zero shapes, dense ones up to 64x64 (some of low rank, some with
+    zeros), and 230x230 ones with 3 and with 8 nonzeros per row, the
+    latter with 20 rows that are sums of others."""
+    ring = GF(p)
+    yield zeros(ring, 0, 5)
+    yield zeros(ring, 5, 0)
+    yield zeros(ring, 13, 17)
+    for n in (1, 2, 5, 11, 12, 13, 20, 33, 64):
+        cols = max(1, n + rng.randint(-3, 3))
+        density = rng.choice((0.5, 1.0))
+        yield Matrix.from_rows(
+            ring, [[rng.randrange(p) if rng.random() < density else 0 for _ in range(cols)] for _ in range(n)], cols
+        )
+        r = rng.randint(1, n)
+        yield random_matrix(rng, ring, n, r, p) @ random_matrix(rng, ring, r, cols, p)
+    for per in (3, 8):
+        grid = [[0] * 230 for _ in range(230)]
+        for row in grid:
+            for j in rng.sample(range(230), per):
+                row[j] = rng.randrange(1, p)
+        if per == 8:
+            # rows that must cancel exactly, after many additions each
+            for i in range(210, 230):
+                grid[i] = [(x + y) % p for x, y in zip(grid[i - 210], grid[i - 209])]
+        yield Matrix.from_rows(ring, grid, 230)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101, 2**61 - 1])
+def test_packed_and_sparse_field_ranks_match_the_smith_diagonal(p, monkeypatch):
+    rng = random.Random(97)
+    for a in field_rank_corpus(rng, p):
+        if a.rows <= 64 or sum(map(len, a._rows.values())) <= 230 * 3:
+            expect = smith_normal_form(a).rank
+        else:
+            # the Smith form of 230x230 with 8 nonzeros per row takes seconds;
+            # the column elimination is independent of the row eliminations too
+            expect = image_basis(a).cols
+        assert len(invariant_factors(a)) == expect, (a.rows, a.cols)
+
+        def rows():
+            return [dict(row) for row in a._rows.values()]
+
+        if p == 2:
+            assert linalg._f2_rank(rows()) == expect
+        assert linalg._packed_rank(rows(), p) == expect
+        for pack_at in (0, 2**62):  # packed at once, sparse throughout
+            monkeypatch.setattr(linalg, "_PACK_AT", pack_at)
+            assert linalg._field_rank(rows(), p) == expect
+        monkeypatch.undo()
 
 
 def test_invariant_factors_of_the_disk_shuffle_product():

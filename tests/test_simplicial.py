@@ -470,6 +470,13 @@ def test_module_json_round_trip():
     del obj["faces"]["1"]
     with pytest.raises(ValueError):
         module_from_json(obj)
+    # a bool is neither a rank nor a horizon, and every key is known
+    with pytest.raises(ValueError):
+        SimplicialModule(ZZ, (True,), {}, {})
+    one_level = module_to_json(dk(disk(1), 1))
+    for key, value in (("horizon", True), ("extra", 0)):
+        with pytest.raises(ValueError, match=f"^module.{key}: "):
+            module_from_json({**one_level, key: value})
 
 
 def test_poset_json_round_trip():
@@ -477,3 +484,5 @@ def test_poset_json_round_trip():
     assert poset_from_json(poset_to_json(p)) == p
     with pytest.raises(ValueError):
         poset_from_json({"elements": [0], "leq": [[1]]})
+    with pytest.raises(ValueError, match="^poset.extra: "):
+        poset_from_json({**poset_to_json(p), "extra": 0})
