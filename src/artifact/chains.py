@@ -34,6 +34,36 @@ from .linalg import (
 from .rings import RingTag, ZZ, parse_ring
 
 
+def _check_matrix(mat: Matrix, ring: RingTag, rows: int, cols: int, kind: str, index, owner: str):
+    """RingError unless mat is over ring, ShapeError unless it is rows x cols;
+    the messages name mat as kind and index, and owner the object it belongs
+    to."""
+    if mat.ring != ring:
+        raise RingError(f"{kind} {index} is over {mat.ring}, {owner} over {ring}")
+    if mat.rows != rows or mat.cols != cols:
+        raise ShapeError(f"{kind} {index} must be {rows}x{cols}, got {mat.rows}x{mat.cols}")
+
+
+def _graded(ring: RingTag, given, degrees: range, shape, kind: str, owner: str) -> tuple:
+    """The matrices of given, a dict keyed by degree, for each degree n in
+    degrees, zero where absent; each must be over ring and of shape(n) =
+    (rows, cols), and no degree outside degrees may be given."""
+    given = dict(given) if given else {}
+    stored = []
+    for n in degrees:
+        rows, cols = shape(n)
+        mat = given.pop(n, None)
+        if mat is None:
+            mat = zeros(ring, rows, cols)
+        else:
+            _check_matrix(mat, ring, rows, cols, kind, n, owner)
+        stored.append(mat)
+    if given:
+        outside = f"{degrees.start}..{degrees.stop - 1}"
+        raise ValueError(f"{kind}s given outside degrees {outside}: {sorted(given)}")
+    return tuple(stored)
+
+
 class ConnComplex:
     """A connective complex: ranks in degrees 0..top and differentials
     ∂_n: degree n -> degree n-1 for 1 <= n <= top.  Degrees outside the
@@ -50,23 +80,8 @@ class ConnComplex:
         self.ring = ring
         self.ranks = ranks
         self.top = len(ranks) - 1
-        given = dict(diffs) if diffs else {}
-        stored = []
-        for n in range(1, self.top + 1):
-            d = given.pop(n, None)
-            if d is None:
-                d = zeros(ring, ranks[n - 1], ranks[n])
-            if d.ring != ring:
-                raise RingError(f"differential {n} is over {d.ring}, complex over {ring}")
-            if d.rows != ranks[n - 1] or d.cols != ranks[n]:
-                raise ShapeError(
-                    f"differential {n} must be {ranks[n - 1]}x{ranks[n]}, "
-                    f"got {d.rows}x{d.cols}"
-                )
-            stored.append(d)
-        if given:
-            raise ValueError(f"differentials given outside degrees 1..{self.top}: {sorted(given)}")
-        self._diffs = tuple(stored)
+        shape = lambda n: (ranks[n - 1], ranks[n])
+        self._diffs = _graded(ring, diffs, range(1, self.top + 1), shape, "differential", "complex")
         for n in range(2, self.top + 1):
             if not (self._diffs[n - 2] @ self._diffs[n - 1]).is_zero:
                 raise NotAComplex(f"differential composite at degree {n} is nonzero")
@@ -102,25 +117,10 @@ class ChainMap:
             raise RingError(f"source over {source.ring}, target over {target.ring}")
         self.source = source
         self.target = target
-        span = max(source.top, target.top)
-        given = dict(components) if components else {}
-        stored = []
-        for n in range(span + 1):
-            c = given.pop(n, None)
-            if c is None:
-                c = zeros(source.ring, target.rank(n), source.rank(n))
-            if c.ring != source.ring:
-                raise RingError(f"component {n} is over {c.ring}, map over {source.ring}")
-            if c.rows != target.rank(n) or c.cols != source.rank(n):
-                raise ShapeError(
-                    f"component {n} must be {target.rank(n)}x{source.rank(n)}, "
-                    f"got {c.rows}x{c.cols}"
-                )
-            stored.append(c)
-        if given:
-            raise ValueError(f"components given outside degrees 0..{span}: {sorted(given)}")
-        self._components = tuple(stored)
-        for n in range(1, span + 1):
+        degrees = range(max(source.top, target.top) + 1)
+        shape = lambda n: (target.rank(n), source.rank(n))
+        self._components = _graded(source.ring, components, degrees, shape, "component", "map")
+        for n in degrees[1:]:
             if self._components[n - 1] @ source.diff(n) != target.diff(n) @ self._components[n]:
                 raise NotAComplex(f"components do not commute with differentials at degree {n}")
 
@@ -216,6 +216,20 @@ def _widths(row) -> list[int]:
     return [w for (_, _, _, w) in row]
 
 
+def _keyed_block_matrix(ring: RingTag, rows: dict, cols: dict, block) -> Matrix:
+    """The block matrix on the row and column block layouts rows and cols,
+    each an ordered {key: size}, whose block is block(key) where a row block
+    and a column block carry the same key, and zero elsewhere; a block empty
+    on both sides is left out."""
+    row_at = {key: i for i, key in enumerate(rows)}
+    blocks = {}
+    for j, (key, size) in enumerate(cols.items()):
+        i = row_at.get(key)
+        if i is not None and (size or rows[key]):
+            blocks[i, j] = block(key)
+    return block_matrix(ring, list(rows.values()), list(cols.values()), blocks)
+
+
 def tensor(x: ConnComplex, y: ConnComplex) -> ConnComplex:
     """Degreewise direct sum of X_k (x) Y_l over k + l = n, with the usual
     sign (-1)^k on the second-factor differential; Kronecker row-major
@@ -243,7 +257,6 @@ def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
     """The induced map X(x)Y -> X'(x)Y' with blockwise components f_k (x) g_l."""
     if f.ring != g.ring:
         raise RingError(f"tensor factors over {f.ring} and {g.ring}")
-    ring = f.ring
     source = tensor(f.source, g.source)
     target = tensor(f.target, g.target)
     src_layout = tensor_blocks(f.source, g.source)
@@ -252,13 +265,12 @@ def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
     for n in range(max(source.top, target.top) + 1):
         src_row = src_layout[n] if n < len(src_layout) else ()
         tgt_row = tgt_layout[n] if n < len(tgt_layout) else ()
-        tgt_index = {(k, l): i for i, (k, l, _, _) in enumerate(tgt_row)}
-        blocks = {
-            (tgt_index[k, l], j): kron(f.component(k), g.component(l))
-            for j, (k, l, _, _) in enumerate(src_row)
-            if (k, l) in tgt_index
-        }
-        comps[n] = block_matrix(ring, _widths(tgt_row), _widths(src_row), blocks)
+        comps[n] = _keyed_block_matrix(
+            f.ring,
+            {(k, l): w for k, l, _, w in tgt_row},
+            {(k, l): w for k, l, _, w in src_row},
+            lambda key: kron(f.component(key[0]), g.component(key[1])),
+        )
     return ChainMap(source, target, comps)
 
 
@@ -509,11 +521,14 @@ def rlp_generator_check(f: ChainMap, max_n: int) -> RlpReport:
     return RlpReport(max_n, point, tuple(sphere_results), tuple(disk_results))
 
 
+def _degree_matrices_to_json(matrices, first: int) -> dict:
+    """The nonzero matrices of a sequence that starts at degree first, keyed
+    by degree, as _degree_matrices reads them."""
+    return {str(n): mat_to_json(mat) for n, mat in enumerate(matrices, first) if not mat.is_zero}
+
+
 def complex_to_json(x: ConnComplex) -> dict:
-    diffs = {}
-    for n in range(1, x.top + 1):
-        if not x.diff(n).is_zero:
-            diffs[str(n)] = mat_to_json(x.diff(n))
+    diffs = _degree_matrices_to_json(x._diffs, 1)
     return {"ring": str(x.ring), "top": x.top, "ranks": list(x.ranks), "diffs": diffs}
 
 
@@ -569,14 +584,10 @@ def complex_from_json(obj, path: str = "complex") -> ConnComplex:
 
 
 def map_to_json(f: ChainMap) -> dict:
-    comps = {}
-    for n in range(max(f.source.top, f.target.top) + 1):
-        if not f.component(n).is_zero:
-            comps[str(n)] = mat_to_json(f.component(n))
     return {
         "source": complex_to_json(f.source),
         "target": complex_to_json(f.target),
-        "components": comps,
+        "components": _degree_matrices_to_json(f._components, 0),
     }
 
 

@@ -41,7 +41,7 @@ from .linalg import Matrix, homology_to_json, mat_to_json
 from .rings import RingTag, ZZ, parse_ring
 from .shuffle import ez_map, shuffle_product, shuffle_to_json
 from .simplicial import (
-    SimplicialModule,
+    _module,
     check_simplicial_identities,
     dk,
     free_module,
@@ -100,10 +100,12 @@ def change_ring(obj, ring: RingTag):
         span = max(obj.source.top, obj.target.top)
         comps = {n: change_ring(obj.component(n), ring) for n in range(span + 1)}
         return ChainMap(change_ring(obj.source, ring), change_ring(obj.target, ring), comps)
-    h = obj.horizon
-    faces = {lv: [change_ring(obj.face(lv, i), ring) for i in range(lv + 1)] for lv in range(1, h + 1)}
-    degens = {lv: [change_ring(obj.degen(lv, i), ring) for i in range(lv + 1)] for lv in range(h)}
-    return SimplicialModule(ring, obj.ranks, faces, degens)
+    return _module(
+        ring,
+        obj.ranks,
+        lambda m, i: obj.face(m, i).change_ring(ring),
+        lambda m, i: obj.degen(m, i).change_ring(ring),
+    )
 
 
 def _in_ring(args, obj):

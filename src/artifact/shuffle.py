@@ -18,6 +18,7 @@ from .chains import (
     ChainMap,
     ConnComplex,
     ModelClass,
+    _keyed_block_matrix,
     classify,
     complex_to_json,
     disk,
@@ -117,24 +118,16 @@ def _pairwise_map(src_x, src_y, tgt_x, tgt_y, factor) -> ChainMap:
     their layouts; factor(k, l) supplies the block component."""
     source = shuffle_product(src_x, src_y)
     target = shuffle_product(tgt_x, tgt_y)
-    ring = source.ring
     comps = {}
     for n in range(max(source.top, target.top) + 1):
         src_pairs = source.blocks[n] if n <= source.top else ()
         tgt_pairs = target.blocks[n] if n <= target.top else ()
-        src_widths = _block_widths(src_x, src_y, src_pairs)
-        tgt_widths = _block_widths(tgt_x, tgt_y, tgt_pairs)
-        tgt_at = {(f.values, g.values): idx for idx, (f, g) in enumerate(tgt_pairs)}
-        blocks = {}
-        for ci, (f, g) in enumerate(src_pairs):
-            key = (f.values, g.values)
-            if key not in tgt_at:
-                continue
-            ri = tgt_at[key]
-            if src_widths[ci] == 0 and tgt_widths[ri] == 0:
-                continue
-            blocks[(ri, ci)] = factor(f.target_top, g.target_top)
-        comps[n] = block_matrix(ring, tgt_widths, src_widths, blocks)
+        comps[n] = _keyed_block_matrix(
+            source.ring,
+            dict(zip(tgt_pairs, _block_widths(tgt_x, tgt_y, tgt_pairs))),
+            dict(zip(src_pairs, _block_widths(src_x, src_y, src_pairs))),
+            lambda pair: factor(pair[0].target_top, pair[1].target_top),
+        )
     return ChainMap(source.underlying, target.underlying, comps)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from . import deltacat
-from .chains import ChainMap, ConnComplex, _build, _json_header
+from .chains import ChainMap, ConnComplex, _build, _check_matrix, _json_header, _keyed_block_matrix
 from .errors import DomainError, NotSimplicial, RingError, ShapeError
 from .linalg import (
     Matrix,
@@ -70,24 +70,15 @@ class FinSimplicialSet:
 
     def _validate(self) -> None:
         h = self.horizon
-        for m in range(1, h + 1):
-            fams = self._faces[m - 1]
-            if len(fams) != m + 1:
-                raise ValueError(f"level {m} needs {m + 1} face maps")
-            for i, fam in enumerate(fams):
-                if len(fam) != self.cell_count(m):
-                    raise ValueError(f"face ({m},{i}) must be defined on every cell")
-                if any(not 0 <= t < self.cell_count(m - 1) for t in fam):
-                    raise ValueError(f"face ({m},{i}) hits an out-of-range cell")
-        for m in range(h):
-            fams = self._degens[m]
-            if len(fams) != m + 1:
-                raise ValueError(f"level {m} needs {m + 1} degeneracy maps")
-            for i, fam in enumerate(fams):
-                if len(fam) != self.cell_count(m):
-                    raise ValueError(f"degeneracy ({m},{i}) must be defined on every cell")
-                if any(not 0 <= t < self.cell_count(m + 1) for t in fam):
-                    raise ValueError(f"degeneracy ({m},{i}) hits an out-of-range cell")
+        for kind, stored, levels, step in _structure_maps(h, self._faces, self._degens):
+            for m, fams in zip(levels, stored):
+                if len(fams) != m + 1:
+                    raise ValueError(f"level {m} needs {m + 1} {kind} maps")
+                for i, fam in enumerate(fams):
+                    if len(fam) != self.cell_count(m):
+                        raise ValueError(f"{kind} ({m},{i}) must be defined on every cell")
+                    if any(not 0 <= t < self.cell_count(m + step) for t in fam):
+                        raise ValueError(f"{kind} ({m},{i}) hits an out-of-range cell")
         for kind, m, i, j in _identity_violations(
             h,
             self.cell_count,
@@ -110,6 +101,23 @@ class FinSimplicialSet:
     def __repr__(self) -> str:
         counts = tuple(len(level) for level in self.cells)
         return f"FinSimplicialSet(horizon={self.horizon}, cells={counts})"
+
+
+def _structure_maps(horizon: int, faces, degens) -> tuple:
+    """The two kinds of structure map below horizon, as (kind, data, levels,
+    step): kind as messages name it, the caller's data for that kind, the
+    levels that carry maps of that kind (m + 1 of them at level m), and the
+    shift from the level a map leaves to the level it lands in."""
+    return (("face", faces, range(1, horizon + 1), -1), ("degeneracy", degens, range(horizon), 1))
+
+
+def _families(horizon: int, face_at, degen_at) -> tuple:
+    """The faces face_at(m, i), then the degeneracies degen_at(m, i), below
+    horizon, each as one list of families per level in level order."""
+    return tuple(
+        [[at(m, i) for i in range(m + 1)] for m in levels]
+        for _, at, levels, _ in _structure_maps(horizon, face_at, degen_at)
+    )
 
 
 def compose_index(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
@@ -156,20 +164,11 @@ def _from_label_maps(horizon, cells, face_label, degen_label) -> FinSimplicialSe
     """Build index maps from label-level face/degeneracy functions."""
     cells = tuple(tuple(level) for level in cells)
     index = [{c: i for i, c in enumerate(level)} for level in cells]
-    faces = [
-        [
-            [index[m - 1][face_label(m, i, c)] for c in cells[m]]
-            for i in range(m + 1)
-        ]
-        for m in range(1, horizon + 1)
-    ]
-    degens = [
-        [
-            [index[m + 1][degen_label(m, i, c)] for c in cells[m]]
-            for i in range(m + 1)
-        ]
-        for m in range(horizon)
-    ]
+    faces, degens = _families(
+        horizon,
+        lambda m, i: [index[m - 1][face_label(m, i, c)] for c in cells[m]],
+        lambda m, i: [index[m + 1][degen_label(m, i, c)] for c in cells[m]],
+    )
     return FinSimplicialSet(horizon, cells, faces, degens)
 
 
@@ -278,20 +277,11 @@ def product(u: FinSimplicialSet, v: FinSimplicialSet) -> FinSimplicialSet:
     def pair_map(u_map, v_map, width):
         return [s * width + t for s in u_map for t in v_map]
 
-    faces = [
-        [
-            pair_map(u.face_map(m, i), v.face_map(m, i), v.cell_count(m - 1))
-            for i in range(m + 1)
-        ]
-        for m in range(1, h + 1)
-    ]
-    degens = [
-        [
-            pair_map(u.degen_map(m, i), v.degen_map(m, i), v.cell_count(m + 1))
-            for i in range(m + 1)
-        ]
-        for m in range(h)
-    ]
+    faces, degens = _families(
+        h,
+        lambda m, i: pair_map(u.face_map(m, i), v.face_map(m, i), v.cell_count(m - 1)),
+        lambda m, i: pair_map(u.degen_map(m, i), v.degen_map(m, i), v.cell_count(m + 1)),
+    )
     return FinSimplicialSet(h, cells, faces, degens)
 
 
@@ -305,20 +295,15 @@ def coproduct(u: FinSimplicialSet, v: FinSimplicialSet) -> FinSimplicialSet:
         [(0, a) for a in u.cells[m]] + [(1, b) for b in v.cells[m]]
         for m in range(h + 1)
     ]
-    faces = [
-        [
-            list(u.face_map(m, i)) + [t + u.cell_count(m - 1) for t in v.face_map(m, i)]
-            for i in range(m + 1)
-        ]
-        for m in range(1, h + 1)
-    ]
-    degens = [
-        [
-            list(u.degen_map(m, i)) + [t + u.cell_count(m + 1) for t in v.degen_map(m, i)]
-            for i in range(m + 1)
-        ]
-        for m in range(h)
-    ]
+
+    def joined(u_map, v_map, offset):
+        return list(u_map) + [t + offset for t in v_map]
+
+    faces, degens = _families(
+        h,
+        lambda m, i: joined(u.face_map(m, i), v.face_map(m, i), u.cell_count(m - 1)),
+        lambda m, i: joined(u.degen_map(m, i), v.degen_map(m, i), u.cell_count(m + 1)),
+    )
     return FinSimplicialSet(h, cells, faces, degens)
 
 
@@ -338,43 +323,26 @@ class SimplicialModule:
             raise ValueError("ranks must be nonnegative integers")
         self.ring = ring
         self.ranks = ranks
-        h = self.horizon
-        faces = dict(faces) if faces else {}
-        degens = dict(degens) if degens else {}
-        face_store = []
-        for m in range(1, h + 1):
-            fams = faces.pop(m, None)
-            if fams is None:
-                raise ValueError(f"face maps missing at level {m}")
-            fams = tuple(fams)
-            if len(fams) != m + 1:
-                raise ValueError(f"level {m} needs {m + 1} face maps, got {len(fams)}")
-            for i, mat in enumerate(fams):
-                self._check(mat, ranks[m - 1], ranks[m], f"face ({m},{i})")
-            face_store.append(fams)
-        degen_store = []
-        for m in range(h):
-            fams = degens.pop(m, None)
-            if fams is None:
-                raise ValueError(f"degeneracy maps missing at level {m}")
-            fams = tuple(fams)
-            if len(fams) != m + 1:
-                raise ValueError(f"level {m} needs {m + 1} degeneracy maps, got {len(fams)}")
-            for i, mat in enumerate(fams):
-                self._check(mat, ranks[m + 1], ranks[m], f"degeneracy ({m},{i})")
-            degen_store.append(fams)
-        if faces:
-            raise ValueError(f"face maps given outside levels 1..{h}: {sorted(faces)}")
-        if degens:
-            raise ValueError(f"degeneracy maps given outside levels 0..{h - 1}: {sorted(degens)}")
-        self._faces = tuple(face_store)
-        self._degens = tuple(degen_store)
-
-    def _check(self, mat: Matrix, rows: int, cols: int, label: str) -> None:
-        if mat.ring != self.ring:
-            raise RingError(f"{label} is over {mat.ring}, module over {self.ring}")
-        if mat.rows != rows or mat.cols != cols:
-            raise ShapeError(f"{label} must be {rows}x{cols}, got {mat.rows}x{mat.cols}")
+        stored = []
+        kinds = _structure_maps(len(ranks) - 1, dict(faces or {}), dict(degens or {}))
+        for kind, given, levels, step in kinds:
+            families = []
+            for m in levels:
+                fams = given.pop(m, None)
+                if fams is None:
+                    raise ValueError(f"{kind} maps missing at level {m}")
+                fams = tuple(fams)
+                if len(fams) != m + 1:
+                    raise ValueError(f"level {m} needs {m + 1} {kind} maps, got {len(fams)}")
+                rows, cols = ranks[m + step], ranks[m]
+                for i, mat in enumerate(fams):
+                    _check_matrix(mat, ring, rows, cols, kind, f"({m},{i})", "module")
+                families.append(fams)
+            if given:
+                outside = f"{levels.start}..{levels.stop - 1}"
+                raise ValueError(f"{kind} maps given outside levels {outside}: {sorted(given)}")
+            stored.append(tuple(families))
+        self._faces, self._degens = stored
 
     @property
     def horizon(self) -> int:
@@ -453,14 +421,12 @@ class SimplicialMap:
                 )
         self.components = comps
         h = source.horizon
-        for m in range(1, h + 1):
-            for i in range(m + 1):
-                if target.face(m, i) @ comps[m] != comps[m - 1] @ source.face(m, i):
-                    raise NotSimplicial(f"component does not commute with face ({m},{i})")
-        for m in range(h):
-            for i in range(m + 1):
-                if target.degen(m, i) @ comps[m] != comps[m + 1] @ source.degen(m, i):
-                    raise NotSimplicial(f"component does not commute with degeneracy ({m},{i})")
+        commuting = _structure_maps(h, (target.face, source.face), (target.degen, source.degen))
+        for kind, (target_at, source_at), levels, step in commuting:
+            for m in levels:
+                for i in range(m + 1):
+                    if target_at(m, i) @ comps[m] != comps[m + step] @ source_at(m, i):
+                        raise NotSimplicial(f"component does not commute with {kind} ({m},{i})")
 
     def component(self, m: int) -> Matrix:
         return self.components[m]
@@ -488,6 +454,13 @@ def compose_simplicial(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
     )
 
 
+def _module(ring: RingTag, ranks: tuple[int, ...], face_at, degen_at) -> SimplicialModule:
+    """The simplicial module with these ranks whose structure matrices are
+    face_at(m, i) and degen_at(m, i)."""
+    faces, degens = _families(len(ranks) - 1, face_at, degen_at)
+    return SimplicialModule(ring, ranks, dict(enumerate(faces, 1)), dict(enumerate(degens)))
+
+
 def _index_matrix(ring: RingTag, rows: int, index_map: tuple[int, ...]) -> Matrix:
     """The 0/1 matrix whose column c is the basis vector at index_map[c]."""
     return identity(ring, rows).col_select(index_map)
@@ -496,17 +469,13 @@ def _index_matrix(ring: RingTag, rows: int, index_map: tuple[int, ...]) -> Matri
 def free_module(u: FinSimplicialSet, ring: RingTag) -> SimplicialModule:
     """Levelwise free module on the cells, with the 0/1 matrices of the
     face and degeneracy index maps."""
-    h = u.horizon
-    ranks = tuple(u.cell_count(m) for m in range(h + 1))
-    faces = {
-        m: [_index_matrix(ring, ranks[m - 1], u.face_map(m, i)) for i in range(m + 1)]
-        for m in range(1, h + 1)
-    }
-    degens = {
-        m: [_index_matrix(ring, ranks[m + 1], u.degen_map(m, i)) for i in range(m + 1)]
-        for m in range(h)
-    }
-    return SimplicialModule(ring, ranks, faces, degens)
+    ranks = tuple(u.cell_count(m) for m in range(u.horizon + 1))
+    return _module(
+        ring,
+        ranks,
+        lambda m, i: _index_matrix(ring, ranks[m - 1], u.face_map(m, i)),
+        lambda m, i: _index_matrix(ring, ranks[m + 1], u.degen_map(m, i)),
+    )
 
 
 def dk_blocks(n: int) -> list[deltacat.MonotoneMap]:
@@ -577,15 +546,12 @@ def dk(x: ConnComplex, horizon: int) -> SimplicialModule:
     """The simplicial module with level n the sum of X_k over surjections
     [n] ->> [k], built to the requested horizon."""
     ranks = tuple(sum(x.rank(k) for k in _dk_tops(n)) for n in range(horizon + 1))
-    faces = {
-        n: [dk_transition(x, deltacat.face(n, i)) for i in range(n + 1)]
-        for n in range(1, horizon + 1)
-    }
-    degens = {
-        n: [dk_transition(x, deltacat.degeneracy(n, i)) for i in range(n + 1)]
-        for n in range(horizon)
-    }
-    return SimplicialModule(x.ring, ranks, faces, degens)
+    return _module(
+        x.ring,
+        ranks,
+        lambda n, i: dk_transition(x, deltacat.face(n, i)),
+        lambda n, i: dk_transition(x, deltacat.degeneracy(n, i)),
+    )
 
 
 def dk_map(g: ChainMap, horizon: int) -> SimplicialMap:
@@ -594,14 +560,9 @@ def dk_map(g: ChainMap, horizon: int) -> SimplicialMap:
     comps = []
     for n in range(horizon + 1):
         blocks = dk_blocks(n)
-        row_sizes = [g.target.rank(f.target_top) for f in blocks]
-        col_sizes = [g.source.rank(f.target_top) for f in blocks]
-        diag = {
-            (s, s): g.component(f.target_top)
-            for s, f in enumerate(blocks)
-            if row_sizes[s] or col_sizes[s]
-        }
-        comps.append(block_matrix(g.ring, row_sizes, col_sizes, diag))
+        rows = {f: g.target.rank(f.target_top) for f in blocks}
+        cols = {f: g.source.rank(f.target_top) for f in blocks}
+        comps.append(_keyed_block_matrix(g.ring, rows, cols, lambda f: g.component(f.target_top)))
     return SimplicialMap(dk(g.source, horizon), dk(g.target, horizon), comps)
 
 
@@ -614,6 +575,21 @@ class EmbeddedComplex:
     embeddings: tuple[Matrix, ...]
 
 
+def _restriction(embs: list[Matrix], level_map, message: str) -> EmbeddedComplex:
+    """The complex on the columns of the embeddings embs whose differential
+    at n restricts level_map(n): M_n -> M_{n-1} to them;
+    NotSimplicial(message) when level_map(n) sends the columns of embs[n]
+    outside the span of embs[n - 1]."""
+    diffs = {}
+    for n in range(1, len(embs)):
+        d = solve(embs[n - 1], level_map(n) @ embs[n])
+        if d is None:
+            raise NotSimplicial(message)
+        diffs[n] = d
+    ranks = tuple(e.cols for e in embs)
+    return EmbeddedComplex(ConnComplex(embs[0].ring, ranks, diffs), tuple(embs))
+
+
 def nor(m: SimplicialModule) -> EmbeddedComplex:
     """The normalized complex: degree n is the intersection of the kernels
     of the first n faces, with differential (-1)^n times the last face."""
@@ -622,16 +598,8 @@ def nor(m: SimplicialModule) -> EmbeddedComplex:
     for n in range(1, m.horizon + 1):
         stacked = vcat(ring, m.rank(n), [m.face(n, i) for i in range(n)])
         embs.append(kernel_basis(stacked))
-    diffs = {}
-    for n in range(1, m.horizon + 1):
-        image = m.face(n, n) @ embs[n]
-        if n % 2:
-            image = -image
-        d = solve(embs[n - 1], image)
-        if d is None:
-            raise NotSimplicial("last face does not preserve the normalized part")
-        diffs[n] = d
-    return EmbeddedComplex(ConnComplex(ring, tuple(e.cols for e in embs), diffs), tuple(embs))
+    signed_last_face = lambda n: -m.face(n, n) if n % 2 else m.face(n, n)
+    return _restriction(embs, signed_last_face, "last face does not preserve the normalized part")
 
 
 def moore(m: SimplicialModule) -> ConnComplex:
@@ -653,14 +621,7 @@ def degenerate_part(m: SimplicialModule) -> EmbeddedComplex:
     for n in range(1, m.horizon + 1):
         spans = hcat(ring, m.rank(n), [m.degen(n - 1, i) for i in range(n)])
         embs.append(image_basis(spans))
-    full = moore(m)
-    diffs = {}
-    for n in range(1, m.horizon + 1):
-        d = solve(embs[n - 1], full.diff(n) @ embs[n])
-        if d is None:
-            raise NotSimplicial("differential does not preserve the degenerate part")
-        diffs[n] = d
-    return EmbeddedComplex(ConnComplex(ring, tuple(e.cols for e in embs), diffs), tuple(embs))
+    return _restriction(embs, moore(m).diff, "differential does not preserve the degenerate part")
 
 
 def nor_map(f: SimplicialMap) -> ChainMap:
@@ -682,15 +643,12 @@ def tensor_sm(m: SimplicialModule, n: SimplicialModule) -> SimplicialModule:
         raise RingError(f"factors over {m.ring} and {n.ring}")
     h = min(m.horizon, n.horizon)
     ranks = tuple(m.rank(i) * n.rank(i) for i in range(h + 1))
-    faces = {
-        lv: [kron(m.face(lv, i), n.face(lv, i)) for i in range(lv + 1)]
-        for lv in range(1, h + 1)
-    }
-    degens = {
-        lv: [kron(m.degen(lv, i), n.degen(lv, i)) for i in range(lv + 1)]
-        for lv in range(h)
-    }
-    return SimplicialModule(m.ring, ranks, faces, degens)
+    return _module(
+        m.ring,
+        ranks,
+        lambda lv, i: kron(m.face(lv, i), n.face(lv, i)),
+        lambda lv, i: kron(m.degen(lv, i), n.degen(lv, i)),
+    )
 
 
 def copower(m: SimplicialModule, u: FinSimplicialSet) -> SimplicialModule:
@@ -712,15 +670,12 @@ def direct_sum_sm(a: SimplicialModule, b: SimplicialModule) -> SimplicialModule:
     def diag(x: Matrix, y: Matrix) -> Matrix:
         return block_matrix(a.ring, [x.rows, y.rows], [x.cols, y.cols], {(0, 0): x, (1, 1): y})
 
-    faces = {
-        m: [diag(a.face(m, i), b.face(m, i)) for i in range(m + 1)]
-        for m in range(1, h + 1)
-    }
-    degens = {
-        m: [diag(a.degen(m, i), b.degen(m, i)) for i in range(m + 1)]
-        for m in range(h)
-    }
-    return SimplicialModule(a.ring, ranks, faces, degens)
+    return _module(
+        a.ring,
+        ranks,
+        lambda m, i: diag(a.face(m, i), b.face(m, i)),
+        lambda m, i: diag(a.degen(m, i), b.degen(m, i)),
+    )
 
 
 def cylinder(m: SimplicialModule) -> tuple[SimplicialMap, SimplicialMap]:
@@ -817,14 +772,8 @@ def module_to_json(m: SimplicialModule) -> dict:
         "ring": str(m.ring),
         "horizon": m.horizon,
         "ranks": list(m.ranks),
-        "faces": {
-            str(lv): [mat_to_json(m.face(lv, i)) for i in range(lv + 1)]
-            for lv in range(1, m.horizon + 1)
-        },
-        "degens": {
-            str(lv): [mat_to_json(m.degen(lv, i)) for i in range(lv + 1)]
-            for lv in range(m.horizon)
-        },
+        "faces": {str(lv): list(map(mat_to_json, fams)) for lv, fams in enumerate(m._faces, 1)},
+        "degens": {str(lv): list(map(mat_to_json, fams)) for lv, fams in enumerate(m._degens)},
     }
 
 

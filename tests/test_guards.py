@@ -1,0 +1,245 @@
+"""The constructor guards of the graded types, pinned by exception type and
+exact message: one row per guard, each input breaking exactly one rule."""
+
+import random
+
+import pytest
+
+from artifact import (
+    QQ,
+    ZZ,
+    ChainMap,
+    ConnComplex,
+    FinSimplicialSet,
+    SimplicialMap,
+    SimplicialModule,
+    degenerate_part,
+    disk,
+    identity,
+    nor,
+    sphere,
+    zeros,
+)
+from artifact.errors import NotAComplex, NotSimplicial, RingError, ShapeError
+
+from oracles import non_simplicial_module
+
+ONE = identity(ZZ, 1)
+ZERO = zeros(ZZ, 1, 1)
+ONE_Q = identity(QQ, 1)
+
+
+def module(faces, degens, ranks=(1, 1)):
+    return SimplicialModule(ZZ, ranks, faces, degens)
+
+
+def module_map(faces, degens, components):
+    m = module(faces, degens)
+    return SimplicialMap(m, m, components)
+
+
+def simplicial_set(faces, degens):
+    # level 0 is a vertex, level 1 its degenerate edge
+    return FinSimplicialSet(1, [["v"], ["e"]], faces, degens)
+
+
+GUARDS = [
+    # ConnComplex
+    (
+        "complex-ring",
+        lambda: ConnComplex(ZZ, (1, 1), {1: ONE_Q}),
+        RingError,
+        "differential 1 is over Q, complex over Z",
+    ),
+    (
+        "complex-shape",
+        lambda: ConnComplex(ZZ, (1, 2), {1: ONE}),
+        ShapeError,
+        "differential 1 must be 1x2, got 1x1",
+    ),
+    (
+        "complex-degree-range",
+        lambda: ConnComplex(ZZ, (1, 1), {0: ONE, 1: ONE, 3: ZERO}),
+        ValueError,
+        "differentials given outside degrees 1..1: [0, 3]",
+    ),
+    (
+        "complex-not-a-complex",
+        lambda: ConnComplex(ZZ, (1, 1, 1), {1: ONE, 2: ONE}),
+        NotAComplex,
+        "differential composite at degree 2 is nonzero",
+    ),
+    # ChainMap
+    (
+        "map-ring",
+        lambda: ChainMap(sphere(0), sphere(0), {0: ONE_Q}),
+        RingError,
+        "component 0 is over Q, map over Z",
+    ),
+    (
+        "map-shape",
+        lambda: ChainMap(disk(1), sphere(0), {1: zeros(ZZ, 2, 1)}),
+        ShapeError,
+        "component 1 must be 0x1, got 2x1",
+    ),
+    (
+        "map-degree-range",
+        lambda: ChainMap(disk(1), disk(1), {0: ONE, 1: ONE, 2: ZERO, -1: ZERO}),
+        ValueError,
+        "components given outside degrees 0..1: [-1, 2]",
+    ),
+    (
+        "map-not-commuting",
+        lambda: ChainMap(disk(1), disk(1), {0: ONE}),
+        NotAComplex,
+        "components do not commute with differentials at degree 1",
+    ),
+    # SimplicialModule
+    (
+        "module-face-missing",
+        lambda: module({}, {0: [ONE]}),
+        ValueError,
+        "face maps missing at level 1",
+    ),
+    (
+        "module-degen-missing",
+        lambda: module({1: [ONE, ONE]}, {}),
+        ValueError,
+        "degeneracy maps missing at level 0",
+    ),
+    (
+        "module-face-level-range",
+        lambda: module({1: [ONE, ONE], 2: [ONE, ONE, ONE]}, {0: [ONE]}),
+        ValueError,
+        "face maps given outside levels 1..1: [2]",
+    ),
+    (
+        "module-degen-level-range",
+        lambda: module({1: [ONE, ONE]}, {0: [ONE], 1: [ONE, ONE]}),
+        ValueError,
+        "degeneracy maps given outside levels 0..0: [1]",
+    ),
+    (
+        "module-degen-level-range-at-horizon-0",
+        lambda: SimplicialModule(ZZ, (1,), {}, {0: [ONE]}),
+        ValueError,
+        "degeneracy maps given outside levels 0..-1: [0]",
+    ),
+    (
+        "module-face-family-length",
+        lambda: module({1: [ONE]}, {0: [ONE]}),
+        ValueError,
+        "level 1 needs 2 face maps, got 1",
+    ),
+    (
+        "module-degen-family-length",
+        lambda: module({1: [ONE, ONE]}, {0: [ONE, ONE]}),
+        ValueError,
+        "level 0 needs 1 degeneracy maps, got 2",
+    ),
+    (
+        "module-face-ring",
+        lambda: module({1: [ONE, ONE_Q]}, {0: [ONE]}),
+        RingError,
+        "face (1,1) is over Q, module over Z",
+    ),
+    (
+        "module-degen-ring",
+        lambda: module({1: [ONE, ONE]}, {0: [ONE_Q]}),
+        RingError,
+        "degeneracy (0,0) is over Q, module over Z",
+    ),
+    (
+        "module-face-shape",
+        lambda: module({1: [zeros(ZZ, 1, 2), ONE]}, {0: [zeros(ZZ, 2, 1)]}, ranks=(1, 2)),
+        ShapeError,
+        "face (1,1) must be 1x2, got 1x1",
+    ),
+    (
+        "module-degen-shape",
+        lambda: module({1: [zeros(ZZ, 1, 2)] * 2}, {0: [ONE]}, ranks=(1, 2)),
+        ShapeError,
+        "degeneracy (0,0) must be 2x1, got 1x1",
+    ),
+    # FinSimplicialSet
+    (
+        "set-face-family-length",
+        lambda: simplicial_set([[(0,)]], [[(0,)]]),
+        ValueError,
+        "level 1 needs 2 face maps",
+    ),
+    (
+        "set-degen-family-length",
+        lambda: simplicial_set([[(0,), (0,)]], [[(0,), (0,)]]),
+        ValueError,
+        "level 0 needs 1 degeneracy maps",
+    ),
+    (
+        "set-face-index-map-length",
+        lambda: simplicial_set([[(0,), (0, 0)]], [[(0,)]]),
+        ValueError,
+        "face (1,1) must be defined on every cell",
+    ),
+    (
+        "set-degen-index-map-length",
+        lambda: simplicial_set([[(0,), (0,)]], [[()]]),
+        ValueError,
+        "degeneracy (0,0) must be defined on every cell",
+    ),
+    (
+        "set-face-index-range",
+        lambda: simplicial_set([[(0,), (1,)]], [[(0,)]]),
+        ValueError,
+        "face (1,1) hits an out-of-range cell",
+    ),
+    (
+        "set-degen-index-range",
+        lambda: simplicial_set([[(0,), (0,)]], [[(1,)]]),
+        ValueError,
+        "degeneracy (0,0) hits an out-of-range cell",
+    ),
+    (
+        "set-identity",
+        lambda: FinSimplicialSet(1, [["v", "w"], ["e"]], [[(0,), (1,)]], [[(0, 0)]]),
+        NotSimplicial,
+        "face-degen identity fails at level 0 for (i,j)=(0,0)",
+    ),
+    # SimplicialMap: face (1,0) commutes, face (1,1) does not
+    (
+        "simplicial-map-face",
+        lambda: module_map({1: [ZERO, ONE]}, {0: [ONE]}, [ONE, ZERO]),
+        NotSimplicial,
+        "component does not commute with face (1,1)",
+    ),
+    (
+        "simplicial-map-degeneracy",
+        lambda: module_map({1: [ZERO, ZERO]}, {0: [ONE]}, [ONE, ZERO]),
+        NotSimplicial,
+        "component does not commute with degeneracy (0,0)",
+    ),
+    # the restrictions of nor and degenerate_part
+    (
+        "nor-last-face",
+        lambda: nor(non_simplicial_module(random.Random(701))),
+        NotSimplicial,
+        "last face does not preserve the normalized part",
+    ),
+    (
+        "degenerate-part-differential",
+        lambda: degenerate_part(module({1: [ONE, ZERO]}, {0: [ONE]})),
+        NotSimplicial,
+        "differential does not preserve the degenerate part",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [row[1:] for row in GUARDS],
+    ids=[row[0] for row in GUARDS],
+)
+def test_guard_raises_its_type_and_message(build, error, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert type(info.value) is error
+    assert str(info.value) == message

@@ -603,6 +603,66 @@ def test_smith_normal_form_is_called_only_through_the_public_api():
     assert callers == []
 
 
+def test_the_package_holds_no_unused_import_and_no_unreferenced_private_function():
+    # a static check: an import a module never uses, or a module-level
+    # private function that no module of the package names, is dead code;
+    # __init__.py imports only to re-export
+    import ast
+    import pathlib
+
+    import artifact
+
+    trees = {
+        path.name: ast.parse(path.read_text(), str(path))
+        for path in sorted(pathlib.Path(artifact.__file__).parent.glob("*.py"))
+    }
+
+    def names_used(tree):
+        return {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+
+    used = {name: names_used(tree) for name, tree in trees.items()}
+    unused_imports = [
+        f"{name}:{node.lineno} {alias.asname or alias.name}"
+        for name, tree in trees.items()
+        if name != "__init__.py"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+        if (alias.asname or alias.name).split(".")[0] not in used[name]
+    ]
+    unreferenced = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and not any(node.name in names for names in used.values())
+    ]
+    assert unused_imports == []
+    assert unreferenced == []
+
+
+def test_the_public_names_are_every_imported_function_type_and_error():
+    import types
+
+    import artifact
+
+    public = artifact.__all__
+    assert public == sorted(public)
+    assert not [name for name in public if name.startswith("_")]
+    assert not [name for name in public if isinstance(getattr(artifact, name), types.ModuleType)]
+    star: dict = {}
+    exec("from artifact import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == public
+    assert {"ConnComplex", "smith_normal_form", "dk", "NotSimplicial"} <= set(public)
+
+
 def test_classification_predicates_depend_on_the_ring():
     two = m(ZZ, [[2]])
     assert is_injective(two) and not is_surjective(two)

@@ -1,3 +1,4 @@
+import json
 import random
 from math import comb
 
@@ -51,6 +52,7 @@ from artifact import (
     tensor_sm,
     verify_nerve_contraction,
 )
+from artifact.cli import change_ring
 from artifact.deltacat import MonotoneMap
 from artifact.errors import DomainError, NotSimplicial, RingError, ShapeError
 from artifact.simplicial import dk_blocks, dk_transition
@@ -200,6 +202,48 @@ def test_modules_from_free_nerves_pass_identities():
         [[True, True, True], [False, True, False], [False, False, True]],
     )
     assert check_simplicial_identities(free_module(nerve(p, 3), ZZ)).ok
+
+
+def _built_modules(ring):
+    """One module from each builder over ring; dk alone over Z is covered by
+    the Dold-Kan tests and the CLI round trip."""
+    x = ConnComplex(
+        ring,
+        (1, 2, 1),
+        {1: Matrix.from_rows(ring, [[1, -1]]), 2: Matrix.from_rows(ring, [[1], [1]])},
+    )
+    vee = FinPoset(
+        ("e", "a", "b"),
+        [[True, True, True], [False, True, False], [False, False, True]],
+    )
+    interval = simplex_set(1, 2)
+    m = dk(x, 2)
+    kappa, xi = cylinder(m)
+    assert xi.source == kappa.target and xi.target == m
+    built = {
+        "free-simplex": free_module(simplex_set(2, 3), ring),
+        "free-boundary": free_module(boundary_simplex_set(2, 3), ring),
+        "free-nerve": free_module(nerve(vee, 3), ring),
+        "free-product": free_module(product(interval, interval), ring),
+        "free-coproduct": free_module(coproduct(interval, boundary_simplex_set(1, 2)), ring),
+        "tensor": tensor_sm(m, free_module(interval, ring)),
+        "direct-sum": direct_sum_sm(m, free_module(interval, ring)),
+        "copower": copower(m, boundary_simplex_set(2, 2)),
+        "cylinder-ends": kappa.source,
+        "cylinder": kappa.target,
+        "change-ring": change_ring(free_module(product(interval, interval), QQ), ring),
+    }
+    if ring != ZZ:
+        built["dk"] = dk(x, 3)
+    return built
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(2), GF(5)], ids=str)
+def test_built_modules_are_simplicial_and_read_back_from_json(ring):
+    for name, m in _built_modules(ring).items():
+        assert m.ring == ring, name
+        assert check_simplicial_identities(m).ok, name
+        assert module_from_json(json.loads(json.dumps(module_to_json(m)))) == m, name
 
 
 # ---------------------------------------------------------------------------
