@@ -10,11 +10,13 @@ generating-map right-lifting-property checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import ClassError, DomainError, NotAComplex, RingError, ShapeError, SquareError
 from .linalg import (
     HomologyGroup,
     Matrix,
+    _by_degree,
     _is_natural,
     _json_object,
     block_matrix,
@@ -278,30 +280,25 @@ def mapping_cone(f: ChainMap) -> ConnComplex:
     """cone_n = X_{n-1} + Y_n with differential [[-dX, 0], [-f, dY]];
     exact exactly when f is a quasi-isomorphism."""
     x, y = f.source, f.target
-    ring = f.ring
     top = max(x.top + 1, y.top)
     ranks = tuple(x.rank(n - 1) + y.rank(n) for n in range(top + 1))
-    diffs = {}
-    for n in range(1, top + 1):
-        diffs[n] = block_matrix(
-            ring,
-            [x.rank(n - 2), y.rank(n - 1)],
-            [x.rank(n - 1), y.rank(n)],
-            {(0, 0): -x.diff(n - 1), (1, 0): -f.component(n - 1), (1, 1): y.diff(n)},
-        )
-    return ConnComplex(ring, ranks, diffs)
+    return ConnComplex(f.ring, ranks, {n: _cone_matrix(f, n - 1, -1) for n in range(1, top + 1)})
 
 
-def _cone_matrix(f: ChainMap, n: int) -> Matrix:
-    """[[d^X_n, 0], [f_n, d^Y_{n+1}]]: X_n + Y_{n+1} -> X_{n-1} + Y_n, the
-    cone differential D_{n+1} up to the signs of its block rows and block
-    columns, so with the same invariant factors."""
+def _cone_matrix(f: ChainMap, n: int, sign: int = 1) -> Matrix:
+    """[[s d^X_n, 0], [s f_n, d^Y_{n+1}]]: X_n + Y_{n+1} -> X_{n-1} + Y_n
+    with s = sign.  With s = -1 this is the cone differential D_{n+1};
+    with s = 1 it differs from D_{n+1} by the sign of a block column, so
+    has the same invariant factors."""
     x, y = f.source, f.target
+    dx, fn = x.diff(n), f.component(n)
+    if sign < 0:
+        dx, fn = -dx, -fn
     return block_matrix(
         f.ring,
         [x.rank(n - 1), y.rank(n)],
         [x.rank(n), y.rank(n + 1)],
-        {(0, 0): x.diff(n), (1, 0): f.component(n), (1, 1): y.diff(n + 1)},
+        {(0, 0): dx, (1, 0): fn, (1, 1): y.diff(n + 1)},
     )
 
 
@@ -508,6 +505,8 @@ def rlp_generator_check(f: ChainMap, max_n: int) -> RlpReport:
     cols(M) - rank(M) and no non-unit invariant factor.  M is
     _cone_matrix(f, n - 1) up to the sign of its second block column, so
     has the same rank."""
+    if max_n < 0:
+        raise DomainError("rlp_generator_check needs max_n >= 0")
     x = f.source
     point = is_surjective(f.component(0))
     sphere_results = []
@@ -523,7 +522,7 @@ def rlp_generator_check(f: ChainMap, max_n: int) -> RlpReport:
 
 def _degree_matrices_to_json(matrices, first: int) -> dict:
     """The nonzero matrices of a sequence that starts at degree first, keyed
-    by degree, as _degree_matrices reads them."""
+    by degree, as _by_degree reads them."""
     return {str(n): mat_to_json(mat) for n, mat in enumerate(matrices, first) if not mat.is_zero}
 
 
@@ -549,23 +548,6 @@ def _json_header(obj, path: str, keys, top_key: str, optional=()) -> tuple[RingT
     return ring, tuple(ranks)
 
 
-def _degree_matrices(raw, ring: RingTag, path: str) -> dict[int, Matrix]:
-    """Parse an object of matrices keyed by degree."""
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: expected an object")
-    out = {}
-    for key, val in raw.items():
-        # one spelling per degree, so "1" and "01" cannot both name it
-        try:
-            n = int(key)
-        except ValueError:
-            n = None
-        if n is None or str(n) != key:
-            raise ValueError(f"{path}: degree keys must be integers in canonical decimal form, got {key!r}")
-        out[n] = mat_from_json(val, ring, path=f"{path}.{key}")
-    return out
-
-
 def _build(path: str, make, *args):
     """make(*args), with plain ValueErrors prefixed by path; the typed
     errors (shape, ring, domain, not a complex) pass through unchanged."""
@@ -579,7 +561,7 @@ def _build(path: str, make, *args):
 
 def complex_from_json(obj, path: str = "complex") -> ConnComplex:
     ring, ranks = _json_header(obj, path, ("ring", "top", "ranks"), "top", ("diffs",))
-    diffs = _degree_matrices(obj.get("diffs", {}), ring, f"{path}.diffs")
+    diffs = _by_degree(obj.get("diffs", {}), f"{path}.diffs", partial(mat_from_json, ring=ring))
     return _build(path, ConnComplex, ring, ranks, diffs)
 
 
@@ -595,5 +577,6 @@ def map_from_json(obj, path: str = "map") -> ChainMap:
     _json_object(obj, path, ("source", "target"), ("components",))
     source = complex_from_json(obj["source"], path=f"{path}.source")
     target = complex_from_json(obj["target"], path=f"{path}.target")
-    comps = _degree_matrices(obj.get("components", {}), source.ring, f"{path}.components")
+    read = partial(mat_from_json, ring=source.ring)
+    comps = _by_degree(obj.get("components", {}), f"{path}.components", read)
     return _build(path, ChainMap, source, target, comps)

@@ -104,33 +104,10 @@ class Matrix:
         return f"Matrix({self.ring}, {self.rows}x{self.cols}, {self._rows})"
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._match(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("sum of differently shaped matrices")
-        p = self.ring.p
-        out = dict(self._rows)
-        for i, brow in other._rows.items():
-            arow = out.get(i)
-            if arow is None:
-                out[i] = brow
-                continue
-            row = dict(arow)
-            for j, y in brow.items():
-                z = row.get(j, 0) + y
-                if p:
-                    z %= p
-                if z:
-                    row[j] = z
-                else:
-                    del row[j]
-            if row:
-                out[i] = row
-            else:
-                del out[i]
-        return _make(self.ring, self.rows, self.cols, out)
+        return _minus(self, -1, other)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
+        return _minus(self, 1, other)
 
     def __neg__(self) -> "Matrix":
         return self.scale(-1)
@@ -161,13 +138,7 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         c = ring_ops(self.ring).canon(c)
-        p = self.ring.p
-        if not c:
-            out = {}
-        elif p:
-            out = {i: {j: c * x % p for j, x in row.items()} for i, row in self._rows.items()}
-        else:
-            out = {i: {j: c * x for j, x in row.items()} for i, row in self._rows.items()}
+        out = {i: _scaled(row, c, self.ring.p) for i, row in self._rows.items()} if c else {}
         return _make(self.ring, self.rows, self.cols, out)
 
     def transpose(self) -> "Matrix":
@@ -225,6 +196,23 @@ def _make(ring: RingTag, rows: int, cols: int, data: dict) -> Matrix:
     _set_cols(m, cols)
     _set_data(m, data)
     return m
+
+
+def _minus(a: Matrix, q, b: Matrix) -> Matrix:
+    """a - q * b for a scalar q of the ring, row by row through the row
+    update; rows of a that b leaves alone are shared."""
+    a._match(b)
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ShapeError("sum of differently shaped matrices")
+    out = dict(a._rows)
+    for i, brow in b._rows.items():
+        row = dict(out.get(i, _EMPTY))
+        _sub_multiple(row, q, brow, a.ring.p)
+        if row:
+            out[i] = row
+        else:
+            del out[i]
+    return _make(a.ring, a.rows, a.cols, out)
 
 
 def _canonical_rows(ring: RingTag, rows) -> dict:
@@ -645,9 +633,7 @@ def _rational_rank(rows: list[dict]) -> int:
             if x is None or row is prow:
                 continue
             g = gcd(v, x)
-            a, b = v // g, x // g
-            new = {j: a * y for j, y in row.items()}
-            _sub_multiple(new, b, prow, 0)
+            new = _combine(v // g, row, -(x // g), prow)
             if new:
                 content = gcd(*new.values())
                 if content != 1:
@@ -764,7 +750,7 @@ def _hermite_pairs(ring: RingTag, cols: list[tuple[dict, dict]]) -> tuple[list, 
 
 
 def _scaled(col: dict, c, p: int) -> dict:
-    """c * col, mod p when p is nonzero, for a unit c."""
+    """c * col, mod p when p is nonzero, for a nonzero c."""
     if p:
         return {i: x * c % p for i, x in col.items()}
     return {i: x * c for i, x in col.items()}
@@ -902,6 +888,26 @@ def _json_object(obj, path: str, keys, optional=()) -> None:
     for key in obj:
         if key not in keys and key not in optional:
             raise ValueError(f"{path}.{key}: unknown key")
+
+
+def _by_degree(raw, path: str, read) -> dict:
+    """Parse an object keyed by degree, each value by read(value, path=its
+    path)."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: expected an object")
+    out = {}
+    for key, val in raw.items():
+        # one spelling per degree, so "1" and "01" cannot both name it
+        try:
+            n = int(key)
+        except ValueError:
+            n = None
+        if n is None or str(n) != key:
+            raise ValueError(
+                f"{path}: degree keys must be integers in canonical decimal form, got {key!r}"
+            )
+        out[n] = read(val, path=f"{path}.{key}")
+    return out
 
 
 def _is_natural(x) -> bool:

@@ -21,6 +21,7 @@ from .chains import ChainMap, ConnComplex, _build, _check_matrix, _json_header, 
 from .errors import DomainError, NotSimplicial, RingError, ShapeError
 from .linalg import (
     Matrix,
+    _by_degree,
     _is_natural,
     _json_object,
     block_matrix,
@@ -53,8 +54,11 @@ class FinSimplicialSet:
             raise ValueError(f"expected {horizon + 1} cell levels")
         self.horizon = horizon
         self.cells = cells
-        self._faces = tuple(tuple(tuple(fam) for fam in faces[m - 1]) for m in range(1, horizon + 1))
-        self._degens = tuple(tuple(tuple(fam) for fam in degens[m]) for m in range(horizon))
+        for kind, given, levels, _ in _structure_maps(horizon, faces, degens):
+            if len(given) != len(levels):
+                raise ValueError(f"expected {len(levels)} levels of {kind} maps, got {len(given)}")
+        self._faces = tuple(tuple(tuple(fam) for fam in fams) for fams in faces)
+        self._degens = tuple(tuple(tuple(fam) for fam in fams) for fams in degens)
         self._validate()
 
     def cell_count(self, m: int) -> int:
@@ -160,24 +164,17 @@ def _identity_violations(horizon, size_at, face_at, degen_at, comp, ident):
                     yield ("face-degen", m, i, j)
 
 
-def _from_label_maps(horizon, cells, face_label, degen_label) -> FinSimplicialSet:
-    """Build index maps from label-level face/degeneracy functions."""
+def _vertex_tuple_set(horizon, cells) -> FinSimplicialSet:
+    """The simplicial set on these levels of vertex tuples: face i drops
+    vertex i and degeneracy i repeats it."""
     cells = tuple(tuple(level) for level in cells)
     index = [{c: i for i, c in enumerate(level)} for level in cells]
     faces, degens = _families(
         horizon,
-        lambda m, i: [index[m - 1][face_label(m, i, c)] for c in cells[m]],
-        lambda m, i: [index[m + 1][degen_label(m, i, c)] for c in cells[m]],
+        lambda m, i: [index[m - 1][c[:i] + c[i + 1 :]] for c in cells[m]],
+        lambda m, i: [index[m + 1][c[: i + 1] + c[i:]] for c in cells[m]],
     )
     return FinSimplicialSet(horizon, cells, faces, degens)
-
-
-def _drop(c: tuple, i: int) -> tuple:
-    return c[:i] + c[i + 1 :]
-
-
-def _dup(c: tuple, i: int) -> tuple:
-    return c[: i + 1] + c[i:]
 
 
 def simplex_set(n: int, horizon: int) -> FinSimplicialSet:
@@ -189,7 +186,7 @@ def simplex_set(n: int, horizon: int) -> FinSimplicialSet:
         list(itertools.combinations_with_replacement(range(n + 1), m + 1))
         for m in range(horizon + 1)
     ]
-    return _from_label_maps(horizon, cells, lambda m, i, c: _drop(c, i), lambda m, i, c: _dup(c, i))
+    return _vertex_tuple_set(horizon, cells)
 
 
 def boundary_simplex_set(n: int, horizon: int) -> FinSimplicialSet:
@@ -201,7 +198,7 @@ def boundary_simplex_set(n: int, horizon: int) -> FinSimplicialSet:
         [c for c in itertools.combinations_with_replacement(range(n + 1), m + 1) if set(c) != full]
         for m in range(horizon + 1)
     ]
-    return _from_label_maps(horizon, cells, lambda m, i, c: _drop(c, i), lambda m, i, c: _dup(c, i))
+    return _vertex_tuple_set(horizon, cells)
 
 
 class FinPoset:
@@ -260,7 +257,7 @@ def nerve(p: FinPoset, horizon: int) -> FinSimplicialSet:
     levels = [[(i,) for i in range(len(p))]]
     for _ in range(horizon):
         levels.append([c + (j,) for c in levels[-1] for j in range(len(p)) if p.le(c[-1], j)])
-    return _from_label_maps(horizon, levels, lambda m, i, c: _drop(c, i), lambda m, i, c: _dup(c, i))
+    return _vertex_tuple_set(horizon, levels)
 
 
 def product(u: FinSimplicialSet, v: FinSimplicialSet) -> FinSimplicialSet:
@@ -412,13 +409,7 @@ class SimplicialMap:
         if len(comps) != source.horizon + 1:
             raise ValueError(f"expected {source.horizon + 1} components")
         for m, c in enumerate(comps):
-            if c.ring != source.ring:
-                raise RingError(f"component {m} is over {c.ring}")
-            if c.rows != target.rank(m) or c.cols != source.rank(m):
-                raise ShapeError(
-                    f"component {m} must be {target.rank(m)}x{source.rank(m)}, "
-                    f"got {c.rows}x{c.cols}"
-                )
+            _check_matrix(c, source.ring, target.rank(m), source.rank(m), "component", m, "map")
         self.components = comps
         h = source.horizon
         commuting = _structure_maps(h, (target.face, source.face), (target.degen, source.degen))
@@ -779,31 +770,14 @@ def module_to_json(m: SimplicialModule) -> dict:
 
 def module_from_json(obj, path: str = "module") -> SimplicialModule:
     ring, ranks = _json_header(obj, path, ("ring", "horizon", "ranks", "faces", "degens"), "horizon")
-    h = len(ranks) - 1
 
-    def families(field: str, levels: range) -> dict:
-        raw = obj[field]
-        if not isinstance(raw, dict):
-            raise ValueError(f"{path}.{field}: expected an object")
-        out = {}
-        for lv in levels:
-            key = str(lv)
-            if key not in raw:
-                raise ValueError(f"{path}.{field}.{key}: missing")
-            fams = raw[key]
-            if not isinstance(fams, list) or len(fams) != lv + 1:
-                raise ValueError(f"{path}.{field}.{key}: expected a list of {lv + 1} matrices")
-            out[lv] = [
-                mat_from_json(fams[i], ring, path=f"{path}.{field}.{key}[{i}]")
-                for i in range(lv + 1)
-            ]
-        extra = set(raw) - {str(lv) for lv in levels}
-        if extra:
-            raise ValueError(f"{path}.{field}: unexpected levels {sorted(extra)}")
-        return out
+    def family(raw, path: str) -> list[Matrix]:
+        if not isinstance(raw, list):
+            raise ValueError(f"{path}: expected a list of matrices")
+        return [mat_from_json(mat, ring, path=f"{path}[{i}]") for i, mat in enumerate(raw)]
 
-    faces = families("faces", range(1, h + 1))
-    degens = families("degens", range(h))
+    faces = _by_degree(obj["faces"], f"{path}.faces", family)
+    degens = _by_degree(obj["degens"], f"{path}.degens", family)
     return _build(path, SimplicialModule, ring, ranks, faces, degens)
 
 

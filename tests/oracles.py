@@ -167,6 +167,33 @@ def dense_select(a, row_idxs, col_idxs):
     return (len(row_idxs), len(col_idxs), [[a[2][i][j] for j in col_idxs] for i in row_idxs])
 
 
+def dense_mapping_cone(f):
+    """The ranks and the dense differentials, keyed by degree, of the
+    mapping cone of the chain map f: degree n is X_{n-1} + Y_n and the
+    differential leaving it is [[-dX, 0], [-f, dY]]."""
+    x, y, ring = f.source, f.target, f.ring
+    top = max(x.top + 1, y.top)
+    ranks = tuple(x.rank(n - 1) + y.rank(n) for n in range(top + 1))
+
+    def negated(m):
+        return dense_map(ring, lambda v: -v, dense(m))
+
+    diffs = {
+        n: dense_blocks(
+            ring,
+            [x.rank(n - 2), y.rank(n - 1)],
+            [x.rank(n - 1), y.rank(n)],
+            {
+                (0, 0): negated(x.diff(n - 1)),
+                (1, 0): negated(f.component(n - 1)),
+                (1, 1): dense(y.diff(n)),
+            },
+        )
+        for n in range(1, top + 1)
+    }
+    return ranks, diffs
+
+
 # ---------------------------------------------------------------------------
 # brute-force simplex category combinatorics
 

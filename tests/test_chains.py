@@ -41,6 +41,7 @@ from artifact.errors import (
 )
 
 from oracles import (
+    dense_mapping_cone,
     null_homotopic_map,
     random_chain_map,
     random_complex,
@@ -196,6 +197,22 @@ def test_mapping_cone_shifts_the_source():
     cone = mapping_cone(f)
     assert cone.ranks == (0, 0, 1)
     assert [h.free_rank for h in homology(cone)] == [0, 0, 1]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(5)], ids=str)
+def test_mapping_cone_matches_the_dense_assembly(ring):
+    # the public constructor of the reference grid stores no zero, so a
+    # stored zero in the cone would make the two unequal
+    rng = random.Random(701)
+    for _ in range(40):
+        f = random_chain_map(rng, ring)
+        cone = mapping_cone(f)
+        ranks, diffs = dense_mapping_cone(f)
+        assert cone.ranks == ranks
+        for n, (rows, cols, grid) in diffs.items():
+            assert cone.diff(n).entries == tuple(tuple(row) for row in grid)
+            assert cone.diff(n) == Matrix(ring, rows, cols, grid)
+        assert is_exact(cone) == classify(f).weak_equivalence
 
 
 def test_classify_pinned_examples():
@@ -449,6 +466,8 @@ def test_rlp_report_on_pinned_maps():
     rep = rlp_generator_check(identity_chain_map(s1), 0)
     assert rep.sphere_to_disk == () and rep.zero_to_disk == ()
     assert rep.point_surjection
+    with pytest.raises(DomainError, match=r"^rlp_generator_check needs max_n >= 0$"):
+        rlp_generator_check(identity_chain_map(s1), -3)
 
 
 def test_rlp_matches_classifier_on_random_maps():

@@ -109,6 +109,10 @@ def test_classify_verb_with_certificate(tmp_path, capsys):
     assert out["rlp"]["max_n"] == 0
     assert out["rlp"]["sphere_to_disk"] == []
     assert out["rlp"]["zero_to_disk"] == []
+    code = main(["classify", path, "--certify", "--max-n", "-3"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert json.loads(captured.out) == {"error": "rlp_generator_check needs max_n >= 0"}
 
 
 def test_factor_verbs_compose_back(tmp_path, capsys):
@@ -395,6 +399,43 @@ def test_malformed_input_exits_two(tmp_path, capsys):
     path = write(tmp_path, "shape.json", wrong_shape)
     code, out = run(capsys, "homology", path)
     assert code == 1 and "error" in out
+
+
+# each edit breaks the face maps of the module dk(D(1), 1), which has
+# horizon 1, so faces at level 1 only, two of them
+MALFORMED_MODULE_FACES = [
+    ("level-absent", lambda faces: faces.pop("1"), "module: face maps missing at level 1"),
+    ("family-short", lambda faces: faces["1"].pop(), "module: level 1 needs 2 face maps, got 1"),
+    (
+        "extra-level",
+        lambda faces: faces.update({"2": faces["1"] + faces["1"][:1]}),
+        "module: face maps given outside levels 1..1: [2]",
+    ),
+    (
+        "family-not-a-list",
+        lambda faces: faces.update({"1": faces["1"][0]}),
+        "module.faces.1: expected a list of matrices",
+    ),
+    (
+        "key-not-canonical",
+        lambda faces: faces.update({"01": faces.pop("1")}),
+        "module.faces: degree keys must be integers in canonical decimal form, got '01'",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [row[1:] for row in MALFORMED_MODULE_FACES],
+    ids=[row[0] for row in MALFORMED_MODULE_FACES],
+)
+def test_malformed_module_document_exits_two_with_one_error(tmp_path, capsys, edit, message):
+    doc = module_to_json(dk(disk(1), 1))
+    edit(doc["faces"])
+    code = main(["check-identities", write(tmp_path, "m.json", doc)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    assert json.loads(captured.out) == {"error": message}
 
 
 def test_unknown_verb_is_a_usage_error(capsys):

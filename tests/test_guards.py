@@ -175,6 +175,18 @@ GUARDS = [
         "level 0 needs 1 degeneracy maps",
     ),
     (
+        "set-face-levels",
+        lambda: FinSimplicialSet(2, [["v"], ["e"], ["t"]], [[(0,), (0,)]], [[(0,)], [(0,), (0,)]]),
+        ValueError,
+        "expected 2 levels of face maps, got 1",
+    ),
+    (
+        "set-degen-levels",
+        lambda: simplicial_set([[(0,), (0,)]], [[(0,)], "junk"]),
+        ValueError,
+        "expected 1 levels of degeneracy maps, got 2",
+    ),
+    (
         "set-face-index-map-length",
         lambda: simplicial_set([[(0,), (0, 0)]], [[(0,)]]),
         ValueError,
@@ -204,7 +216,20 @@ GUARDS = [
         NotSimplicial,
         "face-degen identity fails at level 0 for (i,j)=(0,0)",
     ),
-    # SimplicialMap: face (1,0) commutes, face (1,1) does not
+    # SimplicialMap
+    (
+        "simplicial-map-ring",
+        lambda: module_map({1: [ONE, ONE]}, {0: [ONE]}, [ONE_Q, ONE]),
+        RingError,
+        "component 0 is over Q, map over Z",
+    ),
+    (
+        "simplicial-map-shape",
+        lambda: module_map({1: [ONE, ONE]}, {0: [ONE]}, [ONE, zeros(ZZ, 2, 1)]),
+        ShapeError,
+        "component 1 must be 1x1, got 2x1",
+    ),
+    # face (1,0) commutes, face (1,1) does not
     (
         "simplicial-map-face",
         lambda: module_map({1: [ZERO, ONE]}, {0: [ONE]}, [ONE, ZERO]),
