@@ -113,6 +113,13 @@ def _surjections(n: int, k: int) -> tuple[MonotoneMap, ...]:
     return tuple(maps)
 
 
+@cache
+def _surjections_upto(n: int, top: int) -> tuple[MonotoneMap, ...]:
+    """The surjections out of [n] onto [k] for k <= min(n, top), in the
+    canonical order; target size comes first, so this is a prefix of top = n."""
+    return tuple(f for k in range(min(n, top) + 1) for f in _surjections(n, k))
+
+
 def degeneracy_set(f: MonotoneMap) -> tuple[int, ...]:
     """The positions j with f(j) = f(j+1); determines a surjection uniquely."""
     if not f.is_surjective:
@@ -144,16 +151,11 @@ def enumerate_jointly_monic_pairs(
 def _jointly_monic_pairs(
     n: int, xtop: int, ytop: int
 ) -> tuple[tuple[MonotoneMap, MonotoneMap], ...]:
-    gsets = [
-        (g, set(degeneracy_set(g)))
-        for l in range(min(n, ytop) + 1)
-        for g in _surjections(n, l)
-    ]
+    gsets = [(g, set(degeneracy_set(g))) for g in _surjections_upto(n, ytop)]
     pairs = []
-    for k in range(min(n, xtop) + 1):
-        for f in _surjections(n, k):
-            fset = set(degeneracy_set(f))
-            pairs.extend((f, g) for g, gset in gsets if fset.isdisjoint(gset))
+    for f in _surjections_upto(n, xtop):
+        fset = set(degeneracy_set(f))
+        pairs.extend((f, g) for g, gset in gsets if fset.isdisjoint(gset))
     return tuple(pairs)
 
 

@@ -369,10 +369,10 @@ def smith_normal_form(a: Matrix) -> SmithDecomposition:
     """U @ a @ V == S by alternating column Hermite forms of [A; I] and
     [Aᵀ; I] (Kannan-Bachem 1979) until each row and column holds at most one
     entry: the tails of the reduced lines build one transform, the other side
-    carries the other. The pivots go onto the diagonal in pivot order; over Z
-    Bezout steps make them a divisibility chain. Hermite passes leave the
-    pivots positive (1 over a field) and Bezout steps keep them so. The
-    inverses come from solve."""
+    carries the other. S is read off the pivots, not multiplied out: they go
+    onto the diagonal in pivot order, and over Z Bezout steps make them a
+    divisibility chain. Hermite passes leave the pivots positive (1 over a
+    field) and Bezout steps keep them so. The inverses come from solve."""
     ring = a.ring
     lines = _identity_tails(a)
     cross = [{i: ring_ops(ring).one} for i in range(a.rows)]
@@ -391,14 +391,15 @@ def smith_normal_form(a: Matrix) -> SmithDecomposition:
     rest = dict(enumerate(cross))
     cross_tails = [rest.pop(r) for r, _, _ in basis] + list(rest.values())
     rows, cols = (line_tails, cross_tails) if transposed else (cross_tails, line_tails)
+    diag = [head[r] for r, head, _ in basis]
     if ring.kind == "Z":
-        _bezout_chain([head[r] for r, head, _ in basis], rows, cols)
+        _bezout_chain(diag, rows, cols)
     u = _make(ring, a.rows, a.rows, dict(enumerate(rows)))
     v = _make(ring, a.cols, a.cols, dict(enumerate(cols))).transpose()
     return SmithDecomposition(
         matrix=a,
         u=u,
-        s=u @ a @ v,
+        s=_make(ring, a.rows, a.cols, {t: {t: d} for t, d in enumerate(diag)}),
         v=v,
         u_inv=solve(u, identity(ring, a.rows)),
         v_inv=solve(v, identity(ring, a.cols)),

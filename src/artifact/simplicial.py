@@ -472,16 +472,7 @@ def free_module(u: FinSimplicialSet, ring: RingTag) -> SimplicialModule:
 def dk_blocks(n: int) -> list[deltacat.MonotoneMap]:
     """The canonical block list at level n: surjections out of [n], target
     size ascending, value sequences descending within each target size."""
-    blocks = []
-    for k in range(n + 1):
-        blocks.extend(deltacat.enumerate_surjections(n, k))
-    return blocks
-
-
-@cache
-def _dk_tops(n: int) -> tuple[int, ...]:
-    """The target top k of each block of dk_blocks(n), in order."""
-    return tuple(f.target_top for f in dk_blocks(n))
+    return list(deltacat._surjections_upto(n, n))
 
 
 @cache
@@ -507,36 +498,33 @@ def _dk_block(x: ConnComplex, k: int, sign: int) -> Matrix:
     return -x.diff(k) if sign < 0 else x.diff(k)
 
 
-@cache
-def _dk_layout(eta: deltacat.MonotoneMap) -> tuple[tuple[int, int, int, int], ...]:
-    """The nonzero blocks of dk_transition(x, eta) for every complex x, as
-    (row block, column block, k, sign) in the sense of _dk_rule."""
-    row_at = {f.values: idx for idx, f in enumerate(dk_blocks(eta.source_top))}
-    layout = []
-    for ci, g in enumerate(dk_blocks(eta.target_top)):
-        rule = _dk_rule(g, eta)
-        if rule is not None:
-            epi, sign = rule
-            layout.append((row_at[epi.values], ci, g.target_top, sign))
-    return tuple(layout)
-
-
 def dk_transition(x: ConnComplex, eta: deltacat.MonotoneMap) -> Matrix:
-    """The structure matrix of eta: [m] -> [n] on the degreewise sum
-    indexed by surjections.  Column block g: [n] ->> [k] contributes to the
+    """The structure matrix of eta: [m] -> [n] on the sums over surjections
+    onto [k] with k <= x.top.  Column block g: [n] ->> [k] contributes to the
     row block holding the epi part of g o eta: the identity when the mono
     part is the identity, the degree-k differential times (-1)^k when the
     mono part omits exactly the top element k, zero otherwise."""
-    blocks = {(ri, ci): _dk_block(x, k, sign) for ri, ci, k, sign in _dk_layout(eta)}
-    row_sizes = [x.rank(k) for k in _dk_tops(eta.source_top)]
-    col_sizes = [x.rank(k) for k in _dk_tops(eta.target_top)]
+    rows = deltacat._surjections_upto(eta.source_top, x.top)
+    cols = deltacat._surjections_upto(eta.target_top, x.top)
+    row_at = {f.values: ri for ri, f in enumerate(rows)}
+    blocks = {}
+    for ci, g in enumerate(cols):
+        rule = _dk_rule(g, eta)
+        if rule is not None:
+            epi, sign = rule
+            blocks[row_at[epi.values], ci] = _dk_block(x, g.target_top, sign)
+    row_sizes = [x.rank(f.target_top) for f in rows]
+    col_sizes = [x.rank(g.target_top) for g in cols]
     return block_matrix(x.ring, row_sizes, col_sizes, blocks)
 
 
 def dk(x: ConnComplex, horizon: int) -> SimplicialModule:
     """The simplicial module with level n the sum of X_k over surjections
     [n] ->> [k], built to the requested horizon."""
-    ranks = tuple(sum(x.rank(k) for k in _dk_tops(n)) for n in range(horizon + 1))
+    if horizon < 0:
+        raise DomainError("dk needs horizon >= 0")
+    levels = [deltacat._surjections_upto(n, x.top) for n in range(horizon + 1)]
+    ranks = tuple(sum(x.rank(f.target_top) for f in blocks) for blocks in levels)
     return _module(
         x.ring,
         ranks,
@@ -548,13 +536,13 @@ def dk(x: ConnComplex, horizon: int) -> SimplicialModule:
 def dk_map(g: ChainMap, horizon: int) -> SimplicialMap:
     """Blockwise action on the degreewise sums: the block at surjection f
     with target [k] is the degree-k component."""
+    source, target = dk(g.source, horizon), dk(g.target, horizon)
     comps = []
     for n in range(horizon + 1):
-        blocks = dk_blocks(n)
-        rows = {f: g.target.rank(f.target_top) for f in blocks}
-        cols = {f: g.source.rank(f.target_top) for f in blocks}
+        rows = {f: g.target.rank(f.target_top) for f in deltacat._surjections_upto(n, g.target.top)}
+        cols = {f: g.source.rank(f.target_top) for f in deltacat._surjections_upto(n, g.source.top)}
         comps.append(_keyed_block_matrix(g.ring, rows, cols, lambda f: g.component(f.target_top)))
-    return SimplicialMap(dk(g.source, horizon), dk(g.target, horizon), comps)
+    return SimplicialMap(source, target, comps)
 
 
 @dataclass(frozen=True)

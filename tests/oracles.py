@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 import artifact as a
@@ -209,6 +210,43 @@ def brute_monotone_maps(n, k):
 
 def brute_surjections(n, k):
     return {v for v in brute_monotone_maps(n, k) if set(v) == set(range(k + 1))}
+
+
+def _brute_epi_mono(values):
+    """The image of a monotone value tuple, and the tuple with each value
+    replaced by its position in the image (the epi part)."""
+    image = sorted(set(values))
+    return tuple(image), tuple(image.index(v) for v in values)
+
+
+@cache
+def _brute_dk_blocks(n):
+    """(k, values) for every surjection [n] ->> [k], k ascending, values
+    descending."""
+    return tuple((k, v) for k in range(n + 1) for v in sorted(brute_surjections(n, k), reverse=True))
+
+
+def dense_dk_transition(x, m, n, eta):
+    """The matrix that eta: [m] -> [n] (a value tuple) induces on the
+    Dold-Kan sums of the complex x, assembled densely over all 2^n blocks:
+    one per surjection [n] ->> [k] for every k <= n, zero-width ones too,
+    target size ascending and value tuples descending.  The column block g
+    goes to the row block of the epi part of g o eta, by the identity when
+    g o eta is onto [k] and by (-1)^k d_k when its image is [k - 1]."""
+    ring = x.ring
+    rows, cols = _brute_dk_blocks(m), _brute_dk_blocks(n)
+    row_at = {v: i for i, (_, v) in enumerate(rows)}
+    placed = {}
+    for j, (k, g) in enumerate(cols):
+        image, epi = _brute_epi_mono(tuple(g[e] for e in eta))
+        r = x.rank(k)
+        if image == tuple(range(k + 1)):
+            grid = [[reduce_into(ring, int(i == c)) for c in range(r)] for i in range(r)]
+            placed[row_at[epi], j] = (r, r, grid)
+        elif image == tuple(range(k)):
+            sign = -1 if k % 2 else 1
+            placed[row_at[epi], j] = dense_map(ring, lambda v: sign * v, dense(x.diff(k)))
+    return dense_blocks(ring, [x.rank(k) for k, _ in rows], [x.rank(k) for k, _ in cols], placed)
 
 
 def brute_shuffles(p, q):

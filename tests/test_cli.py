@@ -152,6 +152,10 @@ def test_dk_verb(tmp_path, capsys):
     code, out = run(capsys, "dk", path)
     assert code == 0
     assert module_from_json(out).ranks == (0, 1)
+    code = main(["dk", path, "--horizon", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert json.loads(captured.out) == {"error": "dk needs horizon >= 0"}
 
 
 def test_nor_verb(tmp_path, capsys):
@@ -282,11 +286,16 @@ def test_nor_on_a_non_simplicial_module_exits_one(tmp_path, capsys):
     assert list(json.loads(proc.stdout)) == ["error"]
 
 
-def run_capped(tmp_path, ranks, verb, *options):
-    """The CLI verb on a complex of the given ranks with no differentials,
-    in a child that may map 512 MB in all."""
+def undifferentiated(ranks):
+    """The document of a complex of the given ranks with no differentials."""
+    return {"ring": "Z", "top": len(ranks) - 1, "ranks": ranks}
+
+
+def run_capped(tmp_path, document, verb, *options):
+    """The CLI verb on the complex document, in a child that may map 512 MB
+    in all."""
     pytest.importorskip("resource")
-    path = write(tmp_path, "huge.json", {"ring": "Z", "top": len(ranks) - 1, "ranks": ranks})
+    path = write(tmp_path, "x.json", document)
     cap = 512 * 2**20
     child = (
         "import resource, sys\n"
@@ -308,7 +317,7 @@ def run_capped(tmp_path, ranks, verb, *options):
 @pytest.mark.parametrize("ranks, large", [([1, 10**8], 1), ([10**8, 1], 0)])
 def test_homology_of_a_huge_declared_rank_fits_a_small_address_space(tmp_path, ranks, large):
     # a 1 x 10^8 zero differential stored densely takes about 800 MB
-    proc = run_capped(tmp_path, ranks, "homology")
+    proc = run_capped(tmp_path, undifferentiated(ranks), "homology")
     assert proc.returncode == 0 and proc.stderr == ""
     groups = json.loads(proc.stdout)["H"]
     assert groups[large] == {"rank": 10**8}
@@ -319,9 +328,17 @@ def test_homology_of_a_huge_declared_rank_fits_a_small_address_space(tmp_path, r
 def test_dk_of_a_huge_declared_rank_runs_out_of_memory_with_one_error_document(tmp_path, ranks, extra):
     # the answer itself is too large: dense JSON rows of a 1 x 10^8 face,
     # or a 10^8 x 10^8 identity block of a degeneracy
-    proc = run_capped(tmp_path, ranks, "dk", *extra)
+    proc = run_capped(tmp_path, undifferentiated(ranks), "dk", *extra)
     assert proc.returncode == 1 and proc.stderr == ""
     assert list(json.loads(proc.stdout)) == ["error"]
+
+
+def test_dk_far_above_the_top_exits_zero_with_one_document(tmp_path):
+    # level n of Z -2-> Z sums X_0 and X_1 over the n + 1 surjections onto
+    # [0] or [1]; the other 2^n - n - 1 summands out of [n] are zero
+    proc = run_capped(tmp_path, torsion_complex_json(), "dk", "--horizon", "30")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["ranks"] == list(range(1, 32))
 
 
 def test_malformed_input_exits_two(tmp_path, capsys):

@@ -15,12 +15,15 @@ from artifact import (
     SimplicialModule,
     degenerate_part,
     disk,
+    dk,
+    dk_map,
     identity,
+    identity_chain_map,
     nor,
     sphere,
     zeros,
 )
-from artifact.errors import NotAComplex, NotSimplicial, RingError, ShapeError
+from artifact.errors import DomainError, NotAComplex, NotSimplicial, RingError, ShapeError
 
 from oracles import non_simplicial_module
 
@@ -241,6 +244,19 @@ GUARDS = [
         lambda: module_map({1: [ZERO, ZERO]}, {0: [ONE]}, [ONE, ZERO]),
         NotSimplicial,
         "component does not commute with degeneracy (0,0)",
+    ),
+    # the Dold-Kan functor
+    (
+        "dk-negative-horizon",
+        lambda: dk(disk(1), -1),
+        DomainError,
+        "dk needs horizon >= 0",
+    ),
+    (
+        "dk-map-negative-horizon",
+        lambda: dk_map(identity_chain_map(disk(1)), -1),
+        DomainError,
+        "dk needs horizon >= 0",
     ),
     # the restrictions of nor and degenerate_part
     (

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -53,11 +54,17 @@ from artifact import (
     verify_nerve_contraction,
 )
 from artifact.cli import change_ring
-from artifact.deltacat import MonotoneMap
+from artifact.deltacat import MonotoneMap, degeneracy, face
 from artifact.errors import DomainError, NotSimplicial, RingError, ShapeError
 from artifact.simplicial import dk_blocks, dk_transition
 
-from oracles import iso_simplicial, non_simplicial_module, random_complex
+from oracles import (
+    dense,
+    dense_dk_transition,
+    iso_simplicial,
+    non_simplicial_module,
+    random_complex,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +302,9 @@ def test_dk_transition_matrix_for_the_level_two_inclusion():
 
 
 def test_dk_layout_is_resolved_once_per_structure_map(monkeypatch):
-    # the block layout is simplex combinatorics only: once dk has met a
-    # face or degeneracy, another complex reuses it without factorizing
+    # a block map of a face or degeneracy is simplex combinatorics only, so
+    # _dk_rule keeps it: another complex whose top is no larger reuses the
+    # block maps of the first without factorizing
     import artifact.deltacat as deltacat
 
     rng = random.Random(19)
@@ -304,13 +312,57 @@ def test_dk_layout_is_resolved_once_per_structure_map(monkeypatch):
     x = random_complex(rng, GF(3), max_top=3, max_rank=2)
 
     def forbidden(*args):
-        raise AssertionError("the Dold-Kan layout was resolved again")
+        raise AssertionError("a Dold-Kan block map was resolved again")
 
     monkeypatch.setattr(deltacat, "compose", forbidden)
     monkeypatch.setattr(deltacat, "epi_mono_factorize", forbidden)
     m = dk(x, 3)
     assert check_simplicial_identities(m).ok
     assert m.ranks == tuple(sum(comb(n, k) * x.rank(k) for k in range(n + 1)) for n in range(4))
+
+
+def test_dk_resolves_only_the_summands_up_to_the_top(monkeypatch):
+    # X_k is zero above x.top, so each structure map eta: [m] -> [n]
+    # resolves at most one block per surjection [n] ->> [k] with k <= top,
+    # not one per each of the 2^n surjections out of [n]
+    import artifact.deltacat as deltacat
+    from artifact.simplicial import _dk_rule
+
+    x = ConnComplex(ZZ, (1, 1), {1: Matrix(ZZ, 1, 1, ((2,),))})
+    horizon = 12
+    compose = deltacat.compose
+    calls = Counter()
+
+    def counting(g, f):
+        calls[f] += 1
+        return compose(g, f)
+
+    _dk_rule.cache_clear()
+    monkeypatch.setattr(deltacat, "compose", counting)
+    m = dk(x, horizon)
+    assert m.ranks == tuple(n + 1 for n in range(horizon + 1))
+    etas = [face(n, i) for n in range(1, horizon + 1) for i in range(n + 1)]
+    etas += [degeneracy(n, i) for n in range(horizon) for i in range(n + 1)]
+    assert set(calls) == set(etas)
+    for eta in etas:
+        n = eta.target_top
+        assert calls[eta] <= sum(comb(n, k) for k in range(x.top + 1))
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(5)], ids=str)
+def test_dk_transition_matches_the_dense_oracle_over_all_blocks(ring):
+    # the oracle walks every surjection out of [n], the zero-width blocks
+    # onto [k] with k > x.top included, which dk_transition leaves out
+    rng = random.Random(706)
+    for _ in range(8):
+        x = random_complex(rng, ring, max_top=2, max_rank=2)
+        for n in range(1, x.top + 3):
+            etas = [face(n, i) for i in range(n + 1)] + [degeneracy(n, i) for i in range(n + 1)]
+            for m in range(n + 2):
+                etas.append(MonotoneMap(m, n, tuple(sorted(rng.choices(range(n + 1), k=m + 1)))))
+            for eta in etas:
+                got = dense(dk_transition(x, eta))
+                assert repr(got) == repr(dense_dk_transition(x, eta.source_top, n, eta.values))
 
 
 def test_nor_of_the_interval_module_is_pinned():
