@@ -66,7 +66,23 @@ def _graded(ring: RingTag, given, degrees: range, shape, kind: str, owner: str) 
     return tuple(stored)
 
 
-class ConnComplex:
+class _Value:
+    """A value type whose instances equal exactly the instances of the same
+    type whose slots are all equal, compared in slot order; unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return False
+        for name in self.__slots__:
+            if not getattr(self, name) == getattr(other, name):
+                return False
+        return True
+
+
+class ConnComplex(_Value):
     """A connective complex: ranks in degrees 0..top and differentials
     ∂_n: degree n -> degree n-1 for 1 <= n <= top.  Degrees outside the
     stored range are zero; rank() and diff() extend accordingly."""
@@ -96,19 +112,11 @@ class ConnComplex:
             return self._diffs[n - 1]
         return zeros(self.ring, self.rank(n - 1), self.rank(n))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ConnComplex)
-            and self.ring == other.ring
-            and self.ranks == other.ranks
-            and self._diffs == other._diffs
-        )
-
     def __repr__(self) -> str:
         return f"ConnComplex({self.ring}, ranks={self.ranks})"
 
 
-class ChainMap:
+class ChainMap(_Value):
     """A degreewise map of complexes over one ring, commuting with the
     differentials; components outside 0..max(tops) are zero."""
 
@@ -134,14 +142,6 @@ class ChainMap:
     @property
     def ring(self) -> RingTag:
         return self.source.ring
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ChainMap)
-            and self.source == other.source
-            and self.target == other.target
-            and self._components == other._components
-        )
 
     def __repr__(self) -> str:
         return f"ChainMap({self.source!r} -> {self.target!r})"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+from dataclasses import asdict
 
 from .chains import (
     ChainMap,
@@ -113,16 +114,6 @@ def _in_ring(args, obj):
     return change_ring(obj, parse_ring(args.ring)) if args.ring else obj
 
 
-def _model_class_json(mc) -> dict:
-    return {
-        "fibration": mc.fibration,
-        "cofibration": mc.cofibration,
-        "weak_equivalence": mc.weak_equivalence,
-        "trivial_fibration": mc.trivial_fibration,
-        "trivial_cofibration": mc.trivial_cofibration,
-    }
-
-
 def _cmd_homology(args) -> dict:
     x = _in_ring(args, complex_from_json(_load(args.complex)))
     return {"ring": str(x.ring), "H": [homology_to_json(h) for h in homology(x)]}
@@ -131,22 +122,20 @@ def _cmd_homology(args) -> dict:
 def _cmd_classify(args) -> dict:
     f = _in_ring(args, map_from_json(_load(args.map)))
     mc = classify(f)
-    out = _model_class_json(mc)
+    out = asdict(mc)
+    out.update(trivial_fibration=mc.trivial_fibration, trivial_cofibration=mc.trivial_cofibration)
     if args.certify:
         max_n = args.max_n if args.max_n is not None else max(f.source.top, f.target.top) + 1
         rep = rlp_generator_check(f, max_n)
-        out["rlp"] = {
-            "max_n": rep.max_n,
-            "point_surjection": rep.point_surjection,
-            "sphere_to_disk": list(rep.sphere_to_disk),
-            "zero_to_disk": list(rep.zero_to_disk),
-            "certifies_trivial_fibration": rep.certifies_trivial_fibration,
-            "certifies_fibration": rep.certifies_fibration,
-            "matches_classifier": (
+        out["rlp"] = asdict(rep)
+        out["rlp"].update(
+            certifies_trivial_fibration=rep.certifies_trivial_fibration,
+            certifies_fibration=rep.certifies_fibration,
+            matches_classifier=(
                 rep.certifies_trivial_fibration == mc.trivial_fibration
                 and rep.certifies_fibration == mc.fibration
             ),
-        }
+        )
     return out
 
 

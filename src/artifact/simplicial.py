@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from . import deltacat
-from .chains import ChainMap, ConnComplex, _build, _check_matrix, _json_header, _keyed_block_matrix
+from .chains import ChainMap, ConnComplex, _Value, _build, _check_matrix, _json_header, _keyed_block_matrix
 from .errors import DomainError, NotSimplicial, RingError, ShapeError
 from .linalg import (
     Matrix,
@@ -39,7 +39,7 @@ from .linalg import (
 from .rings import RingTag
 
 
-class FinSimplicialSet:
+class FinSimplicialSet(_Value):
     """Levelwise finite simplicial set, trusted up to its horizon.  Cells
     are ordered lists of opaque labels; faces and degeneracies are stored
     as index maps between adjacent levels."""
@@ -92,15 +92,6 @@ class FinSimplicialSet:
             index_identity,
         ):
             raise NotSimplicial(f"{kind} identity fails at level {m} for (i,j)=({i},{j})")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FinSimplicialSet)
-            and self.horizon == other.horizon
-            and self.cells == other.cells
-            and self._faces == other._faces
-            and self._degens == other._degens
-        )
 
     def __repr__(self) -> str:
         counts = tuple(len(level) for level in self.cells)
@@ -201,7 +192,7 @@ def boundary_simplex_set(n: int, horizon: int) -> FinSimplicialSet:
     return _vertex_tuple_set(horizon, cells)
 
 
-class FinPoset:
+class FinPoset(_Value):
     """A finite partial order on an ordered list of elements; the relation
     is validated at construction."""
 
@@ -231,13 +222,6 @@ class FinPoset:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FinPoset)
-            and self.elements == other.elements
-            and self.leq == other.leq
-        )
-
 
 def chain_poset(n: int) -> FinPoset:
     """The linear order 0 < 1 < ... < n."""
@@ -254,6 +238,8 @@ def least_element(p: FinPoset) -> int | None:
 def nerve(p: FinPoset, horizon: int) -> FinSimplicialSet:
     """Level m holds the weak chains a_0 <= ... <= a_m as tuples of element
     indices, in lexicographic index order."""
+    if horizon < 0:
+        raise DomainError("nerve needs horizon >= 0")
     levels = [[(i,) for i in range(len(p))]]
     for _ in range(horizon):
         levels.append([c + (j,) for c in levels[-1] for j in range(len(p)) if p.le(c[-1], j)])
@@ -304,7 +290,7 @@ def coproduct(u: FinSimplicialSet, v: FinSimplicialSet) -> FinSimplicialSet:
     return FinSimplicialSet(h, cells, faces, degens)
 
 
-class SimplicialModule:
+class SimplicialModule(_Value):
     """Levelwise finitely generated free modules with face and degeneracy
     matrices, trusted up to the horizon.  Construction checks shapes only;
     check_simplicial_identities reports relation violations, so deliberately
@@ -354,15 +340,6 @@ class SimplicialModule:
     def degen(self, m: int, i: int) -> Matrix:
         return self._degens[m][i]
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SimplicialModule)
-            and self.ring == other.ring
-            and self.ranks == other.ranks
-            and self._faces == other._faces
-            and self._degens == other._degens
-        )
-
     def __repr__(self) -> str:
         return f"SimplicialModule({self.ring}, ranks={self.ranks})"
 
@@ -392,7 +369,7 @@ def check_simplicial_identities(m: SimplicialModule) -> IdentityReport:
     return IdentityReport(violations)
 
 
-class SimplicialMap:
+class SimplicialMap(_Value):
     """A levelwise map of simplicial modules over one ring and horizon,
     commuting with every face and degeneracy."""
 
@@ -421,14 +398,6 @@ class SimplicialMap:
 
     def component(self, m: int) -> Matrix:
         return self.components[m]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SimplicialMap)
-            and self.source == other.source
-            and self.target == other.target
-            and self.components == other.components
-        )
 
 
 def identity_simplicial_map(m: SimplicialModule) -> SimplicialMap:
@@ -728,17 +697,12 @@ def verify_nerve_contraction(p: FinPoset, horizon: int, ring: RingTag) -> Contra
     stability = []
     homotopy = [prefix_matrix(lv) for lv in range(horizon)]
     for lv in range(horizon):
-        both = hcat(ring, m.rank(lv), [nor_part.embeddings[lv], deg_part.embeddings[lv]])
-        inverse = solve(both, identity(ring, m.rank(lv)))
-        if inverse is None:
-            raise NotSimplicial("normalized and degenerate parts do not span")
-        project = inverse.row_select(range(nor_part.complex.rank(lv)))
         lhs = identity(ring, m.rank(lv)) - collapse_matrix(lv)
         rhs = full.diff(lv + 1) @ homotopy[lv]
         if lv >= 1:
             rhs = rhs + homotopy[lv - 1] @ full.diff(lv)
         identity_checks.append(
-            (project @ (lhs - rhs) @ nor_part.embeddings[lv]).is_zero
+            solve(deg_part.embeddings[lv], (lhs - rhs) @ nor_part.embeddings[lv]) is not None
         )
         stability.append(
             solve(deg_part.embeddings[lv + 1], homotopy[lv] @ deg_part.embeddings[lv]) is not None

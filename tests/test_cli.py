@@ -104,6 +104,15 @@ def test_classify_verb_with_certificate(tmp_path, capsys):
     assert out["rlp"]["point_surjection"] is True
     assert out["rlp"]["certifies_trivial_fibration"] is True
     assert out["rlp"]["matches_classifier"] is True
+    # the exact bytes pin the key order of both report objects
+    assert main(["classify", path, "--certify"]) == 0
+    assert capsys.readouterr().out == (
+        '{"fibration": true, "cofibration": true, "weak_equivalence": true, '
+        '"trivial_fibration": true, "trivial_cofibration": true, "rlp": {"max_n": 1, '
+        '"point_surjection": true, "sphere_to_disk": [true], "zero_to_disk": [true], '
+        '"certifies_trivial_fibration": true, "certifies_fibration": true, '
+        '"matches_classifier": true}}\n'
+    )
     code, out = run(capsys, "classify", path, "--certify", "--max-n", "0")
     assert code == 0
     assert out["rlp"]["max_n"] == 0
@@ -196,6 +205,9 @@ def test_nerve_homology_verb(tmp_path, capsys):
     code, out = run(capsys, "nerve-homology", path, "--horizon", "2", "--ring", "F3")
     assert code == 0
     assert out["ring"] == "F3" and len(out["H"]) == 2
+    code, out = run(capsys, "nerve-homology", path, "--horizon", "-1")
+    assert code == 1
+    assert out == {"error": "nerve needs horizon >= 0"}
 
 
 def test_nerve_homology_without_least_element(tmp_path, capsys):

@@ -13,12 +13,14 @@ from artifact import (
     FinSimplicialSet,
     SimplicialMap,
     SimplicialModule,
+    chain_poset,
     degenerate_part,
     disk,
     dk,
     dk_map,
     identity,
     identity_chain_map,
+    nerve,
     nor,
     sphere,
     zeros,
@@ -257,6 +259,12 @@ GUARDS = [
         lambda: dk_map(identity_chain_map(disk(1)), -1),
         DomainError,
         "dk needs horizon >= 0",
+    ),
+    (
+        "nerve-negative-horizon",
+        lambda: nerve(chain_poset(1), -1),
+        DomainError,
+        "nerve needs horizon >= 0",
     ),
     # the restrictions of nor and degenerate_part
     (

@@ -304,12 +304,15 @@ def test_dk_transition_matrix_for_the_level_two_inclusion():
 def test_dk_layout_is_resolved_once_per_structure_map(monkeypatch):
     # a block map of a face or degeneracy is simplex combinatorics only, so
     # _dk_rule keeps it: another complex whose top is no larger reuses the
-    # block maps of the first without factorizing
+    # block maps of the first, onto [k] for every k <= top, without
+    # factorizing
     import artifact.deltacat as deltacat
 
-    rng = random.Random(19)
-    dk(random_complex(rng, ZZ, max_top=3, max_rank=2), 3)
-    x = random_complex(rng, GF(3), max_top=3, max_rank=2)
+    warm = ConnComplex(ZZ, (1, 2, 1, 1))
+    assert warm.top == 3
+    dk(warm, 3)
+    one = Matrix(GF(3), 1, 1, ((1,),))
+    x = ConnComplex(GF(3), (1, 1, 1, 1), {1: one, 3: one})
 
     def forbidden(*args):
         raise AssertionError("a Dold-Kan block map was resolved again")
