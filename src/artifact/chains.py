@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 
 from .errors import ClassError, DomainError, NotAComplex, RingError, ShapeError, SquareError
 from .linalg import (
@@ -199,37 +200,38 @@ def is_exact(x: ConnComplex) -> bool:
     return all(h.is_zero for h in homology(x))
 
 
+def _tensor_layout(x: ConnComplex, y: ConnComplex, n: int) -> dict:
+    """The degree-n layout of the tensor product: {(k, l): rank X_k * rank
+    Y_l} over k + l = n, ordered by increasing k."""
+    degrees = range(max(0, n - y.top), min(n, x.top) + 1)
+    return {(k, n - k): x.rank(k) * y.rank(n - k) for k in degrees}
+
+
 def tensor_blocks(x: ConnComplex, y: ConnComplex) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
     """Per degree n, the tensor block layout as (k, l, offset, width) with
     k + l = n, ordered by increasing k."""
     layout = []
     for n in range(x.top + y.top + 1):
-        row = []
-        offset = 0
-        for k in range(max(0, n - y.top), min(n, x.top) + 1):
-            width = x.rank(k) * y.rank(n - k)
-            row.append((k, n - k, offset, width))
-            offset += width
-        layout.append(tuple(row))
+        sizes = _tensor_layout(x, y, n)
+        offsets = accumulate(sizes.values(), initial=0)
+        layout.append(tuple((k, l, at, w) for ((k, l), w), at in zip(sizes.items(), offsets)))
     return tuple(layout)
 
 
-def _widths(row) -> list[int]:
-    return [w for (_, _, _, w) in row]
-
-
-def _keyed_block_matrix(ring: RingTag, rows: dict, cols: dict, block) -> Matrix:
+def _keyed_block_matrix(ring: RingTag, rows: dict, cols: dict, blocks: dict) -> Matrix:
     """The block matrix on the row and column block layouts rows and cols,
-    each an ordered {key: size}, whose block is block(key) where a row block
-    and a column block carry the same key, and zero elsewhere; a block empty
-    on both sides is left out."""
+    each an ordered {key: size}, with the given blocks, keyed by (row key,
+    column key), and zero elsewhere; ShapeError for a block whose key is
+    missing from its layout."""
     row_at = {key: i for i, key in enumerate(rows)}
-    blocks = {}
-    for j, (key, size) in enumerate(cols.items()):
-        i = row_at.get(key)
-        if i is not None and (size or rows[key]):
-            blocks[i, j] = block(key)
-    return block_matrix(ring, list(rows.values()), list(cols.values()), blocks)
+    col_at = {key: j for j, key in enumerate(cols)}
+    placed = {}
+    for (row, col), mat in blocks.items():
+        try:
+            placed[row_at[row], col_at[col]] = mat
+        except KeyError:
+            raise ShapeError(f"block {(row, col)} lies outside the layout") from None
+    return block_matrix(ring, list(rows.values()), list(cols.values()), placed)
 
 
 def tensor(x: ConnComplex, y: ConnComplex) -> ConnComplex:
@@ -239,20 +241,19 @@ def tensor(x: ConnComplex, y: ConnComplex) -> ConnComplex:
     if x.ring != y.ring:
         raise RingError(f"tensor factors over {x.ring} and {y.ring}")
     ring = x.ring
-    layout = tensor_blocks(x, y)
-    ranks = tuple(sum(_widths(row)) for row in layout)
+    layouts = [_tensor_layout(x, y, n) for n in range(x.top + y.top + 1)]
     diffs = {}
-    for n in range(1, len(ranks)):
-        below = {(k, l): i for i, (k, l, _, _) in enumerate(layout[n - 1])}
+    for n in range(1, len(layouts)):
+        below = layouts[n - 1]
         blocks = {}
-        for j, (k, l, _, _) in enumerate(layout[n]):
+        for k, l in layouts[n]:
             if (k - 1, l) in below:
-                blocks[below[k - 1, l], j] = kron(x.diff(k), identity(ring, y.rank(l)))
+                blocks[(k - 1, l), (k, l)] = kron(x.diff(k), identity(ring, y.rank(l)))
             if (k, l - 1) in below:
                 block = kron(identity(ring, x.rank(k)), y.diff(l))
-                blocks[below[k, l - 1], j] = -block if k % 2 else block
-        diffs[n] = block_matrix(ring, _widths(layout[n - 1]), _widths(layout[n]), blocks)
-    return ConnComplex(ring, ranks, diffs)
+                blocks[(k, l - 1), (k, l)] = -block if k % 2 else block
+        diffs[n] = _keyed_block_matrix(ring, below, layouts[n], blocks)
+    return ConnComplex(ring, tuple(sum(sizes.values()) for sizes in layouts), diffs)
 
 
 def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
@@ -261,18 +262,14 @@ def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
         raise RingError(f"tensor factors over {f.ring} and {g.ring}")
     source = tensor(f.source, g.source)
     target = tensor(f.target, g.target)
-    src_layout = tensor_blocks(f.source, g.source)
-    tgt_layout = tensor_blocks(f.target, g.target)
     comps = {}
     for n in range(max(source.top, target.top) + 1):
-        src_row = src_layout[n] if n < len(src_layout) else ()
-        tgt_row = tgt_layout[n] if n < len(tgt_layout) else ()
-        comps[n] = _keyed_block_matrix(
-            f.ring,
-            {(k, l): w for k, l, _, w in tgt_row},
-            {(k, l): w for k, l, _, w in src_row},
-            lambda key: kron(f.component(key[0]), g.component(key[1])),
-        )
+        rows = _tensor_layout(f.target, g.target, n)
+        cols = _tensor_layout(f.source, g.source, n)
+        blocks = {
+            (kl, kl): kron(f.component(kl[0]), g.component(kl[1])) for kl in cols if kl in rows
+        }
+        comps[n] = _keyed_block_matrix(f.ring, rows, cols, blocks)
     return ChainMap(source, target, comps)
 
 

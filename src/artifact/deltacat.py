@@ -7,7 +7,8 @@ serialized block indices) is: target size ascending, and within a fixed
 target the value sequences in descending lexicographic order.
 
 Both enumerations are pure functions of their arguments and are memoized
-for the life of the process; each call returns a fresh list.
+for the life of the process; each call returns a fresh list.  So are the
+faces and degeneracies, each call returning the same frozen MonotoneMap.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ def identity_map(n: int) -> MonotoneMap:
     return MonotoneMap(n, n, tuple(range(n + 1)))
 
 
+@cache
 def face(n: int, i: int) -> MonotoneMap:
     """The injective map [n-1] -> [n] that misses i."""
     if n < 1:
@@ -66,6 +68,7 @@ def face(n: int, i: int) -> MonotoneMap:
     return MonotoneMap(n - 1, n, tuple(k if k < i else k + 1 for k in range(n)))
 
 
+@cache
 def degeneracy(n: int, i: int) -> MonotoneMap:
     """The surjective map [n+1] -> [n] that hits i twice."""
     if n < 0:

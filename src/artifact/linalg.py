@@ -313,18 +313,25 @@ def block_matrix(
     for c in col_sizes:
         col_off.append(col_off[-1] + c)
     out: dict[int, dict] = {}
-    for (bi, bj), m in blocks.items():
-        if m.rows != row_sizes[bi] or m.cols != col_sizes[bj]:
-            raise ShapeError(f"block ({bi},{bj}) has shape {m.rows}x{m.cols}")
-        if m.ring != ring:
-            raise RingError("block with mixed ring")
-        r0, c0 = row_off[bi], col_off[bj]
-        for i, row in m._rows.items():
-            new = out.get(r0 + i)
-            if new is None:
-                new = out[r0 + i] = {}
-            for j, x in row.items():
-                new[c0 + j] = x
+    # indexing past the end raises IndexError; a negative index would count from the end
+    try:
+        for (bi, bj), m in blocks.items():
+            if bi < 0 or bj < 0:
+                raise IndexError
+            height, width = row_sizes[bi], col_sizes[bj]
+            if m.rows != height or m.cols != width:
+                raise ShapeError(f"block ({bi},{bj}) has shape {m.rows}x{m.cols}")
+            if m.ring != ring:
+                raise RingError("block with mixed ring")
+            r0, c0 = row_off[bi], col_off[bj]
+            for i, row in m._rows.items():
+                new = out.get(r0 + i)
+                if new is None:
+                    new = out[r0 + i] = {}
+                for j, x in row.items():
+                    new[c0 + j] = x
+    except IndexError:
+        raise ShapeError(f"block ({bi},{bj}) lies outside the block grid") from None
     return _make(ring, row_off[-1], col_off[-1], out)
 
 

@@ -19,17 +19,17 @@ from .chains import (
     ConnComplex,
     ModelClass,
     _keyed_block_matrix,
+    _tensor_layout,
     classify,
     complex_to_json,
     disk,
     homology,
     sphere,
     tensor,
-    tensor_blocks,
 )
 from .deltacat import MonotoneMap, enumerate_jointly_monic_pairs, face, shuffle_of_pair
 from .errors import DomainError, RingError
-from .linalg import HomologyGroup, Matrix, block_matrix, identity, kron
+from .linalg import HomologyGroup, Matrix, identity, kron
 from .simplicial import _dk_block, _dk_rule, nor, tensor_sm
 
 
@@ -59,10 +59,14 @@ class ShuffleComplex:
         return self.underlying.diff(n)
 
 
-def _block_widths(x: ConnComplex, y: ConnComplex, pairs) -> list[int]:
-    """rank X_k * rank Y_l for each pair onto [k], [l] of the product of x and y."""
+def _shuffle_layout(x: ConnComplex, y: ConnComplex, pairs) -> dict:
+    """The layout of the jointly monic pairs of the product of x and y:
+    {(values of f, values of g): rank X_k * rank Y_l} over the pairs onto
+    [k], [l] in their order, leaving out the zero-size blocks; the values of
+    a surjection onto [k] end in k."""
     xr, yr = x.ranks, y.ranks
-    return [xr[f.target_top] * yr[g.target_top] for f, g in pairs]
+    sizes = ((f.values, g.values, xr[f.target_top] * yr[g.target_top]) for f, g in pairs)
+    return {(f, g): size for f, g, size in sizes if size}
 
 
 def shuffle_product(x: ConnComplex, y: ConnComplex) -> ShuffleComplex:
@@ -77,28 +81,24 @@ def shuffle_product(x: ConnComplex, y: ConnComplex) -> ShuffleComplex:
     ring = x.ring
     top = x.top + y.top
     pairs_at = [enumerate_jointly_monic_pairs(n, x.top, y.top) for n in range(top + 1)]
-    widths_at = [_block_widths(x, y, pairs) for pairs in pairs_at]
-    ranks = tuple(sum(widths) for widths in widths_at)
+    layouts = [_shuffle_layout(x, y, pairs) for pairs in pairs_at]
     diffs = {}
     for n in range(1, top + 1):
         faces = [face(n, i) for i in range(n + 1)]
-        row_at = {
-            (f.values, g.values): ri
-            for ri, (f, g) in enumerate(pairs_at[n - 1])
-            if widths_at[n - 1][ri]
-        }
-        blocks: dict[tuple[int, int], Matrix] = {}
-        for ci, (f, g) in enumerate(pairs_at[n]):
-            if not widths_at[n][ci]:
+        rows, cols = layouts[n - 1], layouts[n]
+        blocks = {}
+        for f, g in pairs_at[n]:
+            col = (f.values, g.values)
+            if col not in cols:
                 continue
             for i, delta in enumerate(faces):
                 f_rule = _dk_rule(f, delta)
                 g_rule = _dk_rule(g, delta)
                 if f_rule is None or g_rule is None:
                     continue
+                row = (f_rule[0].values, g_rule[0].values)
                 # a dead row is a zero-height block
-                ri = row_at.get((f_rule[0].values, g_rule[0].values))
-                if ri is None:
+                if row not in rows:
                     continue
                 mat = kron(
                     _dk_block(x, f.target_top, f_rule[1]),
@@ -106,10 +106,10 @@ def shuffle_product(x: ConnComplex, y: ConnComplex) -> ShuffleComplex:
                 )
                 if i % 2:
                     mat = -mat
-                key = (ri, ci)
+                key = (row, col)
                 blocks[key] = blocks[key] + mat if key in blocks else mat
-        diffs[n] = block_matrix(ring, widths_at[n - 1], widths_at[n], blocks)
-    underlying = ConnComplex(ring, ranks, diffs)
+        diffs[n] = _keyed_block_matrix(ring, rows, cols, blocks)
+    underlying = ConnComplex(ring, tuple(sum(sizes.values()) for sizes in layouts), diffs)
     return ShuffleComplex(underlying, tuple(tuple(p) for p in pairs_at))
 
 
@@ -120,14 +120,10 @@ def _pairwise_map(src_x, src_y, tgt_x, tgt_y, factor) -> ChainMap:
     target = shuffle_product(tgt_x, tgt_y)
     comps = {}
     for n in range(max(source.top, target.top) + 1):
-        src_pairs = source.blocks[n] if n <= source.top else ()
-        tgt_pairs = target.blocks[n] if n <= target.top else ()
-        comps[n] = _keyed_block_matrix(
-            source.ring,
-            dict(zip(tgt_pairs, _block_widths(tgt_x, tgt_y, tgt_pairs))),
-            dict(zip(src_pairs, _block_widths(src_x, src_y, src_pairs))),
-            lambda pair: factor(pair[0].target_top, pair[1].target_top),
-        )
+        rows = _shuffle_layout(tgt_x, tgt_y, target.blocks[n] if n <= target.top else ())
+        cols = _shuffle_layout(src_x, src_y, source.blocks[n] if n <= source.top else ())
+        blocks = {(fg, fg): factor(fg[0][-1], fg[1][-1]) for fg in cols if fg in rows}
+        comps[n] = _keyed_block_matrix(source.ring, rows, cols, blocks)
     return ChainMap(source.underlying, target.underlying, comps)
 
 
@@ -162,28 +158,18 @@ def ez_map(x: ConnComplex, y: ConnComplex) -> ChainMap:
     block lands in each complementary jointly monic block with the sign of
     its shuffle."""
     boxed = shuffle_product(x, y)
-    tensored = tensor(x, y)
-    layout = tensor_blocks(x, y)
     ring = x.ring
     comps = {}
     for n in range(boxed.top + 1):
-        pairs = boxed.blocks[n]
-        row_widths = _block_widths(x, y, pairs)
-        col_row = layout[n] if n < len(layout) else ()
-        col_widths = [w for (_, _, _, w) in col_row]
-        col_at = {(k, l): idx for idx, (k, l, _, _) in enumerate(col_row)}
+        rows = _shuffle_layout(x, y, boxed.blocks[n])
         blocks = {}
-        for ri, (f, g) in enumerate(pairs):
-            k, l = f.target_top, g.target_top
-            if k + l != n or row_widths[ri] == 0:
-                continue
-            sign = shuffle_of_pair(f, g).sign()
-            block = identity(ring, row_widths[ri])
-            if sign < 0:
-                block = -block
-            blocks[(ri, col_at[(k, l)])] = block
-        comps[n] = block_matrix(ring, row_widths, col_widths, blocks)
-    return ChainMap(tensored, boxed.underlying, comps)
+        for f, g in boxed.blocks[n]:
+            row = (f.values, g.values)
+            if f.target_top + g.target_top == n and row in rows:
+                sign = shuffle_of_pair(f, g).sign()
+                blocks[row, (f.target_top, g.target_top)] = identity(ring, rows[row]).scale(sign)
+        comps[n] = _keyed_block_matrix(ring, rows, _tensor_layout(x, y, n), blocks)
+    return ChainMap(tensor(x, y), boxed.underlying, comps)
 
 
 @dataclass(frozen=True)

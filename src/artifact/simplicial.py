@@ -171,6 +171,8 @@ def _vertex_tuple_set(horizon, cells) -> FinSimplicialSet:
 def simplex_set(n: int, horizon: int) -> FinSimplicialSet:
     """The combinatorial n-simplex: level m holds the weakly increasing
     (m+1)-tuples over {0..n} in lexicographic order."""
+    if horizon < 0:
+        raise DomainError("simplex needs horizon >= 0")
     if n < 0:
         raise DomainError("simplex dimension must be nonnegative")
     cells = [
@@ -182,6 +184,8 @@ def simplex_set(n: int, horizon: int) -> FinSimplicialSet:
 
 def boundary_simplex_set(n: int, horizon: int) -> FinSimplicialSet:
     """The boundary of the n-simplex: the non-surjective tuples."""
+    if horizon < 0:
+        raise DomainError("boundary needs horizon >= 0")
     if n < 1:
         raise DomainError("boundary needs n >= 1")
     full = set(range(n + 1))
@@ -467,24 +471,27 @@ def _dk_block(x: ConnComplex, k: int, sign: int) -> Matrix:
     return -x.diff(k) if sign < 0 else x.diff(k)
 
 
+def _dk_layout(x: ConnComplex, n: int) -> dict:
+    """The level-n layout of the Dold-Kan module of x: {values of f: rank
+    X_k} over the surjections f: [n] ->> [k] with k <= x.top, in the
+    canonical order; the values of a surjection onto [k] end in k."""
+    return {f.values: x.ranks[f.target_top] for f in deltacat._surjections_upto(n, x.top)}
+
+
 def dk_transition(x: ConnComplex, eta: deltacat.MonotoneMap) -> Matrix:
     """The structure matrix of eta: [m] -> [n] on the sums over surjections
     onto [k] with k <= x.top.  Column block g: [n] ->> [k] contributes to the
     row block holding the epi part of g o eta: the identity when the mono
     part is the identity, the degree-k differential times (-1)^k when the
     mono part omits exactly the top element k, zero otherwise."""
-    rows = deltacat._surjections_upto(eta.source_top, x.top)
-    cols = deltacat._surjections_upto(eta.target_top, x.top)
-    row_at = {f.values: ri for ri, f in enumerate(rows)}
     blocks = {}
-    for ci, g in enumerate(cols):
+    for g in deltacat._surjections_upto(eta.target_top, x.top):
         rule = _dk_rule(g, eta)
         if rule is not None:
             epi, sign = rule
-            blocks[row_at[epi.values], ci] = _dk_block(x, g.target_top, sign)
-    row_sizes = [x.rank(f.target_top) for f in rows]
-    col_sizes = [x.rank(g.target_top) for g in cols]
-    return block_matrix(x.ring, row_sizes, col_sizes, blocks)
+            blocks[epi.values, g.values] = _dk_block(x, g.target_top, sign)
+    rows, cols = _dk_layout(x, eta.source_top), _dk_layout(x, eta.target_top)
+    return _keyed_block_matrix(x.ring, rows, cols, blocks)
 
 
 def dk(x: ConnComplex, horizon: int) -> SimplicialModule:
@@ -492,11 +499,9 @@ def dk(x: ConnComplex, horizon: int) -> SimplicialModule:
     [n] ->> [k], built to the requested horizon."""
     if horizon < 0:
         raise DomainError("dk needs horizon >= 0")
-    levels = [deltacat._surjections_upto(n, x.top) for n in range(horizon + 1)]
-    ranks = tuple(sum(x.rank(f.target_top) for f in blocks) for blocks in levels)
     return _module(
         x.ring,
-        ranks,
+        tuple(sum(_dk_layout(x, n).values()) for n in range(horizon + 1)),
         lambda n, i: dk_transition(x, deltacat.face(n, i)),
         lambda n, i: dk_transition(x, deltacat.degeneracy(n, i)),
     )
@@ -508,9 +513,9 @@ def dk_map(g: ChainMap, horizon: int) -> SimplicialMap:
     source, target = dk(g.source, horizon), dk(g.target, horizon)
     comps = []
     for n in range(horizon + 1):
-        rows = {f: g.target.rank(f.target_top) for f in deltacat._surjections_upto(n, g.target.top)}
-        cols = {f: g.source.rank(f.target_top) for f in deltacat._surjections_upto(n, g.source.top)}
-        comps.append(_keyed_block_matrix(g.ring, rows, cols, lambda f: g.component(f.target_top)))
+        rows, cols = _dk_layout(g.target, n), _dk_layout(g.source, n)
+        blocks = {(f, f): g.component(f[-1]) for f in cols if f in rows}
+        comps.append(_keyed_block_matrix(g.ring, rows, cols, blocks))
     return SimplicialMap(source, target, comps)
 
 

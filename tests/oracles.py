@@ -164,6 +164,18 @@ def dense_blocks(ring, row_sizes, col_sizes, blocks):
     return (rows, cols, grid)
 
 
+def dense_identity(ring, size):
+    grid = [[reduce_into(ring, int(i == j)) for j in range(size)] for i in range(size)]
+    return (size, size, grid)
+
+
+def same_as_dense(m, expected):
+    """Whether the library matrix m has the cells of the dense matrix
+    expected and stores nothing else."""
+    rows, cols, grid = expected
+    return repr(dense(m)) == repr(expected) and m == a.Matrix(m.ring, rows, cols, grid)
+
+
 def dense_select(a, row_idxs, col_idxs):
     return (len(row_idxs), len(col_idxs), [[a[2][i][j] for j in col_idxs] for i in row_idxs])
 
@@ -241,8 +253,7 @@ def dense_dk_transition(x, m, n, eta):
         image, epi = _brute_epi_mono(tuple(g[e] for e in eta))
         r = x.rank(k)
         if image == tuple(range(k + 1)):
-            grid = [[reduce_into(ring, int(i == c)) for c in range(r)] for i in range(r)]
-            placed[row_at[epi], j] = (r, r, grid)
+            placed[row_at[epi], j] = dense_identity(ring, r)
         elif image == tuple(range(k)):
             sign = -1 if k % 2 else 1
             placed[row_at[epi], j] = dense_map(ring, lambda v: sign * v, dense(x.diff(k)))
@@ -266,6 +277,126 @@ def brute_shuffles(p, q):
             )
             result[perm] = -1 if inversions % 2 else 1
     return result
+
+
+# ---------------------------------------------------------------------------
+# dense references for the blockwise maps of the graded direct sums
+#
+# Each assembles one component over every block key of its degree, the
+# zero-size ones included: the pairs (k, n - k) for k <= n of the tensor
+# product, all 2^n surjections out of [n] for Dold-Kan, and every jointly
+# monic pair of them for the shuffle product, each in its canonical order.
+# A surjection is its value tuple, whose last value is its target k.
+
+
+def _tensor_keys(n):
+    """(k, l) with k + l = n, k ascending."""
+    return [(k, n - k) for k in range(n + 1)]
+
+
+@cache
+def _shuffle_keys(n):
+    """The jointly monic pairs (f, g) of surjections out of [n], that is
+    those with i -> (f(i), g(i)) injective: f-major, then g, each in the
+    canonical surjection order."""
+    surjections = [v for _, v in _brute_dk_blocks(n)]
+    return tuple((f, g) for f in surjections for g in surjections if len(set(zip(f, g))) == n + 1)
+
+
+def _dense_diagonal(ring, keys, row_size, col_size, block):
+    """The dense matrix with block(key), of shape row_size(key) x
+    col_size(key), on the diagonal block of each key, and zero elsewhere."""
+    return dense_blocks(
+        ring,
+        [row_size(key) for key in keys],
+        [col_size(key) for key in keys],
+        {(i, i): block(key) for i, key in enumerate(keys)},
+    )
+
+
+def dense_tensor_map(f, g, n):
+    """Component n of f (x) g: the block (k, l) is f_k (x) g_l."""
+    return _dense_diagonal(
+        f.ring,
+        _tensor_keys(n),
+        lambda kl: f.target.rank(kl[0]) * g.target.rank(kl[1]),
+        lambda kl: f.source.rank(kl[0]) * g.source.rank(kl[1]),
+        lambda kl: dense_kron(f.ring, dense(f.component(kl[0])), dense(g.component(kl[1]))),
+    )
+
+
+def dense_dk_map(g, n):
+    """Level n of the Dold-Kan map of g: the block of a surjection onto [k]
+    is g_k."""
+    return _dense_diagonal(
+        g.ring,
+        _brute_dk_blocks(n),
+        lambda block: g.target.rank(block[0]),
+        lambda block: g.source.rank(block[0]),
+        lambda block: dense(g.component(block[0])),
+    )
+
+
+def dense_shuffle_map_left(mu, y, n):
+    """Component n of mu boxtimes Y: the block of a pair onto [k], [l] is
+    mu_k (x) the identity of Y_l."""
+    return _dense_diagonal(
+        mu.ring,
+        _shuffle_keys(n),
+        lambda fg: mu.target.rank(fg[0][-1]) * y.rank(fg[1][-1]),
+        lambda fg: mu.source.rank(fg[0][-1]) * y.rank(fg[1][-1]),
+        lambda fg: dense_kron(
+            mu.ring, dense(mu.component(fg[0][-1])), dense_identity(mu.ring, y.rank(fg[1][-1]))
+        ),
+    )
+
+
+def dense_shuffle_map_right(x, theta, n):
+    """Component n of X boxtimes theta: the block of a pair onto [k], [l] is
+    the identity of X_k (x) theta_l."""
+    return _dense_diagonal(
+        theta.ring,
+        _shuffle_keys(n),
+        lambda fg: x.rank(fg[0][-1]) * theta.target.rank(fg[1][-1]),
+        lambda fg: x.rank(fg[0][-1]) * theta.source.rank(fg[1][-1]),
+        lambda fg: dense_kron(
+            theta.ring,
+            dense_identity(theta.ring, x.rank(fg[0][-1])),
+            dense(theta.component(fg[1][-1])),
+        ),
+    )
+
+
+def dense_ez_map(x, y, n):
+    """Component n of the comparison map X (x) Y -> X boxtimes Y: the tensor
+    block (k, l) lands in the block of each jointly monic pair (f, g) onto
+    [k], [l] with k + l = n by the identity times the sign of the shuffle
+    that lists the steps of [n] where f rises, then those where g rises."""
+    ring = x.ring
+    size = lambda k, l: x.rank(k) * y.rank(l)
+    rows = _shuffle_keys(n)
+    blocks = {}
+    for i, (f, g) in enumerate(rows):
+        k, l = f[-1], g[-1]
+        if k + l == n:
+            rises = lambda h: tuple(s for s in range(n) if h[s] < h[s + 1])
+            sign = brute_shuffles(k, l)[rises(f) + rises(g)]
+            blocks[i, k] = dense_map(ring, lambda v: sign * v, dense_identity(ring, size(k, l)))
+    return dense_blocks(
+        ring,
+        [size(f[-1], g[-1]) for f, g in rows],
+        [size(k, l) for k, l in _tensor_keys(n)],
+        blocks,
+    )
+
+
+def zero_rank_map(rng, ring, bound=2):
+    """A random chain map between complexes of rank zero in degree 1: their
+    differentials vanish, so any components commute with them."""
+    x = a.ConnComplex(ring, (rng.randint(1, 2), 0, rng.randint(1, 2)))
+    y = a.ConnComplex(ring, (rng.randint(1, 2), 0, rng.randint(1, 2)))
+    comps = {n: random_matrix(rng, ring, y.rank(n), x.rank(n), bound) for n in (0, 2)}
+    return a.ChainMap(x, y, comps)
 
 
 # ---------------------------------------------------------------------------

@@ -42,10 +42,13 @@ from artifact.errors import (
 
 from oracles import (
     dense_mapping_cone,
+    dense_tensor_map,
     null_homotopic_map,
     random_chain_map,
     random_complex,
     random_lifting_square,
+    same_as_dense,
+    zero_rank_map,
 )
 
 
@@ -175,6 +178,19 @@ def test_tensor_map_respects_identity_and_composition():
         g = random_chain_map(rng, ZZ)
         ff = compose_maps(f, identity_chain_map(f.source))
         assert tensor_map(ff, g).source == tensor(f.source, g.source)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(5)], ids=str)
+def test_tensor_map_matches_the_dense_oracle(ring):
+    # the first case has rank zero in degree 1 of the left factor, the
+    # second of the right one
+    rng = random.Random(711)
+    for case in range(8):
+        f = zero_rank_map(rng, ring) if case == 0 else random_chain_map(rng, ring)
+        g = zero_rank_map(rng, ring) if case == 1 else random_chain_map(rng, ring)
+        h = tensor_map(f, g)
+        for n in range(max(h.source.top, h.target.top) + 1):
+            assert same_as_dense(h.component(n), dense_tensor_map(f, g, n))
 
 
 def test_tensor_ring_mismatch():

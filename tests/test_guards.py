@@ -1,5 +1,6 @@
-"""The constructor guards of the graded types, pinned by exception type and
-exact message: one row per guard, each input breaking exactly one rule."""
+"""The constructor guards of the graded types and of block assembly, pinned
+by exception type and exact message: one row per guard, each input breaking
+exactly one rule."""
 
 import random
 
@@ -9,10 +10,13 @@ from artifact import (
     QQ,
     ZZ,
     ChainMap,
+    Matrix,
     ConnComplex,
     FinSimplicialSet,
     SimplicialMap,
     SimplicialModule,
+    block_matrix,
+    boundary_simplex_set,
     chain_poset,
     degenerate_part,
     disk,
@@ -22,9 +26,11 @@ from artifact import (
     identity_chain_map,
     nerve,
     nor,
+    simplex_set,
     sphere,
     zeros,
 )
+from artifact.chains import _keyed_block_matrix
 from artifact.errors import DomainError, NotAComplex, NotSimplicial, RingError, ShapeError
 
 from oracles import non_simplicial_module
@@ -32,6 +38,7 @@ from oracles import non_simplicial_module
 ONE = identity(ZZ, 1)
 ZERO = zeros(ZZ, 1, 1)
 ONE_Q = identity(QQ, 1)
+FIVE = Matrix.from_rows(ZZ, [[5]])
 
 
 def module(faces, degens, ranks=(1, 1)):
@@ -265,6 +272,37 @@ GUARDS = [
         lambda: nerve(chain_poset(1), -1),
         DomainError,
         "nerve needs horizon >= 0",
+    ),
+    (
+        "simplex-negative-horizon",
+        lambda: simplex_set(1, -1),
+        DomainError,
+        "simplex needs horizon >= 0",
+    ),
+    (
+        "boundary-negative-horizon",
+        lambda: boundary_simplex_set(1, -1),
+        DomainError,
+        "boundary needs horizon >= 0",
+    ),
+    # block assembly: a negative index would count from the end
+    (
+        "block-negative-index",
+        lambda: block_matrix(ZZ, [2, 1], [1], {(-1, 0): FIVE}),
+        ShapeError,
+        "block (-1,0) lies outside the block grid",
+    ),
+    (
+        "block-index-past-the-end",
+        lambda: block_matrix(ZZ, [2, 1], [1], {(0, 1): FIVE}),
+        ShapeError,
+        "block (0,1) lies outside the block grid",
+    ),
+    (
+        "keyed-block-outside-its-layout",
+        lambda: _keyed_block_matrix(ZZ, {(0, 1): 1}, {(1, 0): 1}, {((0, 1), (0, 1)): FIVE}),
+        ShapeError,
+        "block ((0, 1), (0, 1)) lies outside the layout",
     ),
     # the restrictions of nor and degenerate_part
     (

@@ -605,8 +605,8 @@ def test_smith_normal_form_is_called_only_through_the_public_api():
 
 def test_the_package_holds_no_unused_import_and_no_unreferenced_private_function():
     # a static check: an import a module never uses, or a module-level
-    # private function that no module of the package names, is dead code;
-    # __init__.py imports only to re-export
+    # private function, class or assigned name that no module of the
+    # package reads, is dead code; __init__.py imports only to re-export
     import ast
     import pathlib
 
@@ -621,8 +621,16 @@ def test_the_package_holds_no_unused_import_and_no_unreferenced_private_function
         return {
             node.id if isinstance(node, ast.Name) else node.attr
             for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))
+            if isinstance(node, (ast.Name, ast.Attribute)) and not isinstance(node.ctx, ast.Store)
         }
+
+    def defined(node):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            return [node.name]
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        return [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
 
     used = {name: names_used(tree) for name, tree in trees.items()}
     unused_imports = [
@@ -636,13 +644,13 @@ def test_the_package_holds_no_unused_import_and_no_unreferenced_private_function
         if (alias.asname or alias.name).split(".")[0] not in used[name]
     ]
     unreferenced = [
-        f"{name}:{node.lineno} {node.name}"
+        f"{name}:{node.lineno} {private}"
         for name, tree in trees.items()
         for node in tree.body
-        if isinstance(node, ast.FunctionDef)
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
-        and not any(node.name in names for names in used.values())
+        for private in defined(node)
+        if private.startswith("_")
+        and not private.startswith("__")
+        and not any(private in names for names in used.values())
     ]
     assert unused_imports == []
     assert unreferenced == []

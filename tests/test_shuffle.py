@@ -37,7 +37,15 @@ from artifact.cli import change_ring
 from artifact.deltacat import enumerate_jointly_monic_pairs
 from artifact.errors import DomainError, RingError
 
-from oracles import random_chain_map, random_complex
+from oracles import (
+    dense_ez_map,
+    dense_shuffle_map_left,
+    dense_shuffle_map_right,
+    random_chain_map,
+    random_complex,
+    same_as_dense,
+    zero_rank_map,
+)
 
 
 def zmat(rows, cols, grid):
@@ -197,6 +205,37 @@ def test_shuffle_maps_compose():
     assert left == compose_maps(shuffle_map_left(g, y), shuffle_map_left(f, y))
     right = shuffle_map_right(y, compose_maps(g, f))
     assert right == compose_maps(shuffle_map_right(y, g), shuffle_map_right(y, f))
+
+
+def _factors(rng, ring, case):
+    """A random map and a random complex; the first case has rank zero in
+    degree 1 of the map's complexes, the second in degree 1 of the complex."""
+    mu = zero_rank_map(rng, ring) if case == 0 else random_chain_map(rng, ring)
+    if case == 1:
+        return mu, zero_rank_map(rng, ring).source
+    return mu, random_complex(rng, ring, max_top=2, max_rank=2)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(5)], ids=str)
+def test_shuffle_maps_match_the_dense_oracles(ring):
+    rng = random.Random(713)
+    for case in range(8):
+        mu, y = _factors(rng, ring, case)
+        left, right = shuffle_map_left(mu, y), shuffle_map_right(y, mu)
+        for n in range(max(left.source.top, left.target.top) + 1):
+            assert same_as_dense(left.component(n), dense_shuffle_map_left(mu, y, n))
+            assert same_as_dense(right.component(n), dense_shuffle_map_right(y, mu, n))
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(5)], ids=str)
+def test_comparison_map_matches_the_dense_oracle(ring):
+    rng = random.Random(714)
+    for case in range(8):
+        mu, y = _factors(rng, ring, case)
+        for x in (mu.source, mu.target):
+            nabla = ez_map(x, y)
+            for n in range(x.top + y.top + 1):
+                assert same_as_dense(nabla.component(n), dense_ez_map(x, y, n))
 
 
 def test_comparison_map_is_natural():

@@ -60,10 +60,14 @@ from artifact.simplicial import dk_blocks, dk_transition
 
 from oracles import (
     dense,
+    dense_dk_map,
     dense_dk_transition,
     iso_simplicial,
     non_simplicial_module,
+    random_chain_map,
     random_complex,
+    same_as_dense,
+    zero_rank_map,
 )
 
 
@@ -468,6 +472,17 @@ def test_dk_map_block_structure_for_the_disk_inclusion():
     assert f.component(0).entries == ((1,),)
     assert f.component(1).entries == ((1,), (0,))
     assert check_simplicial_identities(f.target).ok
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(5)], ids=str)
+def test_dk_map_matches_the_dense_oracle_over_all_blocks(ring):
+    # the first map has complexes of rank zero in degree 1
+    rng = random.Random(712)
+    for case in range(8):
+        g = zero_rank_map(rng, ring) if case == 0 else random_chain_map(rng, ring)
+        m = dk_map(g, 4)
+        for n in range(5):
+            assert same_as_dense(m.component(n), dense_dk_map(g, n))
 
 
 def test_nor_map_inverts_dk_map():
