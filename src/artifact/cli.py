@@ -2,13 +2,17 @@
 
 One verb per invocation; inputs are JSON files, output is a single JSON
 document on stdout.  Exit status: 0 on success, 1 on domain errors (the
-output is {"error": ...}), 2 on malformed input or unreadable files.
+output is {"error": ...}), 2 on malformed input or unreadable files.  A
+reader that closes stdout before the answer is written gets exit 1 and
+nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import sys
 from dataclasses import asdict
 
 from .chains import (
@@ -39,7 +43,7 @@ from .errors import (
     SquareError,
 )
 from .linalg import Matrix, homology_to_json, mat_to_json
-from .rings import RingTag, ZZ, parse_ring
+from .rings import RingTag, ZZ, canonical_int, parse_ring
 from .shuffle import ez_map, shuffle_product, shuffle_to_json
 from .simplicial import (
     _module,
@@ -109,18 +113,23 @@ def change_ring(obj, ring: RingTag):
     )
 
 
-def _in_ring(args, obj):
-    """obj converted to the ring named by --ring, when one is given."""
-    return change_ring(obj, parse_ring(args.ring)) if args.ring else obj
+def _read(args, reader, *names) -> list:
+    """Each named argument's JSON file, parsed by reader with the name as
+    error path.  Converted to --ring only once all parse, so a malformed
+    file (exit 2) is reported before a failed conversion (exit 1)."""
+    objs = [reader(_load(getattr(args, name)), path=name) for name in names]
+    if args.ring is not None:
+        objs = [change_ring(obj, parse_ring(args.ring)) for obj in objs]
+    return objs
 
 
 def _cmd_homology(args) -> dict:
-    x = _in_ring(args, complex_from_json(_load(args.complex)))
+    [x] = _read(args, complex_from_json, "complex")
     return {"ring": str(x.ring), "H": [homology_to_json(h) for h in homology(x)]}
 
 
 def _cmd_classify(args) -> dict:
-    f = _in_ring(args, map_from_json(_load(args.map)))
+    [f] = _read(args, map_from_json, "map")
     mc = classify(f)
     out = asdict(mc)
     out.update(trivial_fibration=mc.trivial_fibration, trivial_cofibration=mc.trivial_cofibration)
@@ -140,7 +149,7 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_factor(args) -> dict:
-    f = _in_ring(args, map_from_json(_load(args.map)))
+    [f] = _read(args, map_from_json, "map")
     if args.kind == "trivcof-fib":
         left, right = factor_trivcof_fib(f)
     else:
@@ -149,22 +158,18 @@ def _cmd_factor(args) -> dict:
 
 
 def _cmd_lift(args) -> dict:
-    f = map_from_json(_load(args.f), path="f")
-    g = map_from_json(_load(args.g), path="g")
-    top = map_from_json(_load(args.top), path="top")
-    bottom = map_from_json(_load(args.bottom), path="bottom")
-    f, g, top, bottom = (_in_ring(args, m) for m in (f, g, top, bottom))
+    f, g, top, bottom = _read(args, map_from_json, "f", "g", "top", "bottom")
     return {"lift": map_to_json(lift_square(f, g, top, bottom))}
 
 
 def _cmd_dk(args) -> dict:
-    x = _in_ring(args, complex_from_json(_load(args.complex)))
+    [x] = _read(args, complex_from_json, "complex")
     horizon = args.horizon if args.horizon is not None else x.top
     return module_to_json(dk(x, horizon))
 
 
 def _cmd_nor(args) -> dict:
-    m = _in_ring(args, module_from_json(_load(args.module)))
+    [m] = _read(args, module_from_json, "module")
     res = nor(m)
     out = complex_to_json(res.complex)
     out["embeddings"] = [mat_to_json(e) for e in res.embeddings]
@@ -172,16 +177,12 @@ def _cmd_nor(args) -> dict:
 
 
 def _cmd_shuffle(args) -> dict:
-    x = complex_from_json(_load(args.x), path="x")
-    y = complex_from_json(_load(args.y), path="y")
-    x, y = _in_ring(args, x), _in_ring(args, y)
+    x, y = _read(args, complex_from_json, "x", "y")
     return shuffle_to_json(shuffle_product(x, y))
 
 
 def _cmd_ez_check(args) -> dict:
-    x = complex_from_json(_load(args.x), path="x")
-    y = complex_from_json(_load(args.y), path="y")
-    x, y = _in_ring(args, x), _in_ring(args, y)
+    x, y = _read(args, complex_from_json, "x", "y")
     nabla = ez_map(x, y)
     tensor_h = [homology_to_json(h) for h in homology(nabla.source)]
     shuffle_h = [homology_to_json(h) for h in homology(nabla.target)]
@@ -198,7 +199,7 @@ def _cmd_ez_check(args) -> dict:
 
 def _cmd_nerve_homology(args) -> dict:
     p = poset_from_json(_load(args.poset))
-    ring = parse_ring(args.ring) if args.ring else ZZ
+    ring = parse_ring(args.ring) if args.ring is not None else ZZ
     horizon = args.horizon
     m = free_module(nerve(p, horizon), ring)
     complex_ = nor(m).complex
@@ -213,7 +214,7 @@ def _cmd_nerve_homology(args) -> dict:
 
 
 def _cmd_check_identities(args) -> dict:
-    m = _in_ring(args, module_from_json(_load(args.module)))
+    [m] = _read(args, module_from_json, "module")
     report = check_simplicial_identities(m)
     return {
         "ok": report.ok,
@@ -224,80 +225,79 @@ def _cmd_check_identities(args) -> dict:
     }
 
 
+def _integer(text: str) -> int:
+    """An integer option, spelled as a degree key is: canonical decimal."""
+    n = canonical_int(text)
+    if n is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="artifact",
         description="Exact homological algebra over Z, Q, and prime fields.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name, handler, help_):
+    complex_, map_ = ("complex", "complex JSON file"), ("map", "map JSON file")
+    module, poset = ("module", "module JSON file"), ("poset", "poset JSON file")
+    pair = [("x", "left complex JSON file"), ("y", "right complex JSON file")]
+    square = [
+        ("f", "left map (cofibration) JSON file"),
+        ("g", "right map (trivial fibration) JSON file"),
+        ("top", "top map JSON file"),
+        ("bottom", "bottom map JSON file"),
+    ]
+    kinds = ("trivcof-fib", "cof-trivfib")
+    # verb: handler, help, JSON file arguments as (name, help), other options as (flag, settings)
+    verbs = {
+        "homology": (_cmd_homology, "homology groups of a complex", [complex_], []),
+        "classify": (_cmd_classify, "model-structure classification of a map", [map_], [
+            ("--certify", dict(action="store_true", help="also run the generator RLP checks")),
+            ("--max-n", dict(type=_integer, help="largest generator degree to check")),
+        ]),
+        "factor": (_cmd_factor, "factor a map through a middle complex", [map_], [
+            ("--kind", dict(required=True, choices=kinds, help="which factorization to compute")),
+        ]),
+        "lift": (_cmd_lift, "solve a lifting square", square, []),
+        "dk": (_cmd_dk, "degreewise sum simplicial module of a complex", [complex_], [
+            ("--horizon", dict(type=_integer, help="levels to build (default: top)")),
+        ]),
+        "nor": (_cmd_nor, "normalized complex of a simplicial module", [module], []),
+        "shuffle": (_cmd_shuffle, "shuffle product of two complexes", pair, []),
+        "ez-check": (_cmd_ez_check, "comparison map diagnostics for a pair of complexes", pair, []),
+        "nerve-homology": (_cmd_nerve_homology, "homology of the nerve of a finite poset", [poset], [
+            ("--horizon", dict(type=_integer, default=4, help="nerve levels to build")),
+        ]),
+        "check-identities": (_cmd_check_identities, "verify the simplicial relations", [module], []),
+    }
+    for name, (handler, help_, files, options) in verbs.items():
         p = sub.add_parser(name, help=help_)
         p.set_defaults(handler=handler)
         p.add_argument("--ring", help="override/validate the coefficient ring (Z, Q, F<p>)")
         p.add_argument("--pretty", action="store_true", help="indent the JSON output")
-        return p
-
-    p = add("homology", _cmd_homology, "homology groups of a complex")
-    p.add_argument("complex", help="complex JSON file")
-
-    p = add("classify", _cmd_classify, "model-structure classification of a map")
-    p.add_argument("map", help="map JSON file")
-    p.add_argument("--certify", action="store_true", help="also run the generator RLP checks")
-    p.add_argument("--max-n", type=int, default=None, help="largest generator degree to check")
-
-    p = add("factor", _cmd_factor, "factor a map through a middle complex")
-    p.add_argument("map", help="map JSON file")
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=("trivcof-fib", "cof-trivfib"),
-        help="which factorization to compute",
-    )
-
-    p = add("lift", _cmd_lift, "solve a lifting square")
-    p.add_argument("f", help="left map (cofibration) JSON file")
-    p.add_argument("g", help="right map (trivial fibration) JSON file")
-    p.add_argument("top", help="top map JSON file")
-    p.add_argument("bottom", help="bottom map JSON file")
-
-    p = add("dk", _cmd_dk, "degreewise sum simplicial module of a complex")
-    p.add_argument("complex", help="complex JSON file")
-    p.add_argument("--horizon", type=int, default=None, help="levels to build (default: top)")
-
-    p = add("nor", _cmd_nor, "normalized complex of a simplicial module")
-    p.add_argument("module", help="module JSON file")
-
-    p = add("shuffle", _cmd_shuffle, "shuffle product of two complexes")
-    p.add_argument("x", help="left complex JSON file")
-    p.add_argument("y", help="right complex JSON file")
-
-    p = add("ez-check", _cmd_ez_check, "comparison map diagnostics for a pair of complexes")
-    p.add_argument("x", help="left complex JSON file")
-    p.add_argument("y", help="right complex JSON file")
-
-    p = add("nerve-homology", _cmd_nerve_homology, "homology of the nerve of a finite poset")
-    p.add_argument("poset", help="poset JSON file")
-    p.add_argument("--horizon", type=int, default=4, help="nerve levels to build")
-
-    p = add("check-identities", _cmd_check_identities, "verify the simplicial relations")
-    p.add_argument("module", help="module JSON file")
-
+        for arg, file_help in files:
+            p.add_argument(arg, help=file_help)
+        for flag, settings in options:
+            p.add_argument(flag, **settings)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text = json.dumps(args.handler(args), indent=2 if args.pretty else None)
+        code, text = 0, json.dumps(args.handler(args), indent=2 if args.pretty else None)
     except DOMAIN_ERRORS as exc:
-        print(json.dumps({"error": str(exc)}))
-        return 1
+        code, text = 1, json.dumps({"error": str(exc)})
     except MemoryError:
-        print(json.dumps({"error": "out of memory: the answer is too large"}))
-        return 1
+        code, text = 1, json.dumps({"error": "out of memory: the answer is too large"})
     except (ValueError, TypeError, KeyError, OSError) as exc:
-        print(json.dumps({"error": str(exc)}))
-        return 2
-    print(text)
-    return 0
+        code, text = 2, json.dumps({"error": str(exc)})
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader left; point stdout at devnull so that the flush at exit
+        # does not fail again on the same pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code

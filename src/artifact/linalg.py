@@ -14,7 +14,7 @@ from sys import byteorder
 from typing import Any, Iterable, Optional
 
 from .errors import NotAComplex, RingError, ShapeError
-from .rings import RingTag, ring_ops, scalar_from_json, scalar_to_json
+from .rings import RingTag, canonical_int, ring_ops, scalar_from_json, scalar_to_json
 
 
 class Matrix:
@@ -906,11 +906,8 @@ def _by_degree(raw, path: str, read) -> dict:
     out = {}
     for key, val in raw.items():
         # one spelling per degree, so "1" and "01" cannot both name it
-        try:
-            n = int(key)
-        except ValueError:
-            n = None
-        if n is None or str(n) != key:
+        n = canonical_int(key)
+        if n is None:
             raise ValueError(
                 f"{path}: degree keys must be integers in canonical decimal form, got {key!r}"
             )

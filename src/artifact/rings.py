@@ -73,14 +73,28 @@ def GF(p: int) -> RingTag:
     return RingTag("F", p)
 
 
+def canonical_int(text: str) -> int | None:
+    """The integer text spells in canonical decimal form: ASCII digits with
+    no leading zero, after a '-' for a negative one.  None for any other
+    spelling ("+1", "01", "-0", " 1", "1_0", non-ASCII digits)."""
+    try:
+        n = int(text)
+    except ValueError:
+        return None
+    return n if str(n) == text else None
+
+
 def parse_ring(text: str) -> RingTag:
+    """The ring a tag names: "Z", "Q", or "F" and a prime in canonical
+    decimal form; InvalidRing for any other tag."""
     if text == "Z":
         return ZZ
     if text == "Q":
         return QQ
-    if text.startswith("F") and text[1:].isdigit():
-        return GF(int(text[1:]))
-    raise InvalidRing(f"unknown ring tag {text!r}")
+    p = canonical_int(text[1:]) if text.startswith("F") else None
+    if p is None:
+        raise InvalidRing(f"unknown ring tag {text!r}")
+    return GF(p)
 
 
 @dataclass(frozen=True)

@@ -686,3 +686,15 @@ def non_simplicial_module(rng):
         faces[2][2] = random_matrix(rng, a.ZZ, m.rank(1), m.rank(2))
         if a.solve(normalized_1, faces[2][2] @ normalized_2) is None:
             return a.SimplicialModule(a.ZZ, m.ranks, faces, degens)
+
+
+def degeneracy_violating_module():
+    """dk(X, 2) over Z for X = Z in degrees 0 and 2, with the degeneracy s_1
+    at level 1 also hitting the summand X_2 of level 2.  Every face kills
+    that summand, so the face relations hold, and s_1 s_0 = s_0 s_0 fails."""
+    x = a.ConnComplex(a.ZZ, (1, 0, 1), {})
+    m = a.dk(x, 2)
+    faces = {lv: [m.face(lv, i) for i in range(lv + 1)] for lv in (1, 2)}
+    degens = {lv: [m.degen(lv, i) for i in range(lv + 1)] for lv in (0, 1)}
+    degens[1][1] = a.Matrix.from_rows(a.ZZ, [[1], [1]])
+    return a.SimplicialModule(a.ZZ, m.ranks, faces, degens)

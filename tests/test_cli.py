@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given
@@ -20,10 +21,14 @@ from artifact import (
     ConnComplex,
     Matrix,
     chain_poset,
+    classify,
     compose_maps,
     disk,
     dk,
+    factor_cof_trivfib,
+    factor_trivcof_fib,
     identity,
+    lift_square,
     map_from_json,
     map_to_json,
     module_from_json,
@@ -32,9 +37,15 @@ from artifact import (
     sphere,
 )
 from artifact.chains import complex_from_json, complex_to_json, map_from_json as parse_map
-from artifact.cli import _load, main
+from artifact.cli import _load, change_ring, main
 
-from oracles import non_simplicial_module, random_chain_map, random_complex
+from oracles import (
+    degeneracy_violating_module,
+    non_simplicial_module,
+    random_chain_map,
+    random_complex,
+    random_lifting_square,
+)
 
 
 def zmat(rows, cols, grid):
@@ -236,6 +247,129 @@ def test_check_identities_verb(tmp_path, capsys):
     assert out["violations"]
     first = out["violations"][0]
     assert set(first) == {"kind", "level", "i", "j"}
+
+
+def test_check_identities_names_a_broken_degeneracy_relation(tmp_path, capsys):
+    path = write(tmp_path, "m.json", module_to_json(degeneracy_violating_module()))
+    code, out = run(capsys, "check-identities", path)
+    assert code == 0
+    assert out == {"ok": False, "violations": [{"kind": "degen-degen", "level": 0, "i": 0, "j": 0}]}
+
+
+# ---------------------------------------------------------------------------
+# --ring: the answer of the library on the input converted by change_ring
+
+CONVERTED_RINGS = [GF(2), GF(5), QQ]
+
+
+def json_of(obj):
+    return json.loads(json.dumps(obj))
+
+
+def integer_maps():
+    """The doubling of S(0), which is an isomorphism over Q and F5 and zero
+    over F2, then seeded random maps over Z."""
+    rng = random.Random(4201)
+    doubling = ChainMap(sphere(0), sphere(0), {0: zmat(1, 1, [[2]])})
+    return [doubling] + [random_chain_map(rng, ZZ) for _ in range(5)]
+
+
+@pytest.mark.parametrize("ring", CONVERTED_RINGS, ids=str)
+def test_classify_with_ring_answers_for_the_converted_map(tmp_path, capsys, ring):
+    for f in integer_maps():
+        path = write(tmp_path, "f.json", map_to_json(f))
+        code, out = run(capsys, "classify", path, "--ring", str(ring))
+        mc = classify(change_ring(f, ring))
+        assert code == 0
+        assert out == dict(
+            asdict(mc), trivial_fibration=mc.trivial_fibration, trivial_cofibration=mc.trivial_cofibration
+        )
+
+
+@pytest.mark.parametrize("ring", CONVERTED_RINGS, ids=str)
+@pytest.mark.parametrize(
+    "kind, factor", [("trivcof-fib", factor_trivcof_fib), ("cof-trivfib", factor_cof_trivfib)]
+)
+def test_factor_with_ring_answers_for_the_converted_map(tmp_path, capsys, ring, kind, factor):
+    for f in integer_maps():
+        path = write(tmp_path, "f.json", map_to_json(f))
+        code, out = run(capsys, "factor", path, "--kind", kind, "--ring", str(ring))
+        left, right = factor(change_ring(f, ring))
+        assert code == 0
+        want = {"kind": kind, "left": map_to_json(left), "right": map_to_json(right)}
+        assert out == json_of(want)
+
+
+@pytest.mark.parametrize("ring", CONVERTED_RINGS, ids=str)
+def test_lift_with_ring_answers_for_the_converted_square(tmp_path, capsys, ring):
+    rng = random.Random(4202)
+    for _ in range(5):
+        square = random_lifting_square(rng, ZZ)
+        paths = [write(tmp_path, f"{name}.json", map_to_json(m)) for name, m in zip("fgtb", square)]
+        code, out = run(capsys, "lift", *paths, "--ring", str(ring))
+        lift = lift_square(*(change_ring(m, ring) for m in square))
+        assert code == 0
+        assert out == json_of({"lift": map_to_json(lift)})
+
+
+def test_ring_option_naming_the_document_ring_returns_the_input(tmp_path, capsys):
+    doc = torsion_complex_json()
+    x = complex_from_json(doc)
+    assert change_ring(x, ZZ) is x
+    path = write(tmp_path, "x.json", doc)
+    assert run(capsys, "homology", path, "--ring", "Z") == run(capsys, "homology", path)
+
+
+def test_ring_tags_have_one_spelling(tmp_path, capsys):
+    doc = {**torsion_complex_json(), "ring": "F03"}
+    code, out = run(capsys, "homology", write(tmp_path, "x.json", doc))
+    assert code == 1 and out == {"error": "unknown ring tag 'F03'"}
+    path = write(tmp_path, "x.json", torsion_complex_json())
+    for tag in ("F\u0663", ""):
+        code, out = run(capsys, "homology", path, "--ring", tag)
+        assert code == 1 and out == {"error": f"unknown ring tag {tag!r}"}
+    poset = write(tmp_path, "p.json", poset_to_json(chain_poset(1)))
+    code, out = run(capsys, "nerve-homology", poset, "--ring", "")
+    assert code == 1 and out == {"error": "unknown ring tag ''"}
+
+
+@pytest.mark.parametrize(
+    "verb, option, value",
+    [
+        ("dk", "--horizon", "1_0"),
+        ("dk", "--horizon", "\u0663"),
+        ("dk", "--horizon", "03"),
+        ("dk", "--horizon", " 3"),
+        ("nerve-homology", "--horizon", "+3"),
+        ("classify", "--max-n", "-0"),
+    ],
+)
+def test_integer_options_have_one_spelling(capsys, verb, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "doc.json", option, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"invalid int value: {value!r}" in captured.err
+
+
+def test_a_closed_stdout_takes_the_answer_silently(tmp_path, monkeypatch):
+    # the interpreter sets sys.stdout to None when it starts without fd 1
+    path = write(tmp_path, "x.json", torsion_complex_json())
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["homology", path]) == 0
+
+
+def test_a_reader_that_leaves_early_gets_exit_one_and_no_traceback(tmp_path):
+    # horizon 14 writes 89 KB, more than a pipe holds, so the write meets the
+    # closed pipe whenever the reader leaves
+    path = write(tmp_path, "x.json", torsion_complex_json())
+    src = os.path.dirname(os.path.dirname(artifact.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "artifact", "dk", path, "--horizon", "14"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1 and err == b""
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,13 @@ def test_parse_ring_accepts_the_three_families():
     assert str(QQ) == "Q"
 
 
-@pytest.mark.parametrize("bad", ["z", "F", "F0", "F1", "F4", "F9", "F15", "GF(7)", ""])
+@pytest.mark.parametrize(
+    "bad",
+    ["z", "F", "F0", "F1", "F4", "F9", "F15", "GF(7)", ""]
+    # F3 and F13 spelled with leading zeros, Arabic-Indic or full-width
+    # digits, and a superscript two, which str.isdigit accepts
+    + ["F03", "F0003", "F\u0663", "F\uff11\uff13", "F\u00b2"],
+)
 def test_parse_ring_rejects_garbage(bad):
     with pytest.raises(InvalidRing):
         parse_ring(bad)

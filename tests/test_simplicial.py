@@ -62,6 +62,7 @@ from oracles import (
     dense,
     dense_dk_map,
     dense_dk_transition,
+    degeneracy_violating_module,
     iso_simplicial,
     non_simplicial_module,
     random_chain_map,
@@ -205,6 +206,11 @@ def test_identity_checker_reports_injected_fault():
     for kind, level, i, j in report.violations:
         assert kind in ("face-face", "degen-degen", "face-degen")
     assert any(i == 1 or j == 1 for _, _, i, j in report.violations)
+
+
+def test_identity_checker_reports_a_broken_degeneracy_relation():
+    report = check_simplicial_identities(degeneracy_violating_module())
+    assert report.violations == (("degen-degen", 0, 0, 0),)
 
 
 def test_modules_from_free_nerves_pass_identities():
