@@ -69,15 +69,22 @@ def _graded(ring: RingTag, given, degrees: range, shape, kind: str, owner: str) 
 
 class _Value:
     """A value type whose instances equal exactly the instances of the same
-    type whose slots are all equal, compared in slot order; unhashable."""
+    type whose value fields are all equal, compared in order; unhashable.
+    The value fields, _fields, are the slots unless a type declares fewer:
+    a slot outside them is a memo that equal values may hold or lack."""
 
     __slots__ = ()
     __hash__ = None
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls.__slots__
+
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return False
-        for name in self.__slots__:
+        for name in self._fields:
             if not getattr(self, name) == getattr(other, name):
                 return False
         return True
@@ -91,6 +98,20 @@ class ConnComplex(_Value):
     __slots__ = ("ring", "ranks", "top", "_diffs")
 
     def __init__(self, ring: RingTag, ranks, diffs=None):
+        self._store(ring, ranks, diffs)
+        for n in range(2, self.top + 1):
+            if not (self._diffs[n - 2] @ self._diffs[n - 1]).is_zero:
+                raise NotAComplex(f"differential composite at degree {n} is nonzero")
+
+    @classmethod
+    def _trusted(cls, ring: RingTag, ranks, diffs) -> ConnComplex:
+        """The complex, checked as __init__ checks it except for d∘d = 0,
+        which the calling builder proves."""
+        x = cls.__new__(cls)
+        x._store(ring, ranks, diffs)
+        return x
+
+    def _store(self, ring: RingTag, ranks, diffs) -> None:
         ranks = tuple(ranks)
         if not ranks:
             raise ValueError("ranks must cover degree 0")
@@ -101,9 +122,6 @@ class ConnComplex(_Value):
         self.top = len(ranks) - 1
         shape = lambda n: (ranks[n - 1], ranks[n])
         self._diffs = _graded(ring, diffs, range(1, self.top + 1), shape, "differential", "complex")
-        for n in range(2, self.top + 1):
-            if not (self._diffs[n - 2] @ self._diffs[n - 1]).is_zero:
-                raise NotAComplex(f"differential composite at degree {n} is nonzero")
 
     def rank(self, n: int) -> int:
         return self.ranks[n] if 0 <= n <= self.top else 0
@@ -119,11 +137,27 @@ class ConnComplex(_Value):
 
 class ChainMap(_Value):
     """A degreewise map of complexes over one ring, commuting with the
-    differentials; components outside 0..max(tops) are zero."""
+    differentials; components outside 0..max(tops) are zero.  _class holds
+    the map's ModelClass once classify has computed it."""
 
-    __slots__ = ("source", "target", "_components")
+    _fields = ("source", "target", "_components")
+    __slots__ = _fields + ("_class",)
 
     def __init__(self, source: ConnComplex, target: ConnComplex, components=None):
+        self._store(source, target, components)
+        for n in range(1, len(self._components)):
+            if self._components[n - 1] @ source.diff(n) != target.diff(n) @ self._components[n]:
+                raise NotAComplex(f"components do not commute with differentials at degree {n}")
+
+    @classmethod
+    def _trusted(cls, source: ConnComplex, target: ConnComplex, components) -> ChainMap:
+        """The map, checked as __init__ checks it except for commuting with
+        the differentials, which the calling builder proves."""
+        f = cls.__new__(cls)
+        f._store(source, target, components)
+        return f
+
+    def _store(self, source: ConnComplex, target: ConnComplex, components) -> None:
         if source.ring != target.ring:
             raise RingError(f"source over {source.ring}, target over {target.ring}")
         self.source = source
@@ -131,9 +165,7 @@ class ChainMap(_Value):
         degrees = range(max(source.top, target.top) + 1)
         shape = lambda n: (target.rank(n), source.rank(n))
         self._components = _graded(source.ring, components, degrees, shape, "component", "map")
-        for n in degrees[1:]:
-            if self._components[n - 1] @ source.diff(n) != target.diff(n) @ self._components[n]:
-                raise NotAComplex(f"components do not commute with differentials at degree {n}")
+        self._class = None
 
     def component(self, n: int) -> Matrix:
         if 0 <= n < len(self._components):
@@ -318,7 +350,14 @@ def classify(f: ChainMap) -> ModelClass:
     """Fibration: surjective in degrees >= 1.  Cofibration: injective with
     free cokernel in every degree.  Weak equivalence: exact mapping cone,
     read off _cone_matrix without building the cone.  Each component's
-    invariant factors are computed once."""
+    invariant factors are computed once, and the class once per map: it is
+    kept on f for later calls."""
+    if f._class is None:
+        f._class = _model_class(f)
+    return f._class
+
+
+def _model_class(f: ChainMap) -> ModelClass:
     x, y = f.source, f.target
     cone = _homology(
         lambda n: x.rank(n - 1) + y.rank(n),
@@ -343,7 +382,10 @@ def factor_trivcof_fib(f: ChainMap) -> tuple[ChainMap, ChainMap]:
     The middle object is X plus one exact two-term summand per basis element
     of Y_n for each n >= 1: degree m gains T_m = R^{rank Y_m} (m >= 1) and
     B_m = R^{rank Y_{m+1}}, the differential carries T_m identically onto
-    B_{m-1}, eta sends T_m by the identity and B_m by the differential of Y."""
+    B_{m-1}, eta sends T_m by the identity and B_m by the differential of Y.
+    So d∘d = 0 on the middle object, since the T-to-B block is followed by
+    zero; kappa includes the subcomplex X, and eta, f on X, has d^Y∘eta =
+    eta∘d on T + B.  All three are built without re-checking."""
     x, y = f.source, f.target
     ring = f.ring
     top = max(x.top, y.top)
@@ -358,13 +400,13 @@ def factor_trivcof_fib(f: ChainMap) -> tuple[ChainMap, ChainMap]:
             [x.rank(m), t_rank(m), b_rank(m)],
             {(0, 0): x.diff(m), (2, 1): identity(ring, t_rank(m))},
         )
-    middle = ConnComplex(ring, ranks, diffs)
-    kappa = ChainMap(
+    middle = ConnComplex._trusted(ring, ranks, diffs)
+    kappa = ChainMap._trusted(
         x,
         middle,
         {m: _first_summand(ring, x.rank(m), t_rank(m) + b_rank(m)) for m in range(top + 1)},
     )
-    eta = ChainMap(
+    eta = ChainMap._trusted(
         middle,
         y,
         {
@@ -388,7 +430,10 @@ def factor_cof_trivfib(f: ChainMap) -> tuple[ChainMap, ChainMap]:
     Built degree by degree: Q_n = X_n + a free block mapping onto the lattice
     of pairs (cycle of Q_{n-1}, y in Y_n) with matching images in Y_{n-1};
     one extra stage past the larger top closes the last kernels, and trailing
-    zero-rank degrees are trimmed."""
+    zero-rank degrees are trimmed.  The fresh block of Q_n maps into the
+    cycles of Q_{n-1}, so d∘d = 0, and onto pairs with matching images, so
+    eta commutes with the differentials; kappa is the inclusion of X.  All
+    three are built without re-checking."""
     x, y = f.source, f.target
     ring = f.ring
     stages = max(x.top, y.top) + 1
@@ -414,9 +459,9 @@ def factor_cof_trivfib(f: ChainMap) -> tuple[ChainMap, ChainMap]:
         q_diffs.pop()
         eta_comps.pop()
         kappa_comps.pop()
-    middle = ConnComplex(ring, q_ranks, dict(enumerate(q_diffs, start=1)))
-    kappa = ChainMap(x, middle, dict(enumerate(kappa_comps)))
-    eta = ChainMap(middle, y, dict(enumerate(eta_comps)))
+    middle = ConnComplex._trusted(ring, q_ranks, dict(enumerate(q_diffs, start=1)))
+    kappa = ChainMap._trusted(x, middle, dict(enumerate(kappa_comps)))
+    eta = ChainMap._trusted(middle, y, dict(enumerate(eta_comps)))
     return kappa, eta
 
 

@@ -3,8 +3,8 @@
 One verb per invocation; inputs are JSON files, output is a single JSON
 document on stdout.  Exit status: 0 on success, 1 on domain errors (the
 output is {"error": ...}), 2 on malformed input or unreadable files.  A
-reader that closes stdout before the answer is written gets exit 1 and
-nothing on stderr.
+stdout that fails before the answer is written, a reader that left or a
+full device, gets exit 1 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -208,7 +208,7 @@ def _cmd_nerve_homology(args) -> dict:
     return {
         "ring": str(ring),
         "H": groups,
-        "least_element": contraction.least,
+        "least_element": None if contraction.least is None else p.elements[contraction.least],
         "contraction_verified": contraction.verified,
     }
 
@@ -295,9 +295,9 @@ def main(argv=None) -> int:
         code, text = 2, json.dumps({"error": str(exc)})
     try:
         print(text, flush=True)
-    except BrokenPipeError:
-        # the reader left; point stdout at devnull so that the flush at exit
-        # does not fail again on the same pipe
+    except OSError:
+        # the reader left or the device is full; point stdout at devnull so
+        # that the flush at exit does not fail again on the same file
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return code

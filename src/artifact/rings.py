@@ -44,7 +44,9 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class RingTag:
-    """Which coefficient ring a value lives in: "Z", "Q", or "F" mod p."""
+    """Which coefficient ring a value lives in: "Z", "Q", or "F" mod p.
+    ZZ, QQ and GF(p) are the canonical tags, one per ring, which pickling
+    keeps; equality tries identity before comparing fields."""
 
     kind: str
     p: int = 0
@@ -64,12 +66,27 @@ class RingTag:
     def __str__(self) -> str:
         return f"F{self.p}" if self.kind == "F" else self.kind
 
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not RingTag:
+            return NotImplemented
+        return self.kind == other.kind and self.p == other.p
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.p))
+
+    def __reduce__(self):
+        return parse_ring, (str(self),)
+
 
 ZZ = RingTag("Z")
 QQ = RingTag("Q")
 
 
+@lru_cache(maxsize=None, typed=True)
 def GF(p: int) -> RingTag:
+    """The canonical tag of the prime field of order p."""
     return RingTag("F", p)
 
 

@@ -351,6 +351,58 @@ def test_factorizations_compose_and_classify_on_random_maps(ring):
         assert classify(right).trivial_fibration
 
 
+def rebuilt(f: ChainMap) -> ChainMap:
+    """f built again through the public constructors, which check d∘d = 0
+    on both complexes and that the components commute with them."""
+
+    def complex_(x: ConnComplex) -> ConnComplex:
+        return ConnComplex(x.ring, x.ranks, {n: x.diff(n) for n in range(1, x.top + 1)})
+
+    source, target = complex_(f.source), complex_(f.target)
+    return ChainMap(source, target, {n: f.component(n) for n in range(max(source.top, target.top) + 1)})
+
+
+@pytest.mark.parametrize("factor", [factor_trivcof_fib, factor_cof_trivfib])
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(5)], ids=str)
+def test_factorizations_pass_the_checks_they_skip(ring, factor):
+    # the middle object and both legs are built without checking d∘d = 0
+    # or commutation; the public constructors accept each of them as it is
+    rng = random.Random(211)
+    for case in range(15):
+        f = zero_rank_map(rng, ring) if case % 3 == 0 else random_chain_map(rng, ring)
+        kappa, eta = factor(f)
+        assert kappa.source == f.source and eta.target == f.target
+        assert kappa.target is eta.source
+        assert rebuilt(kappa) == kappa and rebuilt(eta) == eta
+
+
+def test_trusted_constructors_are_called_only_by_the_factorizations():
+    # a static check: the constructors that skip d∘d = 0 and commutation
+    # serve only the two builders whose docstrings prove both
+    import ast
+    import pathlib
+
+    import artifact
+
+    def trusted_calls(name, node):
+        return [
+            f"{name}:{call.lineno}"
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and "_trusted" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+        ]
+
+    calls, sanctioned = [], []
+    for path in sorted(pathlib.Path(artifact.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        calls += trusted_calls(path.name, tree)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in ("factor_trivcof_fib", "factor_cof_trivfib"):
+                sanctioned += trusted_calls(path.name, node)
+    assert len(sanctioned) == 6
+    assert sorted(calls) == sorted(sanctioned)
+
+
 def test_factor_rejects_ring_mismatch():
     f = ChainMap(sphere(1), ConnComplex(ZZ, (0,)), {})
     g = ChainMap(sphere(1, QQ), ConnComplex(QQ, (0,)), {})
@@ -435,6 +487,33 @@ def test_lift_square_solves_once_per_retraction_lift_and_correction(monkeypatch)
         assert all(k in [g.component(n) for n in range(1, degrees_b)] for k in kernels)
         corrected += len(kernels)
     assert corrected > 0
+
+
+def test_lift_square_reuses_the_class_of_a_classified_map(monkeypatch):
+    # classify keeps its answer on the map, so a trivial fibration already
+    # classified costs lift_square no second cone homology
+    import artifact.chains as chains
+
+    rng = random.Random(29)
+    squares = [random_lifting_square(rng, ring) for ring in (ZZ, GF(3), QQ)]
+    calls = []
+    homology_ = chains._homology
+
+    def counted(*args):
+        calls.append(args)
+        return homology_(*args)
+
+    monkeypatch.setattr(chains, "_homology", counted)
+    for f, g, top, bottom in squares:
+        fresh = map_from_json(map_to_json(g))
+        calls.clear()
+        lift = lift_square(f, fresh, top, bottom)
+        assert len(calls) == 1 and fresh._class.trivial_fibration
+        calls.clear()
+        mc = classify(g)
+        assert len(calls) == 1
+        assert lift_square(f, g, top, bottom) == lift
+        assert classify(g) is mc and len(calls) == 1
 
 
 def test_lift_square_rejects_bad_squares():

@@ -221,6 +221,15 @@ def test_nerve_homology_verb(tmp_path, capsys):
     assert out == {"error": "nerve needs horizon >= 0"}
 
 
+def test_nerve_homology_names_the_least_element_itself(tmp_path, capsys):
+    # a is least but sits at index 1
+    obj = {"elements": ["b", "a"], "leq": [[True, False], [True, True]]}
+    code, out = run(capsys, "nerve-homology", write(tmp_path, "p.json", obj), "--horizon", "2")
+    assert code == 0
+    assert out["least_element"] == "a"
+    assert out["contraction_verified"] is True
+
+
 def test_nerve_homology_without_least_element(tmp_path, capsys):
     obj = {"elements": ["x", "y"], "leq": [[True, False], [False, True]]}
     path = write(tmp_path, "p.json", obj)
@@ -359,17 +368,30 @@ def test_a_closed_stdout_takes_the_answer_silently(tmp_path, monkeypatch):
     assert main(["homology", path]) == 0
 
 
+def child_env() -> dict:
+    """The environment in which a child interpreter imports artifact from
+    this source tree."""
+    src = os.path.dirname(os.path.dirname(artifact.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_a_reader_that_leaves_early_gets_exit_one_and_no_traceback(tmp_path):
     # horizon 14 writes 89 KB, more than a pipe holds, so the write meets the
     # closed pipe whenever the reader leaves
     path = write(tmp_path, "x.json", torsion_complex_json())
-    src = os.path.dirname(os.path.dirname(artifact.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv = [sys.executable, "-m", "artifact", "dk", path, "--horizon", "14"]
-    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()) as proc:
         proc.stdout.close()
         _, err = proc.communicate(timeout=120)
     assert proc.returncode == 1 and err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_stdout_gets_exit_one_and_no_traceback(tmp_path):
+    argv = [sys.executable, "-m", "artifact", "homology", write(tmp_path, "x.json", torsion_complex_json())]
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=child_env(), timeout=120)
+    assert proc.returncode == 1 and proc.stderr == b""
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +441,11 @@ def test_nor_on_a_non_simplicial_module_exits_one(tmp_path, capsys):
     assert list(json.loads(captured.out)) == ["error"]
 
     # the check must not be an assert that -O strips
-    src = os.path.dirname(os.path.dirname(artifact.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "artifact", "nor", path],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
         timeout=120,
     )
     assert proc.returncode == 1 and proc.stderr == ""
@@ -449,13 +469,11 @@ def run_capped(tmp_path, document, verb, *options):
         "from artifact.cli import main\n"
         "sys.exit(main())\n"
     )
-    src = os.path.dirname(os.path.dirname(artifact.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, "-c", child, verb, path, *options],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
         timeout=120,
     )
 

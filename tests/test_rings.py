@@ -1,8 +1,10 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 
-from artifact import GF, QQ, ZZ, parse_ring, ring_ops
+from artifact import GF, QQ, ZZ, RingTag, parse_ring, ring_ops
 from artifact.errors import DivisibilityError, InvalidRing
 from artifact.rings import is_prime, scalar_from_json, scalar_to_json
 
@@ -82,10 +84,24 @@ def test_prime_field_residues_and_inverses():
 
 
 def test_ring_tag_guards():
-    with pytest.raises(InvalidRing):
-        GF(6)
-    with pytest.raises(InvalidRing):
-        GF(1)
+    for _ in range(2):  # a refused modulus is refused again, not cached
+        with pytest.raises(InvalidRing):
+            GF(6)
+        with pytest.raises(InvalidRing):
+            GF(1)
+
+
+def test_ring_tags_are_canonical_and_equal_their_field_copies():
+    assert GF(5) is GF(5) and parse_ring("F5") is GF(5)
+    for tag in (ZZ, QQ, GF(2), GF(5)):
+        assert pickle.loads(pickle.dumps(tag)) is tag
+        assert copy.deepcopy(tag) is tag
+    assert RingTag("F", 5) is not GF(5)
+    assert RingTag("F", 5) == GF(5) and GF(5) == RingTag("F", 5)
+    assert hash(RingTag("F", 5)) == hash(GF(5))
+    assert RingTag("Z") == ZZ and hash(RingTag("Z")) == hash(ZZ)
+    assert GF(5) != GF(7) and GF(2) != ZZ and ZZ != QQ
+    assert GF(5) != "F5" and GF(5) != ("F", 5)
 
 
 def test_scalar_json_round_trip():

@@ -1,6 +1,7 @@
-"""The six slotted value types compare slot by slot with values of the same
-type and are unhashable.  Each one-slot variant is built by copying every
-slot and replacing one, so exactly that slot differs."""
+"""The six slotted value types compare field by field with values of the
+same type and are unhashable.  Each one-field variant is built by copying
+every set slot and replacing one field, so exactly that field differs.  A
+memo slot outside the fields takes no part in equality."""
 
 import pytest
 
@@ -15,6 +16,7 @@ from artifact import (
     SimplicialMap,
     SimplicialModule,
     chain_poset,
+    classify,
     complex_from_json,
     complex_to_json,
     dk,
@@ -60,10 +62,11 @@ def simplicial_map() -> SimplicialMap:
 
 def replace_one(x, name, value):
     """A copy of x whose slot name holds value and whose other slots hold
-    the same objects as x's."""
+    the same objects as x's, or stay unset where x's are."""
     y = object.__new__(type(x))
     for slot in type(x).__slots__:
-        setattr(y, slot, getattr(x, slot))
+        if hasattr(x, slot):
+            setattr(y, slot, getattr(x, slot))
     setattr(y, name, value)
     return y
 
@@ -84,7 +87,7 @@ def replace_family(families, level, i, value):
     return families[:level] + (tuple(fams),) + families[level + 1 :]
 
 
-# (type, build, read back through JSON or None, {slot: changed value})
+# (type, build, read back through JSON or None, {field: changed value})
 VALUES = [
     (
         ConnComplex,
@@ -154,7 +157,16 @@ IDS = [row[0].__name__ for row in VALUES]
 
 @pytest.mark.parametrize("cls, build, read, changed", VALUES, ids=IDS)
 def test_every_slot_has_a_one_slot_variant(cls, build, read, changed):
-    assert tuple(changed) == cls.__slots__
+    assert tuple(changed) == cls._fields
+    assert set(cls._fields) <= set(cls.__slots__)
+
+
+def test_a_classified_map_equals_the_same_map_unclassified():
+    f, g = chain_map(), chain_map()
+    classify(f)
+    assert f._class is not None and g._class is None
+    assert f == g and g == f and not f != g
+    assert replace_one(f, "_class", None) == f
 
 
 @pytest.mark.parametrize("cls, build, read, changed", VALUES, ids=IDS)
