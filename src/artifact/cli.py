@@ -46,7 +46,8 @@ from .linalg import Matrix, homology_to_json, mat_to_json
 from .rings import RingTag, ZZ, canonical_int, parse_ring
 from .shuffle import ez_map, shuffle_product, shuffle_to_json
 from .simplicial import (
-    _module,
+    SimplicialModule,
+    _families,
     check_simplicial_identities,
     dk,
     free_module,
@@ -94,7 +95,10 @@ def _load(path: str):
 
 def change_ring(obj, ring: RingTag):
     """A Matrix, ConnComplex, ChainMap or SimplicialModule with every entry
-    converted to ring; RingError when an entry has no image there."""
+    converted to ring; RingError when an entry has no image there.  A module
+    is converted through the public constructor, every family at once, so a
+    failed conversion is reported before the verb runs, whichever structure
+    maps the verb reads."""
     if obj.ring == ring:
         return obj
     if isinstance(obj, Matrix):
@@ -105,12 +109,12 @@ def change_ring(obj, ring: RingTag):
         span = max(obj.source.top, obj.target.top)
         comps = {n: change_ring(obj.component(n), ring) for n in range(span + 1)}
         return ChainMap(change_ring(obj.source, ring), change_ring(obj.target, ring), comps)
-    return _module(
-        ring,
-        obj.ranks,
+    faces, degens = _families(
+        obj.horizon,
         lambda m, i: obj.face(m, i).change_ring(ring),
         lambda m, i: obj.degen(m, i).change_ring(ring),
     )
+    return SimplicialModule(ring, obj.ranks, dict(enumerate(faces, 1)), dict(enumerate(degens)))
 
 
 def _read(args, reader, *names) -> list:

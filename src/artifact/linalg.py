@@ -104,10 +104,10 @@ class Matrix:
         return f"Matrix({self.ring}, {self.rows}x{self.cols}, {self._rows})"
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return _minus(self, -1, other)
+        return _plus(self, 1, other)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return _minus(self, 1, other)
+        return _plus(self, -1, other)
 
     def __neg__(self) -> "Matrix":
         return self.scale(-1)
@@ -198,16 +198,29 @@ def _make(ring: RingTag, rows: int, cols: int, data: dict) -> Matrix:
     return m
 
 
-def _minus(a: Matrix, q, b: Matrix) -> Matrix:
-    """a - q * b for a scalar q of the ring, row by row through the row
-    update; rows of a that b leaves alone are shared."""
+def _plus(a: Matrix, sign: int, b: Matrix) -> Matrix:
+    """a + b for sign 1 and a - b for sign -1, row by row with one ring
+    operation per entry where both have a row; a row only a has is shared,
+    and so, in a sum, is a row only b has."""
     a._match(b)
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ShapeError("sum of differently shaped matrices")
+    p = a.ring.p
     out = dict(a._rows)
     for i, brow in b._rows.items():
-        row = dict(out.get(i, _EMPTY))
-        _sub_multiple(row, q, brow, a.ring.p)
+        row = out.get(i)
+        if row is None:
+            out[i] = brow if sign > 0 else _scaled(brow, -1, p)
+            continue
+        row = dict(row)
+        for j, y in brow.items():
+            z = row.get(j, 0) + y if sign > 0 else row.get(j, 0) - y
+            if p:
+                z %= p
+            if z:
+                row[j] = z
+            else:
+                del row[j]
         if row:
             out[i] = row
         else:

@@ -30,7 +30,7 @@ from .chains import (
 from .deltacat import MonotoneMap, enumerate_jointly_monic_pairs, face, shuffle_of_pair
 from .errors import DomainError, RingError
 from .linalg import HomologyGroup, Matrix, identity, kron
-from .simplicial import _dk_block, _dk_rule, nor, tensor_sm
+from .simplicial import _dk_blocks, _dk_rule, nor, tensor_sm
 
 
 Pair = tuple[MonotoneMap, MonotoneMap]
@@ -80,6 +80,7 @@ def shuffle_product(x: ConnComplex, y: ConnComplex) -> ShuffleComplex:
         raise RingError(f"factors over {x.ring} and {y.ring}")
     ring = x.ring
     top = x.top + y.top
+    x_blocks, y_blocks = _dk_blocks(x), _dk_blocks(y)
     pairs_at = [enumerate_jointly_monic_pairs(n, x.top, y.top) for n in range(top + 1)]
     layouts = [_shuffle_layout(x, y, pairs) for pairs in pairs_at]
     diffs = {}
@@ -100,10 +101,7 @@ def shuffle_product(x: ConnComplex, y: ConnComplex) -> ShuffleComplex:
                 # a dead row is a zero-height block
                 if row not in rows:
                     continue
-                mat = kron(
-                    _dk_block(x, f.target_top, f_rule[1]),
-                    _dk_block(y, g.target_top, g_rule[1]),
-                )
+                mat = kron(x_blocks[f.target_top, f_rule[1]], y_blocks[g.target_top, g_rule[1]])
                 if i % 2:
                     mat = -mat
                 key = (row, col)

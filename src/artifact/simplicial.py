@@ -298,11 +298,38 @@ class SimplicialModule(_Value):
     """Levelwise finitely generated free modules with face and degeneracy
     matrices, trusted up to the horizon.  Construction checks shapes only;
     check_simplicial_identities reports relation violations, so deliberately
-    broken modules can be built and examined."""
+    broken modules can be built and examined.
 
-    __slots__ = ("ring", "ranks", "_faces", "_degens")
+    The constructor takes and checks every family at once.  A module from
+    _module builds each level's family on its first read through face or
+    degen, checks it as the constructor would and keeps it: until every
+    family is built, _faces and _degens are lists holding None at the levels
+    not built yet, and _pending holds the builders.  Equality builds every
+    family first, and afterwards both are tuples, as the constructor stores
+    them."""
+
+    _fields = ("ring", "ranks", "_faces", "_degens")
+    __slots__ = _fields + ("_pending",)
 
     def __init__(self, ring: RingTag, ranks, faces, degens):
+        self._store(ring, ranks)
+        stored = []
+        kinds = _structure_maps(self.horizon, dict(faces or {}), dict(degens or {}))
+        for kind, given, levels, step in kinds:
+            families = []
+            for m in levels:
+                fams = given.pop(m, None)
+                if fams is None:
+                    raise ValueError(f"{kind} maps missing at level {m}")
+                families.append(self._checked(kind, m, step, fams))
+            if given:
+                outside = f"{levels.start}..{levels.stop - 1}"
+                raise ValueError(f"{kind} maps given outside levels {outside}: {sorted(given)}")
+            stored.append(tuple(families))
+        self._faces, self._degens = stored
+
+    def _store(self, ring: RingTag, ranks) -> None:
+        """The checked ranks, with no family built and none pending."""
         ranks = tuple(ranks)
         if not ranks:
             raise ValueError("ranks must cover level 0")
@@ -310,26 +337,44 @@ class SimplicialModule(_Value):
             raise ValueError("ranks must be nonnegative integers")
         self.ring = ring
         self.ranks = ranks
-        stored = []
-        kinds = _structure_maps(len(ranks) - 1, dict(faces or {}), dict(degens or {}))
-        for kind, given, levels, step in kinds:
-            families = []
-            for m in levels:
-                fams = given.pop(m, None)
-                if fams is None:
-                    raise ValueError(f"{kind} maps missing at level {m}")
-                fams = tuple(fams)
-                if len(fams) != m + 1:
-                    raise ValueError(f"level {m} needs {m + 1} {kind} maps, got {len(fams)}")
-                rows, cols = ranks[m + step], ranks[m]
-                for i, mat in enumerate(fams):
-                    _check_matrix(mat, ring, rows, cols, kind, f"({m},{i})", "module")
-                families.append(fams)
-            if given:
-                outside = f"{levels.start}..{levels.stop - 1}"
-                raise ValueError(f"{kind} maps given outside levels {outside}: {sorted(given)}")
-            stored.append(tuple(families))
-        self._faces, self._degens = stored
+        self._faces = [None] * (len(ranks) - 1)
+        self._degens = [None] * (len(ranks) - 1)
+        self._pending = None
+
+    def _checked(self, kind: str, m: int, step: int, fams) -> tuple:
+        """fams as the family of kind at level m, which lands in level
+        m + step, once its length, rings and shapes are checked."""
+        fams = tuple(fams)
+        if len(fams) != m + 1:
+            raise ValueError(f"level {m} needs {m + 1} {kind} maps, got {len(fams)}")
+        rows, cols = self.ranks[m + step], self.ranks[m]
+        for i, mat in enumerate(fams):
+            _check_matrix(mat, self.ring, rows, cols, kind, f"({m},{i})", "module")
+        return fams
+
+    def _built(self, which: int, m: int) -> tuple:
+        """The level-m family of the pending faces (which 0) or
+        degeneracies (which 1), built and checked."""
+        kind, at, levels, step = _structure_maps(self.horizon, *self._pending)[which]
+        if m not in levels:
+            raise IndexError(f"no {kind} maps at level {m}")
+        return self._checked(kind, m, step, [at(m, i) for i in range(m + 1)])
+
+    def _force(self) -> SimplicialModule:
+        """self, with every family built."""
+        if self._pending is not None:
+            for m in range(self.horizon):
+                self.face(m + 1, 0)
+                self.degen(m, 0)
+            self._faces, self._degens = tuple(self._faces), tuple(self._degens)
+            self._pending = None
+        return self
+
+    def __eq__(self, other) -> bool:
+        if type(other) is type(self):
+            self._force()
+            other._force()
+        return super().__eq__(other)
 
     @property
     def horizon(self) -> int:
@@ -339,10 +384,16 @@ class SimplicialModule(_Value):
         return self.ranks[m]
 
     def face(self, m: int, i: int) -> Matrix:
-        return self._faces[m - 1][i]
+        fams = self._faces[m - 1]
+        if fams is None:
+            fams = self._faces[m - 1] = self._built(0, m)
+        return fams[i]
 
     def degen(self, m: int, i: int) -> Matrix:
-        return self._degens[m][i]
+        fams = self._degens[m]
+        if fams is None:
+            fams = self._degens[m] = self._built(1, m)
+        return fams[i]
 
     def __repr__(self) -> str:
         return f"SimplicialModule({self.ring}, ranks={self.ranks})"
@@ -420,9 +471,13 @@ def compose_simplicial(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
 
 def _module(ring: RingTag, ranks: tuple[int, ...], face_at, degen_at) -> SimplicialModule:
     """The simplicial module with these ranks whose structure matrices are
-    face_at(m, i) and degen_at(m, i)."""
-    faces, degens = _families(len(ranks) - 1, face_at, degen_at)
-    return SimplicialModule(ring, ranks, dict(enumerate(faces, 1)), dict(enumerate(degens)))
+    face_at(m, i) and degen_at(m, i), each level's family built on its
+    first read.  The only lazy constructor: the builders that call it make
+    matrices of the stated shapes, and each is still checked when built."""
+    m = SimplicialModule.__new__(SimplicialModule)
+    m._store(ring, ranks)
+    m._pending = (face_at, degen_at)
+    return m
 
 
 def _index_matrix(ring: RingTag, rows: int, index_map: tuple[int, ...]) -> Matrix:
@@ -464,11 +519,16 @@ def _dk_rule(g: deltacat.MonotoneMap, eta: deltacat.MonotoneMap):
     return None
 
 
-def _dk_block(x: ConnComplex, k: int, sign: int) -> Matrix:
-    """The matrix of a block map of _dk_rule on the complex x."""
-    if sign == 0:
-        return identity(x.ring, x.rank(k))
-    return -x.diff(k) if sign < 0 else x.diff(k)
+def _dk_blocks(x: ConnComplex) -> dict:
+    """The block maps of _dk_rule on the complex x, keyed by (k, sign) as
+    the rule gives them: the identity of X_k for sign 0 and k <= x.top, and
+    (-1)^k times the degree-k differential for 1 <= k <= x.top.  Built once
+    per call of dk or shuffle_product; Matrix is immutable, so the blocks
+    are shared by every structure map."""
+    blocks = {(k, 0): identity(x.ring, x.ranks[k]) for k in range(x.top + 1)}
+    for k in range(1, x.top + 1):
+        blocks[k, -1 if k % 2 else 1] = -x.diff(k) if k % 2 else x.diff(k)
+    return blocks
 
 
 def _dk_layout(x: ConnComplex, n: int) -> dict:
@@ -484,26 +544,36 @@ def dk_transition(x: ConnComplex, eta: deltacat.MonotoneMap) -> Matrix:
     row block holding the epi part of g o eta: the identity when the mono
     part is the identity, the degree-k differential times (-1)^k when the
     mono part omits exactly the top element k, zero otherwise."""
-    blocks = {}
+    layouts = {n: _dk_layout(x, n) for n in (eta.source_top, eta.target_top)}
+    return _dk_transition(x, _dk_blocks(x), layouts, eta)
+
+
+def _dk_transition(x: ConnComplex, blocks: dict, layouts, eta: deltacat.MonotoneMap) -> Matrix:
+    """dk_transition(x, eta) from the blocks _dk_blocks(x) and the level
+    layouts, layouts[n] = _dk_layout(x, n), that one dk call shares."""
+    placed = {}
     for g in deltacat._surjections_upto(eta.target_top, x.top):
         rule = _dk_rule(g, eta)
         if rule is not None:
             epi, sign = rule
-            blocks[epi.values, g.values] = _dk_block(x, g.target_top, sign)
-    rows, cols = _dk_layout(x, eta.source_top), _dk_layout(x, eta.target_top)
-    return _keyed_block_matrix(x.ring, rows, cols, blocks)
+            placed[epi.values, g.values] = blocks[g.target_top, sign]
+    rows, cols = layouts[eta.source_top], layouts[eta.target_top]
+    return _keyed_block_matrix(x.ring, rows, cols, placed)
 
 
 def dk(x: ConnComplex, horizon: int) -> SimplicialModule:
     """The simplicial module with level n the sum of X_k over surjections
-    [n] ->> [k], built to the requested horizon."""
+    [n] ->> [k], built to the requested horizon; each level's faces and
+    degeneracies are built on their first read."""
     if horizon < 0:
         raise DomainError("dk needs horizon >= 0")
+    blocks = _dk_blocks(x)
+    layouts = [_dk_layout(x, n) for n in range(horizon + 1)]
     return _module(
         x.ring,
-        tuple(sum(_dk_layout(x, n).values()) for n in range(horizon + 1)),
-        lambda n, i: dk_transition(x, deltacat.face(n, i)),
-        lambda n, i: dk_transition(x, deltacat.degeneracy(n, i)),
+        tuple(sum(sizes.values()) for sizes in layouts),
+        lambda n, i: _dk_transition(x, blocks, layouts, deltacat.face(n, i)),
+        lambda n, i: _dk_transition(x, blocks, layouts, deltacat.degeneracy(n, i)),
     )
 
 
@@ -716,6 +786,7 @@ def verify_nerve_contraction(p: FinPoset, horizon: int, ring: RingTag) -> Contra
 
 
 def module_to_json(m: SimplicialModule) -> dict:
+    m._force()
     return {
         "ring": str(m.ring),
         "horizon": m.horizon,

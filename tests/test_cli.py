@@ -433,6 +433,22 @@ def test_domain_errors_exit_one(tmp_path, capsys):
     assert "error" in out
 
 
+def test_a_fraction_only_in_a_degeneracy_fails_the_conversion_before_nor(tmp_path, capsys):
+    # nor reads only faces, so the conversion must not wait for a read:
+    # change_ring converts every family of a module before the verb runs
+    x = ConnComplex(QQ, (1, 1), {1: Matrix.from_rows(QQ, [[2]])})
+    doc = json_of(module_to_json(dk(x, 2)))
+    doc["degens"]["0"][0]["entries"][0][0] = "1/2"
+    path = write(tmp_path, "m.json", doc)
+    code, out = run(capsys, "nor", path)
+    assert code == 0 and "error" not in out
+    code = main(["nor", path, "--ring", "Z"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    out = json.loads(captured.out)
+    assert list(out) == ["error"] and out["error"].startswith("cannot convert entries to Z")
+
+
 def test_nor_on_a_non_simplicial_module_exits_one(tmp_path, capsys):
     path = write(tmp_path, "m.json", module_to_json(non_simplicial_module(random.Random(701))))
     code = main(["nor", path])

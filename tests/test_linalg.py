@@ -240,6 +240,36 @@ def test_matrix_operations_match_the_dense_reference(ring):
         assert all(a[i, j] == da[2][i][j] for i in range(rows) for j in range(cols))
 
 
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_sums_match_the_dense_reference_and_share_one_sided_rows(ring):
+    """+ and - against cellwise dense arithmetic, zeros on either side
+    included.  A row only the left operand has is shared by the sum and the
+    difference, and a row only the right operand has by the sum; no operand
+    changes."""
+    rng = random.Random(98)
+    plus = lambda x, y: x + y
+    minus = lambda x, y: x - y
+    for _ in range(60):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        a, b = random_sparse(rng, ring, rows, cols), random_sparse(rng, ring, rows, cols)
+        z = zeros(ring, rows, cols)
+        da, db, dz = dense(a), dense(b), dense(z)
+        for x, y, dx, dy in ((a, b, da, db), (b, a, db, da), (z, a, dz, da), (a, z, da, dz)):
+            for op, fn in ((plus, plus), (minus, minus)):
+                got = op(x, y)
+                want = dense_map(ring, fn, dx, dy)
+                assert repr(dense(got)) == repr(want)
+                assert got == Matrix(ring, *want)
+                for i, row in x._rows.items():
+                    if i not in y._rows:
+                        assert got._rows[i] is row
+                if op is plus:
+                    for i, row in y._rows.items():
+                        if i not in x._rows:
+                            assert got._rows[i] is row
+        assert repr((dense(a), dense(b), dense(z))) == repr((da, db, dz))
+
+
 # ---------------------------------------------------------------------------
 # Smith decomposition
 

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import random
 from collections import Counter
@@ -52,11 +54,14 @@ from artifact import (
     sphere,
     tensor_sm,
     verify_nerve_contraction,
+    zeros,
 )
+from artifact.chains import _check_matrix
 from artifact.cli import change_ring
 from artifact.deltacat import MonotoneMap, degeneracy, face
 from artifact.errors import DomainError, NotSimplicial, RingError, ShapeError
-from artifact.simplicial import dk_blocks, dk_transition
+from artifact.shuffle import nor_tensor_compare
+from artifact.simplicial import _module, dk_blocks, dk_transition
 
 from oracles import (
     dense,
@@ -264,6 +269,236 @@ def test_built_modules_are_simplicial_and_read_back_from_json(ring):
 
 
 # ---------------------------------------------------------------------------
+# structure maps built on first read
+
+RINGS = [ZZ, QQ, GF(2), GF(5)]
+
+
+def _drawn(rng, ring, top):
+    """A random complex of this top with no zero rank and no zero
+    differential."""
+    while True:
+        x = random_complex(rng, ring, max_top=top, max_rank=2)
+        if x.top == top and all(x.ranks) and not any(x.diff(n).is_zero for n in range(1, top + 1)):
+            return x
+
+
+def _lazy_built(seed, ring):
+    """{builder name: a function building one module with that builder},
+    on inputs drawn from Random(seed) over ring; each call builds afresh
+    and reads nothing.  cylinder stands for its cylinder module, the target
+    of its inclusion."""
+    rng = random.Random(seed)
+    x, y = _drawn(rng, ring, 2), _drawn(rng, ring, 1)
+    leq = [[i <= j and (i == j or rng.random() < 0.5) for j in range(4)] for i in range(4)]
+    for k, i, j in itertools.product(range(4), repeat=3):
+        leq[i][j] = leq[i][j] or (leq[i][k] and leq[k][j])
+    shape = nerve(FinPoset("abcd", leq), 3)
+    return {
+        "dk": lambda: dk(x, 3),
+        "tensor_sm": lambda: tensor_sm(dk(x, 3), dk(y, 3)),
+        "copower": lambda: copower(dk(x, 3), boundary_simplex_set(2, 3)),
+        "direct_sum_sm": lambda: direct_sum_sm(dk(x, 3), dk(y, 3)),
+        "free_module": lambda: free_module(shape, ring),
+        "cylinder": lambda: cylinder(dk(x, 3))[0].target,
+    }
+
+
+def _families_of(m):
+    """(which, level) for every family of m: faces (which 0) at levels
+    1..horizon, then degeneracies (which 1) at levels 0..horizon-1."""
+    h = m.horizon
+    return [(0, lv) for lv in range(1, h + 1)] + [(1, lv) for lv in range(h)]
+
+
+def _stored(m, which, level):
+    """The stored family at that level of m's faces or degeneracies, None
+    while it is not built."""
+    return m._faces[level - 1] if which == 0 else m._degens[level]
+
+
+def _one_changed(m, which, level):
+    """A module built by _module from the structure maps of m, except that
+    map 0 of the given family has 1 added at its (0, 0) entry; None when
+    that map has no entry."""
+    rows, cols = m.rank(level + (-1, 1)[which]), m.rank(level)
+    if not rows or not cols:
+        return None
+    grid = [[int(i == j == 0) for j in range(cols)] for i in range(rows)]
+    bump = Matrix(m.ring, rows, cols, grid)
+    at = [m.face, m.degen]
+    base = at[which]
+    at[which] = lambda lv, i: base(lv, i) + bump if (lv, i) == (level, 0) else base(lv, i)
+    return _module(m.ring, m.ranks, *at)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_lazy_modules_equal_their_eager_rebuild(ring):
+    for name, build in _lazy_built(707, ring).items():
+        assert build()._pending is not None, name
+        m = build()._force()
+        for which, level in _families_of(m):
+            kind, step = (("face", -1), ("degeneracy", 1))[which]
+            rows, cols = m.rank(level + step), m.rank(level)
+            fams = _stored(m, which, level)
+            assert len(fams) == level + 1, name
+            for i, mat in enumerate(fams):
+                _check_matrix(mat, ring, rows, cols, kind, (level, i), name)
+        assert check_simplicial_identities(m).ok, name
+        faces, degens = dict(enumerate(m._faces, 1)), dict(enumerate(m._degens))
+        eager = SimplicialModule(ring, m.ranks, faces, degens)
+        assert eager._pending is None
+        assert build() == eager and eager == build(), name
+
+
+def test_a_lazy_family_is_checked_when_it_is_built():
+    one = identity(ZZ, 1)
+    wrong_shape = _module(ZZ, (1, 1), lambda m, i: zeros(ZZ, 2, 1), lambda m, i: one)
+    assert wrong_shape.degen(0, 0) == one
+    with pytest.raises(ShapeError, match=r"face \(1,0\) must be 1x1, got 2x1"):
+        wrong_shape.face(1, 0)
+    wrong_ring = _module(ZZ, (1, 1), lambda m, i: one, lambda m, i: identity(QQ, 1))
+    with pytest.raises(RingError, match=r"degeneracy \(0,0\) is over Q, module over Z"):
+        wrong_ring._force()
+    assert wrong_ring._faces == [(one, one)] and wrong_ring._degens == [None]
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_a_module_differing_in_a_level_nobody_read_is_unequal(ring):
+    changed = 0
+    for name, build in _lazy_built(708, ring).items():
+        m = build()._force()
+        for which, level in _families_of(m):
+            if _one_changed(m, which, level) is None:
+                continue
+            changed += 1
+            assert build() != _one_changed(m, which, level), (name, which, level)
+            assert _one_changed(m, which, level) != build(), (name, which, level)
+            # every other family read first, on both sides
+            lazy, other = build(), _one_changed(m, which, level)
+            for w, lv in _families_of(m):
+                if (w, lv) != (which, level):
+                    assert (lazy.face, lazy.degen)[w](lv, 0) == (other.face, other.degen)[w](lv, 0)
+            assert _stored(other, which, level) is None
+            assert lazy != other, (name, which, level)
+    assert changed > 0
+
+
+# sha256 of json.dumps of the list of module_to_json over Z, Q, F2 and F5
+# of each builder of _lazy_built, computed on the tree before the builders
+# became lazy, when every family was built at construction
+PINNED_JSON_SHA256 = {
+    "dk": [
+        "581a4023116e7556ed2c6c2265cc2afbe7b3689f9c7116de37679c5888f634f8",
+        "e9ddde3eca4652239e9c13acafe869d57192279b36a38f2b9bbcf9ae604570d7",
+        "de9fc1596844ec839e4fee771e1b95a6484082f37242ef811cfbb467b8328a76",
+        "a2f1e91e2c81fb2fc465d5ac2d05403e887347945dc160202d8d922a8b981854",
+        "06b65e2a79942720b10813abf44168cf7d31738766e0f8ca9449723411664561",
+    ],
+    "tensor_sm": [
+        "01b3d52550cfc43670d1708ec49146e0914780a77a4e565e45c79720240cea26",
+        "86fbbe19fa3952e4f22f9a112d13c60efda172c29cbae76226cd54b22356b376",
+        "afa4500d18a18711e7298d8f38c15fec15e445d444e79956a36d398148c8570a",
+        "59a4308d68d3ece7194791616df828a6be0e72644cab79de931ac3009c2e9b15",
+        "6b402aa0755c54b7df7d46f2eea7bee39c517bdd8f4976ee25c07861f55e13c1",
+    ],
+    "copower": [
+        "5bae08d533e11e3f53b916de3156a2f28c474273fc1f7891199f1270b019f9f1",
+        "978cfff179d0ea30b722bcec55111cdc31ee69ed32c1507f5126365ba78a63da",
+        "74b64b2db0cfe8f366abb2d494af93b1adc83ebd9e3b452b4eaabb3775d0716a",
+        "661fe9002330797119678ba1ebb5952ab34284701c2a0dd65445c8f088f3bcc0",
+        "8ff5f0c65d81b3bc255ad6ef05d2b796897632113697ddeb543fc32bf20b16ea",
+    ],
+    "direct_sum_sm": [
+        "27bd1aa6fc0c638134367ceb8a5d9592c04e718b31550ee682dd51d4d53b1a05",
+        "cf8d90ec20285e978fa46085d05278a4075d980de6e118a586a6e8f55f48294c",
+        "25dfde90cc989b2d2badad10561b643a2ba5480c556c2559af672bfbcda4c03f",
+        "29e4b3e40a242f519c8f295680131a49d72400a1822fe07949450af6d181ee38",
+        "a60dcba4079bb9696923040e62defeccf1ca4bbb2ea5b16d1d4954dc83b571cb",
+    ],
+    "free_module": [
+        "68fa8e6140d7198fed8549f9df49a98861514d4f1aa75fe8bb81f9a026d2f26a",
+        "fbe83ef21aef7c3278a0d7b747ba296e9d4951a422cb08798a4ded37cef867ae",
+        "a7506b3fb8890f56236e071781c93a52be12fcfff58b74610978484e4e61bf2b",
+        "d75846d631574bcda4d20a57a46e9a3cbe70d4ae4180939fd1580fd3c9f0a4eb",
+        "11a0b4a6691f3af167ea5d0f278e9c2a00ac16f5722e57cde4cc0b25df00d857",
+    ],
+    "cylinder": [
+        "39f803831cf4101a5c07b18b918923c9fc2d5a36d2f357fb53aa565ac60d0779",
+        "56b8c971985c3bd88534a1a9ba1d7b22f00df59f1063e0abb5df498b805b73ac",
+        "b981cdb40ea5c4364662ff282bf8c2b103b76b912d4889dcf1dad636d6dd3449",
+        "c60d27d6da2c29c3b1ce009ced9d0390033c336b354cc4e651318e5fd10974ab",
+        "c69598ad4f287eb2dfdb14c7213a45c7166155b8d5981a9ea113bfa2cfc20aaa",
+    ],
+}
+
+
+@pytest.mark.parametrize("seed", range(701, 706))
+def test_lazy_builders_write_the_pinned_json(seed):
+    built = [_lazy_built(seed, ring) for ring in RINGS]
+    for name in built[0]:
+        doc = json.dumps([module_to_json(b[name]()) for b in built])
+        digest = hashlib.sha256(doc.encode()).hexdigest()
+        assert digest == PINNED_JSON_SHA256[name][seed - 701], name
+
+
+def test_comparing_nor_tensor_builds_no_degeneracy(monkeypatch):
+    # nor reads only faces, and so does the shuffle side, so neither dk
+    # module nor their levelwise tensor builds a degeneracy
+    import artifact.shuffle as shuffle
+
+    tensors = []
+
+    def recording(m, n):
+        tensors.append(tensor_sm(m, n))
+        return tensors[-1]
+
+    monkeypatch.setattr(shuffle, "tensor_sm", recording)
+    for ring in (ZZ, GF(2)):
+        rng = random.Random(709)
+        m, n = dk(_drawn(rng, ring, 2), 4), dk(_drawn(rng, ring, 1), 4)
+        report = nor_tensor_compare(m, n)
+        assert report.passed
+        for module in (m, n, tensors[-1]):
+            assert module._pending is not None
+            assert module._degens == [None] * 4
+            assert None not in module._faces
+
+
+def test_lazy_modules_are_made_only_by_module():
+    # a static check: a module whose families wait for their first read is
+    # made only by _module, whose callers build every structure matrix to
+    # the stated shape; every other module goes through the constructor
+    import ast
+    import pathlib
+
+    import artifact
+
+    def lazy_builds(name, node):
+        found = []
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call) and getattr(sub.func, "attr", None) == "__new__":
+                if any(getattr(arg, "id", None) == "SimplicialModule" for arg in sub.args):
+                    found.append(f"{name}:{sub.lineno}")
+            if isinstance(sub, ast.Assign) and not (
+                isinstance(sub.value, ast.Constant) and sub.value.value is None
+            ):
+                if any(getattr(t, "attr", None) == "_pending" for t in sub.targets):
+                    found.append(f"{name}:{sub.lineno}")
+        return found
+
+    builds, sanctioned = [], []
+    for path in sorted(pathlib.Path(artifact.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        builds += lazy_builds(path.name, tree)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name == "_module":
+                sanctioned += lazy_builds(path.name, node)
+    assert len(sanctioned) == 2
+    assert sorted(builds) == sorted(sanctioned)
+
+
+# ---------------------------------------------------------------------------
 # Dold-Kan functor
 
 
@@ -320,7 +555,7 @@ def test_dk_layout_is_resolved_once_per_structure_map(monkeypatch):
 
     warm = ConnComplex(ZZ, (1, 2, 1, 1))
     assert warm.top == 3
-    dk(warm, 3)
+    dk(warm, 3)._force()  # dk builds a structure map on its first read
     one = Matrix(GF(3), 1, 1, ((1,),))
     x = ConnComplex(GF(3), (1, 1, 1, 1), {1: one, 3: one})
 
@@ -352,7 +587,7 @@ def test_dk_resolves_only_the_summands_up_to_the_top(monkeypatch):
 
     _dk_rule.cache_clear()
     monkeypatch.setattr(deltacat, "compose", counting)
-    m = dk(x, horizon)
+    m = dk(x, horizon)._force()  # dk builds a structure map on its first read
     assert m.ranks == tuple(n + 1 for n in range(horizon + 1))
     etas = [face(n, i) for n in range(1, horizon + 1) for i in range(n + 1)]
     etas += [degeneracy(n, i) for n in range(horizon) for i in range(n + 1)]

@@ -53,7 +53,10 @@ def simplicial_set() -> FinSimplicialSet:
 
 
 def module() -> SimplicialModule:
-    return dk(complex_x(), 2)
+    # every family built, so _faces and _degens hold the tuples that the
+    # one-slot variants replace one matrix of; a lazy module's unread
+    # levels are covered in test_simplicial
+    return dk(complex_x(), 2)._force()
 
 
 def simplicial_map() -> SimplicialMap:
