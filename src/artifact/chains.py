@@ -89,6 +89,14 @@ class _Value:
                 return False
         return True
 
+    @classmethod
+    def _trusted(cls, *args):
+        """The value that _store(*args) checks and stores, without the
+        checks __init__ adds, which the calling builder proves."""
+        value = cls.__new__(cls)
+        value._store(*args)
+        return value
+
 
 class ConnComplex(_Value):
     """A connective complex: ranks in degrees 0..top and differentials
@@ -102,14 +110,6 @@ class ConnComplex(_Value):
         for n in range(2, self.top + 1):
             if not (self._diffs[n - 2] @ self._diffs[n - 1]).is_zero:
                 raise NotAComplex(f"differential composite at degree {n} is nonzero")
-
-    @classmethod
-    def _trusted(cls, ring: RingTag, ranks, diffs) -> ConnComplex:
-        """The complex, checked as __init__ checks it except for d∘d = 0,
-        which the calling builder proves."""
-        x = cls.__new__(cls)
-        x._store(ring, ranks, diffs)
-        return x
 
     def _store(self, ring: RingTag, ranks, diffs) -> None:
         ranks = tuple(ranks)
@@ -148,14 +148,6 @@ class ChainMap(_Value):
         for n in range(1, len(self._components)):
             if self._components[n - 1] @ source.diff(n) != target.diff(n) @ self._components[n]:
                 raise NotAComplex(f"components do not commute with differentials at degree {n}")
-
-    @classmethod
-    def _trusted(cls, source: ConnComplex, target: ConnComplex, components) -> ChainMap:
-        """The map, checked as __init__ checks it except for commuting with
-        the differentials, which the calling builder proves."""
-        f = cls.__new__(cls)
-        f._store(source, target, components)
-        return f
 
     def _store(self, source: ConnComplex, target: ConnComplex, components) -> None:
         if source.ring != target.ring:

@@ -1,10 +1,10 @@
 """JSON command-line front end.
 
 One verb per invocation; inputs are JSON files, output is a single JSON
-document on stdout.  Exit status: 0 on success, 1 on domain errors (the
-output is {"error": ...}), 2 on malformed input or unreadable files.  A
-stdout that fails before the answer is written, a reader that left or a
-full device, gets exit 1 and nothing on stderr.
+document on stdout.  Exit status: 0 on success, 1 on a domain error, any
+errors.ArtifactError (the output is {"error": ...}), 2 on malformed input
+or unreadable files.  A stdout that fails before the answer is written, a
+reader that left or a full device, gets exit 1 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -31,17 +31,7 @@ from .chains import (
     mapping_cone,
     rlp_generator_check,
 )
-from .errors import (
-    ClassError,
-    DivisibilityError,
-    DomainError,
-    InvalidRing,
-    NotAComplex,
-    NotSimplicial,
-    RingError,
-    ShapeError,
-    SquareError,
-)
+from .errors import ArtifactError
 from .linalg import Matrix, homology_to_json, mat_to_json
 from .rings import RingTag, ZZ, canonical_int, parse_ring
 from .shuffle import ez_map, shuffle_product, shuffle_to_json
@@ -57,18 +47,6 @@ from .simplicial import (
     nor,
     poset_from_json,
     verify_nerve_contraction,
-)
-
-DOMAIN_ERRORS = (
-    DomainError,
-    DivisibilityError,
-    InvalidRing,
-    ShapeError,
-    RingError,
-    NotAComplex,
-    SquareError,
-    ClassError,
-    NotSimplicial,
 )
 
 
@@ -291,7 +269,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, text = 0, json.dumps(args.handler(args), indent=2 if args.pretty else None)
-    except DOMAIN_ERRORS as exc:
+    except ArtifactError as exc:
         code, text = 1, json.dumps({"error": str(exc)})
     except MemoryError:
         code, text = 1, json.dumps({"error": "out of memory: the answer is too large"})

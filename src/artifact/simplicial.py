@@ -54,44 +54,42 @@ class FinSimplicialSet(_Value):
             raise ValueError(f"expected {horizon + 1} cell levels")
         self.horizon = horizon
         self.cells = cells
-        for kind, given, levels, _ in _structure_maps(horizon, faces, degens):
+        stored = []
+        for kind, given, levels, step in _structure_maps(horizon, faces, degens):
             if len(given) != len(levels):
                 raise ValueError(f"expected {len(levels)} levels of {kind} maps, got {len(given)}")
-        self._faces = tuple(tuple(tuple(fam) for fam in fams) for fams in faces)
-        self._degens = tuple(tuple(tuple(fam) for fam in fams) for fams in degens)
-        self._validate()
+            given = tuple(tuple(tuple(fam) for fam in fams) for fams in given)
+            for m, fams in zip(levels, given):
+                if len(fams) != m + 1:
+                    raise ValueError(f"level {m} needs {m + 1} {kind} maps")
+                for i, fam in enumerate(fams):
+                    if len(fam) != len(cells[m]):
+                        raise ValueError(f"{kind} ({m},{i}) must be defined on every cell")
+                    if any(not 0 <= t < len(cells[m + step]) for t in fam):
+                        raise ValueError(f"{kind} ({m},{i}) hits an out-of-range cell")
+            stored.append(given)
+        self._faces, self._degens = stored
+        for kind, m, i, j in _identity_violations(
+            horizon, self.cell_count, self.face_map, self.degen_map, compose_index, index_identity
+        ):
+            raise NotSimplicial(f"{kind} identity fails at level {m} for (i,j)=({i},{j})")
 
     def cell_count(self, m: int) -> int:
+        if not 0 <= m <= self.horizon:
+            raise IndexError(f"no level {m} at horizon {self.horizon}")
         return len(self.cells[m])
 
     def face_map(self, m: int, i: int) -> tuple[int, ...]:
         """Index map of d_{m,i}: level m -> level m-1."""
+        if not (0 < m <= self.horizon and 0 <= i <= m):
+            raise IndexError(f"no face ({m},{i}) at horizon {self.horizon}")
         return self._faces[m - 1][i]
 
     def degen_map(self, m: int, i: int) -> tuple[int, ...]:
         """Index map of s_{m,i}: level m -> level m+1."""
+        if not 0 <= i <= m < self.horizon:
+            raise IndexError(f"no degeneracy ({m},{i}) at horizon {self.horizon}")
         return self._degens[m][i]
-
-    def _validate(self) -> None:
-        h = self.horizon
-        for kind, stored, levels, step in _structure_maps(h, self._faces, self._degens):
-            for m, fams in zip(levels, stored):
-                if len(fams) != m + 1:
-                    raise ValueError(f"level {m} needs {m + 1} {kind} maps")
-                for i, fam in enumerate(fams):
-                    if len(fam) != self.cell_count(m):
-                        raise ValueError(f"{kind} ({m},{i}) must be defined on every cell")
-                    if any(not 0 <= t < self.cell_count(m + step) for t in fam):
-                        raise ValueError(f"{kind} ({m},{i}) hits an out-of-range cell")
-        for kind, m, i, j in _identity_violations(
-            h,
-            self.cell_count,
-            lambda m, i: self.face_map(m, i),
-            lambda m, i: self.degen_map(m, i),
-            compose_index,
-            index_identity,
-        ):
-            raise NotSimplicial(f"{kind} identity fails at level {m} for (i,j)=({i},{j})")
 
     def __repr__(self) -> str:
         counts = tuple(len(level) for level in self.cells)
@@ -355,9 +353,7 @@ class SimplicialModule(_Value):
     def _built(self, which: int, m: int) -> tuple:
         """The level-m family of the pending faces (which 0) or
         degeneracies (which 1), built and checked."""
-        kind, at, levels, step = _structure_maps(self.horizon, *self._pending)[which]
-        if m not in levels:
-            raise IndexError(f"no {kind} maps at level {m}")
+        kind, at, _, step = _structure_maps(self.horizon, *self._pending)[which]
         return self._checked(kind, m, step, [at(m, i) for i in range(m + 1)])
 
     def _force(self) -> SimplicialModule:
@@ -381,15 +377,21 @@ class SimplicialModule(_Value):
         return len(self.ranks) - 1
 
     def rank(self, m: int) -> int:
+        if not 0 <= m <= self.horizon:
+            raise IndexError(f"no level {m} at horizon {self.horizon}")
         return self.ranks[m]
 
     def face(self, m: int, i: int) -> Matrix:
+        if not (0 < m <= self.horizon and 0 <= i <= m):
+            raise IndexError(f"no face ({m},{i}) at horizon {self.horizon}")
         fams = self._faces[m - 1]
         if fams is None:
             fams = self._faces[m - 1] = self._built(0, m)
         return fams[i]
 
     def degen(self, m: int, i: int) -> Matrix:
+        if not 0 <= i <= m < self.horizon:
+            raise IndexError(f"no degeneracy ({m},{i}) at horizon {self.horizon}")
         fams = self._degens[m]
         if fams is None:
             fams = self._degens[m] = self._built(1, m)
@@ -452,6 +454,8 @@ class SimplicialMap(_Value):
                         raise NotSimplicial(f"component does not commute with {kind} ({m},{i})")
 
     def component(self, m: int) -> Matrix:
+        if not 0 <= m <= self.source.horizon:
+            raise IndexError(f"no level {m} at horizon {self.source.horizon}")
         return self.components[m]
 
 

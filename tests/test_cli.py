@@ -36,6 +36,8 @@ from artifact import (
     poset_to_json,
     sphere,
 )
+import artifact.cli as cli
+from artifact import errors
 from artifact.chains import complex_from_json, complex_to_json, map_from_json as parse_map
 from artifact.cli import _load, change_ring, main
 
@@ -633,6 +635,90 @@ def test_malformed_module_document_exits_two_with_one_error(tmp_path, capsys, ed
     captured = capsys.readouterr()
     assert code == 2 and captured.err == ""
     assert json.loads(captured.out) == {"error": message}
+
+
+# (verb, document, message): the reader guards that no other test reaches
+MALFORMED_DOCUMENTS = [
+    (
+        "diffs-not-an-object",
+        "homology",
+        {"ring": "Z", "top": 1, "ranks": [1, 1], "diffs": []},
+        "complex.diffs: expected an object",
+    ),
+    (
+        "matrix-rows-short",
+        "homology",
+        {"ring": "Z", "top": 1, "ranks": [2, 1], "diffs": {"1": {"rows": 2, "cols": 1, "entries": [[1]]}}},
+        "complex.diffs.1.entries: expected 2 rows",
+    ),
+    (
+        "elements-not-a-list",
+        "nerve-homology",
+        {"elements": "ab", "leq": [[True, False], [False, True]]},
+        "poset.elements: expected a list",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "verb, document, message",
+    [row[1:] for row in MALFORMED_DOCUMENTS],
+    ids=[row[0] for row in MALFORMED_DOCUMENTS],
+)
+def test_malformed_document_exits_two_with_its_exact_message(tmp_path, capsys, verb, document, message):
+    code = main([verb, write(tmp_path, "doc.json", document)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    assert json.loads(captured.out) == {"error": message}
+
+
+# ---------------------------------------------------------------------------
+# the error contract: every domain error is an ArtifactError and exits 1
+
+ERROR_CLASSES = [
+    cls
+    for cls in vars(errors).values()
+    if isinstance(cls, type) and cls.__module__ == errors.__name__ and cls is not errors.ArtifactError
+]
+
+
+def test_every_exception_class_is_an_artifact_error_defined_in_errors():
+    # a static check: the command line catches ArtifactError, so a domain
+    # error defined elsewhere, or not derived from it, would exit 2
+    import ast
+    import importlib
+    import pathlib
+
+    exported = {v for v in vars(artifact).values() if isinstance(v, type) and issubclass(v, BaseException)}
+    assert exported == set(ERROR_CLASSES) and errors.DomainError in exported
+    assert all(issubclass(cls, errors.ArtifactError) for cls in ERROR_CLASSES)
+    elsewhere = []
+    for path in sorted(pathlib.Path(artifact.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                # every class is defined at module level, so it can be looked up
+                cls = getattr(importlib.import_module(f"artifact.{path.stem}"), node.name, None)
+                if not isinstance(cls, type) or issubclass(cls, BaseException):
+                    elsewhere.append(f"{path.name}:{node.lineno} {node.name}")
+    assert elsewhere == []
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [(cls, 1) for cls in ERROR_CLASSES] + [(cls, 2) for cls in (ValueError, TypeError, KeyError, OSError)],
+    ids=lambda value: value.__name__ if isinstance(value, type) else str(value),
+)
+def test_a_handler_error_exits_by_its_class(tmp_path, capsys, monkeypatch, error, code):
+    def raising(args):
+        raise error("refused")
+
+    monkeypatch.setattr(cli, "_cmd_homology", raising)
+    assert main(["homology", str(tmp_path / "unread.json")]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {"error": str(error("refused"))}
 
 
 def test_unknown_verb_is_a_usage_error(capsys):

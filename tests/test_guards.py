@@ -12,26 +12,42 @@ from artifact import (
     ChainMap,
     Matrix,
     ConnComplex,
+    FinPoset,
     FinSimplicialSet,
+    MonotoneMap,
+    RingTag,
     SimplicialMap,
     SimplicialModule,
     block_matrix,
     boundary_simplex_set,
     chain_poset,
+    compose_simplicial,
+    coproduct,
     degenerate_part,
+    direct_sum_sm,
     disk,
     dk,
     dk_map,
+    hcat,
+    homology_at,
     identity,
     identity_chain_map,
+    identity_simplicial_map,
+    lift_square,
+    monotone_from_json,
     nerve,
     nor,
+    nor_map,
     simplex_set,
+    solve,
     sphere,
+    tensor_map,
+    vcat,
     zeros,
 )
 from artifact.chains import _keyed_block_matrix
-from artifact.errors import DomainError, NotAComplex, NotSimplicial, RingError, ShapeError
+from artifact.deltacat import degeneracy, face
+from artifact.errors import DomainError, InvalidRing, NotAComplex, NotSimplicial, RingError, ShapeError
 
 from oracles import non_simplicial_module
 
@@ -53,6 +69,19 @@ def module_map(faces, degens, components):
 def simplicial_set(faces, degens):
     # level 0 is a vertex, level 1 its degenerate edge
     return FinSimplicialSet(1, [["v"], ["e"]], faces, degens)
+
+
+def unchecked_simplicial_map(source, target, components):
+    # the constructor proves that the map commutes with every face, and so
+    # keeps the normalized part; nor_map's own guard meets only a map that
+    # skipped that proof
+    f = SimplicialMap.__new__(SimplicialMap)
+    f.source, f.target, f.components = source, target, tuple(components)
+    return f
+
+
+# the constant module on Z at horizon 1: both faces and the degeneracy are 1
+CONSTANT = SimplicialModule(ZZ, (1, 1), {1: [ONE, ONE]}, {0: [ONE]})
 
 
 GUARDS = [
@@ -101,10 +130,110 @@ GUARDS = [
         "components given outside degrees 0..1: [-1, 2]",
     ),
     (
+        "map-source-target-ring",
+        lambda: ChainMap(sphere(0), sphere(0, QQ), {}),
+        RingError,
+        "source over Z, target over Q",
+    ),
+    (
         "map-not-commuting",
         lambda: ChainMap(disk(1), disk(1), {0: ONE}),
         NotAComplex,
         "components do not commute with differentials at degree 1",
+    ),
+    # tensor products and lifting squares
+    (
+        "tensor-map-ring",
+        lambda: tensor_map(identity_chain_map(sphere(0)), identity_chain_map(sphere(0, QQ))),
+        RingError,
+        "tensor factors over Z and Q",
+    ),
+    (
+        "lift-bottom-endpoints",
+        lambda: lift_square(*[identity_chain_map(sphere(0))] * 3, identity_chain_map(disk(1))),
+        ShapeError,
+        "bottom map must run from the target of f to the target of g",
+    ),
+    # matrices
+    (
+        "sum-shapes",
+        lambda: ONE + zeros(ZZ, 1, 2),
+        ShapeError,
+        "sum of differently shaped matrices",
+    ),
+    (
+        "zeros-negative",
+        lambda: zeros(ZZ, 1, -1),
+        ShapeError,
+        "negative dimensions",
+    ),
+    (
+        "identity-negative",
+        lambda: identity(ZZ, -1),
+        ShapeError,
+        "negative dimensions",
+    ),
+    (
+        "hcat-rows",
+        lambda: hcat(ZZ, 2, [ONE]),
+        ShapeError,
+        "hcat with mismatched row counts",
+    ),
+    (
+        "hcat-ring",
+        lambda: hcat(ZZ, 1, [ONE, ONE_Q]),
+        RingError,
+        "hcat with mixed rings",
+    ),
+    (
+        "vcat-cols",
+        lambda: vcat(ZZ, 2, [ONE]),
+        ShapeError,
+        "vcat with mismatched column counts",
+    ),
+    (
+        "vcat-ring",
+        lambda: vcat(ZZ, 1, [ONE, ONE_Q]),
+        RingError,
+        "vcat with mixed rings",
+    ),
+    (
+        "solve-rows",
+        lambda: solve(ONE, zeros(ZZ, 2, 1)),
+        ShapeError,
+        "solve: 1 rows vs 2 rows",
+    ),
+    (
+        "homology-at-ambient-rank",
+        lambda: homology_at(zeros(ZZ, 2, 1), ONE),
+        ShapeError,
+        "homology_at: ambient rank 1 vs 2",
+    ),
+    # rings
+    (
+        "ring-kind",
+        lambda: RingTag("R"),
+        InvalidRing,
+        "unknown ring kind 'R'",
+    ),
+    (
+        "ring-modulus-outside-fields",
+        lambda: RingTag("Z", 2),
+        InvalidRing,
+        "only prime fields carry a modulus",
+    ),
+    # monotone maps
+    (
+        "monotone-negative-ordinal",
+        lambda: MonotoneMap(-1, 0, ()),
+        ValueError,
+        "ordinals must be nonnegative",
+    ),
+    (
+        "monotone-json-not-monotone",
+        lambda: monotone_from_json({"source": 1, "target": 1, "values": [1, 0]}),
+        ValueError,
+        "map: values must be weakly increasing",
     ),
     # SimplicialModule
     (
@@ -173,7 +302,25 @@ GUARDS = [
         ShapeError,
         "degeneracy (0,0) must be 2x1, got 1x1",
     ),
+    (
+        "module-ranks-empty",
+        lambda: SimplicialModule(ZZ, (), {}, {}),
+        ValueError,
+        "ranks must cover level 0",
+    ),
     # FinSimplicialSet
+    (
+        "set-negative-horizon",
+        lambda: FinSimplicialSet(-1, [], [], []),
+        ValueError,
+        "horizon must be nonnegative",
+    ),
+    (
+        "set-cell-levels",
+        lambda: FinSimplicialSet(1, [["v"]], [[(0,), (0,)]], [[(0,)]]),
+        ValueError,
+        "expected 2 cell levels",
+    ),
     (
         "set-face-family-length",
         lambda: simplicial_set([[(0,)]], [[(0,)]]),
@@ -228,6 +375,25 @@ GUARDS = [
         NotSimplicial,
         "face-degen identity fails at level 0 for (i,j)=(0,0)",
     ),
+    (
+        "simplex-negative-dimension",
+        lambda: simplex_set(-1, 1),
+        DomainError,
+        "simplex dimension must be nonnegative",
+    ),
+    (
+        "coproduct-horizons",
+        lambda: coproduct(simplex_set(0, 1), simplex_set(0, 2)),
+        ShapeError,
+        "horizons differ: 1 vs 2",
+    ),
+    # FinPoset
+    (
+        "poset-table-shape",
+        lambda: FinPoset([0, 1], [[True]]),
+        ValueError,
+        "leq must be a 2x2 table",
+    ),
     # SimplicialMap
     (
         "simplicial-map-ring",
@@ -253,6 +419,55 @@ GUARDS = [
         lambda: module_map({1: [ZERO, ZERO]}, {0: [ONE]}, [ONE, ZERO]),
         NotSimplicial,
         "component does not commute with degeneracy (0,0)",
+    ),
+    (
+        "simplicial-map-rings",
+        lambda: SimplicialMap(dk(sphere(0), 1), dk(sphere(0, QQ), 1), [ONE, ONE]),
+        RingError,
+        "source over Z, target over Q",
+    ),
+    (
+        "simplicial-map-horizons",
+        lambda: SimplicialMap(CONSTANT, dk(sphere(0), 0), [ONE, ONE]),
+        ShapeError,
+        "horizons differ: 1 vs 0",
+    ),
+    (
+        "simplicial-map-component-count",
+        lambda: SimplicialMap(CONSTANT, CONSTANT, [ONE]),
+        ValueError,
+        "expected 2 components",
+    ),
+    (
+        "simplicial-compose-middle",
+        lambda: compose_simplicial(
+            identity_simplicial_map(CONSTANT), identity_simplicial_map(dk(disk(1), 1))
+        ),
+        ShapeError,
+        "maps do not compose: middle modules differ",
+    ),
+    # the normalized part of dk(D(1), 1) at level 1 is its second basis
+    # vector, which [0 1] sends outside the zero normalized part of CONSTANT
+    (
+        "nor-map-normalized-part",
+        lambda: nor_map(
+            unchecked_simplicial_map(dk(disk(1), 1), CONSTANT, [ONE, Matrix.from_rows(ZZ, [[0, 1]])])
+        ),
+        NotSimplicial,
+        "map does not preserve the normalized part",
+    ),
+    # levelwise sums
+    (
+        "direct-sum-rings",
+        lambda: direct_sum_sm(CONSTANT, dk(sphere(0, QQ), 1)),
+        RingError,
+        "summands over Z and Q",
+    ),
+    (
+        "direct-sum-horizons",
+        lambda: direct_sum_sm(CONSTANT, dk(sphere(0), 2)),
+        ShapeError,
+        "horizons differ: 1 vs 2",
     ),
     # the Dold-Kan functor
     (
@@ -293,6 +508,18 @@ GUARDS = [
         "block (-1,0) lies outside the block grid",
     ),
     (
+        "block-shape",
+        lambda: block_matrix(ZZ, [2], [1], {(0, 0): FIVE}),
+        ShapeError,
+        "block (0,0) has shape 1x1",
+    ),
+    (
+        "block-ring",
+        lambda: block_matrix(ZZ, [1], [1], {(0, 0): ONE_Q}),
+        RingError,
+        "block with mixed ring",
+    ),
+    (
         "block-index-past-the-end",
         lambda: block_matrix(ZZ, [2, 1], [1], {(0, 1): FIVE}),
         ShapeError,
@@ -329,4 +556,26 @@ def test_guard_raises_its_type_and_message(build, error, message):
     with pytest.raises(ValueError) as info:
         build()
     assert type(info.value) is error
+    assert str(info.value) == message
+
+
+# the simplex category's guards against an index outside a level range;
+# the reads of simplicial objects are pinned in test_simplicial.py
+INDEX_GUARDS = [
+    ("delta-face-level", lambda: face(0, 0), "face requires n >= 1"),
+    ("delta-face-index", lambda: face(1, 2), "face index 2 out of range for n=1"),
+    ("delta-degeneracy-level", lambda: degeneracy(-1, 0), "degeneracy requires n >= 0"),
+    ("delta-degeneracy-index", lambda: degeneracy(1, 2), "degeneracy index 2 out of range for n=1"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [row[1:] for row in INDEX_GUARDS],
+    ids=[row[0] for row in INDEX_GUARDS],
+)
+def test_index_guard_raises_index_error_and_message(build, message):
+    with pytest.raises(IndexError) as info:
+        build()
+    assert type(info.value) is IndexError
     assert str(info.value) == message

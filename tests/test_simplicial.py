@@ -61,7 +61,7 @@ from artifact.cli import change_ring
 from artifact.deltacat import MonotoneMap, degeneracy, face
 from artifact.errors import DomainError, NotSimplicial, RingError, ShapeError
 from artifact.shuffle import nor_tensor_compare
-from artifact.simplicial import _module, dk_blocks, dk_transition
+from artifact.simplicial import _families, _module, dk_blocks, dk_transition
 
 from oracles import (
     dense,
@@ -496,6 +496,82 @@ def test_lazy_modules_are_made_only_by_module():
                 sanctioned += lazy_builds(path.name, node)
     assert len(sanctioned) == 2
     assert sorted(builds) == sorted(sanctioned)
+
+
+# ---------------------------------------------------------------------------
+# reads outside a simplicial object's levels raise IndexError
+
+# (read, arguments, message) on an object of horizon 2: faces live at
+# levels 1..2, degeneracies at 0..1, index i at level m in 0..m
+OUTSIDE_THE_LEVELS = [
+    ("face", (0, 0), "no face (0,0) at horizon 2"),
+    ("face", (3, 0), "no face (3,0) at horizon 2"),
+    ("face", (-1, 0), "no face (-1,0) at horizon 2"),
+    ("face", (1, -1), "no face (1,-1) at horizon 2"),
+    ("face", (1, 2), "no face (1,2) at horizon 2"),
+    ("degen", (-1, 0), "no degeneracy (-1,0) at horizon 2"),
+    ("degen", (2, 0), "no degeneracy (2,0) at horizon 2"),
+    ("degen", (0, -1), "no degeneracy (0,-1) at horizon 2"),
+    ("degen", (1, 2), "no degeneracy (1,2) at horizon 2"),
+    ("rank", (-1,), "no level -1 at horizon 2"),
+    ("rank", (3,), "no level 3 at horizon 2"),
+]
+# the same reads of a simplicial set
+SET_READ = {"face": "face_map", "degen": "degen_map", "rank": "cell_count"}
+
+
+def _module_read_as(how):
+    """dk(D(1), 2), built by the constructor (eager), read back from JSON,
+    lazy with no family read, or lazy with every family read."""
+    lazy = dk(disk(1), 2)
+    if how == "eager":
+        faces, degens = _families(2, lazy.face, lazy.degen)
+        return SimplicialModule(ZZ, lazy.ranks, dict(enumerate(faces, 1)), dict(enumerate(degens)))
+    if how == "json":
+        return module_from_json(module_to_json(lazy))
+    if how == "lazy-read":
+        _families(2, lazy.face, lazy.degen)
+    return lazy
+
+
+@pytest.mark.parametrize("how", ["eager", "json", "lazy-unread", "lazy-read"])
+def test_module_reads_outside_its_levels_raise_index_error(how):
+    m = _module_read_as(how)
+    for read, args, message in OUTSIDE_THE_LEVELS:
+        with pytest.raises(IndexError) as info:
+            getattr(m, read)(*args)
+        assert str(info.value) == message, (read, args)
+    if how == "lazy-unread":
+        # a refused read builds nothing
+        assert m._faces == [None, None] and m._degens == [None, None]
+    # the reads at the edges of the levels still answer
+    reference = _module_read_as("eager")
+    for read, args in [("face", (1, 0)), ("face", (2, 2)), ("degen", (0, 0)), ("degen", (1, 1))]:
+        assert getattr(m, read)(*args) == getattr(reference, read)(*args)
+    assert (m.rank(0), m.rank(2)) == (1, 3)
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: simplex_set(1, 2), lambda: nerve(chain_poset(1), 2)], ids=["simplex", "nerve"]
+)
+def test_set_reads_outside_its_levels_raise_index_error(build):
+    u = build()
+    for read, args, message in OUTSIDE_THE_LEVELS:
+        with pytest.raises(IndexError) as info:
+            getattr(u, SET_READ[read])(*args)
+        assert str(info.value) == message, (read, args)
+    assert u.face_map(2, 2) == (0, 0, 1, 2) and u.degen_map(1, 1) == (0, 2, 3)
+    assert (u.cell_count(0), u.cell_count(2)) == (2, 4)
+
+
+@pytest.mark.parametrize("how", ["eager", "json", "lazy-unread", "lazy-read"])
+def test_map_components_outside_the_levels_raise_index_error(how):
+    f = identity_simplicial_map(_module_read_as(how))
+    for m in (-1, 3):
+        with pytest.raises(IndexError) as info:
+            f.component(m)
+        assert str(info.value) == f"no level {m} at horizon 2"
+    assert f.component(0) == identity(ZZ, 1) and f.component(2) == identity(ZZ, 3)
 
 
 # ---------------------------------------------------------------------------
