@@ -18,6 +18,7 @@ from .linalg import (
     HomologyGroup,
     Matrix,
     _by_degree,
+    _homology,
     _is_natural,
     _json_object,
     block_matrix,
@@ -202,22 +203,8 @@ def disk(n: int, ring: RingTag = ZZ) -> ConnComplex:
 
 def homology(x: ConnComplex) -> tuple[HomologyGroup, ...]:
     """Homology groups in degrees 0..top, read off the invariant factors of
-    each differential once, as in homology_at; only ranks pass between
-    degrees."""
+    each differential once; only ranks pass between degrees."""
     return _homology(x.rank, x.diff, x.top)
-
-
-def _homology(rank, diff, top: int) -> tuple[HomologyGroup, ...]:
-    """Homology in degrees 0..top of the complex whose degree n has rank
-    rank(n) and whose differential leaving degree n is diff(n), given up to
-    unimodular changes of basis, which keep its invariant factors."""
-    groups = []
-    rank_out = 0
-    for n in range(top + 1):
-        arriving = invariant_factors(diff(n + 1))
-        groups.append(HomologyGroup(rank(n) - rank_out - len(arriving), torsion(arriving)))
-        rank_out = len(arriving)
-    return tuple(groups)
 
 
 def is_exact(x: ConnComplex) -> bool:
@@ -258,6 +245,12 @@ def _keyed_block_matrix(ring: RingTag, rows: dict, cols: dict, blocks: dict) -> 
     return block_matrix(ring, list(rows.values()), list(cols.values()), placed)
 
 
+def _blockwise(ring: RingTag, rows: dict, cols: dict, block) -> Matrix:
+    """The map from the layout cols to the layout rows that acts by
+    block(key) on each key both layouts hold, and by zero elsewhere."""
+    return _keyed_block_matrix(ring, rows, cols, {(key, key): block(key) for key in cols if key in rows})
+
+
 def tensor(x: ConnComplex, y: ConnComplex) -> ConnComplex:
     """Degreewise direct sum of X_k (x) Y_l over k + l = n, with the usual
     sign (-1)^k on the second-factor differential; Kronecker row-major
@@ -286,14 +279,11 @@ def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
         raise RingError(f"tensor factors over {f.ring} and {g.ring}")
     source = tensor(f.source, g.source)
     target = tensor(f.target, g.target)
+    block = lambda kl: kron(f.component(kl[0]), g.component(kl[1]))
     comps = {}
     for n in range(max(source.top, target.top) + 1):
-        rows = _tensor_layout(f.target, g.target, n)
-        cols = _tensor_layout(f.source, g.source, n)
-        blocks = {
-            (kl, kl): kron(f.component(kl[0]), g.component(kl[1])) for kl in cols if kl in rows
-        }
-        comps[n] = _keyed_block_matrix(f.ring, rows, cols, blocks)
+        rows, cols = _tensor_layout(f.target, g.target, n), _tensor_layout(f.source, g.source, n)
+        comps[n] = _blockwise(f.ring, rows, cols, block)
     return ChainMap(source, target, comps)
 
 

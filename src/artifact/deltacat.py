@@ -32,6 +32,8 @@ class MonotoneMap:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.values, tuple):
+            object.__setattr__(self, "values", tuple(self.values))
         n, m = self.source_top, self.target_top
         if n < 0 or m < 0:
             raise ValueError("ordinals must be nonnegative")
@@ -172,6 +174,10 @@ class Shuffle:
     perm: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if self.p < 0 or self.q < 0:
+            raise ValueError("block sizes must be nonnegative")
+        if not isinstance(self.perm, tuple):
+            object.__setattr__(self, "perm", tuple(self.perm))
         n = self.p + self.q
         if sorted(self.perm) != list(range(1, n + 1)):
             raise ValueError("perm must be a permutation of 1..p+q")
@@ -195,12 +201,19 @@ class Shuffle:
         return -1 if inversions % 2 else 1
 
 
+def _check_blocks(p: int, q: int) -> None:
+    if p < 0 or q < 0:
+        raise DomainError("shuffles need p, q >= 0")
+
+
 def shuffle_count(p: int, q: int) -> int:
+    _check_blocks(p, q)
     return comb(p + q, p)
 
 
 def enumerate_shuffles(p: int, q: int) -> list[Shuffle]:
     """All (p,q)-shuffles, ordered by the first block's value set."""
+    _check_blocks(p, q)
     out = []
     universe = range(1, p + q + 1)
     for first in itertools.combinations(universe, p):

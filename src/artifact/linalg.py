@@ -281,6 +281,8 @@ def identity(ring: RingTag, n: int) -> Matrix:
 
 
 def hcat(ring: RingTag, rows: int, mats: Iterable[Matrix]) -> Matrix:
+    if rows < 0:
+        raise ShapeError("negative dimensions")
     out: dict[int, dict] = {}
     offset = 0
     for m in mats:
@@ -299,6 +301,8 @@ def hcat(ring: RingTag, rows: int, mats: Iterable[Matrix]) -> Matrix:
 
 
 def vcat(ring: RingTag, cols: int, mats: Iterable[Matrix]) -> Matrix:
+    if cols < 0:
+        raise ShapeError("negative dimensions")
     out: dict[int, dict] = {}
     offset = 0
     for m in mats:
@@ -321,9 +325,13 @@ def block_matrix(
     """Assemble a matrix from blocks; absent blocks are zero."""
     row_off = [0]
     for r in row_sizes:
+        if r < 0:
+            raise ShapeError("negative dimensions")
         row_off.append(row_off[-1] + r)
     col_off = [0]
     for c in col_sizes:
+        if c < 0:
+            raise ShapeError("negative dimensions")
         col_off.append(col_off[-1] + c)
     out: dict[int, dict] = {}
     # indexing past the end raises IndexError; a negative index would count from the end
@@ -866,8 +874,8 @@ class HomologyGroup:
 
 
 def homology_at(d_in: Matrix, d_out: Matrix) -> HomologyGroup:
-    """Present ker(d_out) / im(d_in): free rank dim - rk d_out - rk d_in,
-    torsion the non-unit invariant factors of d_in."""
+    """Present ker(d_out) / im(d_in): degree 1 of the complex d_in, d_out,
+    whose degree-0 group costs no elimination beyond d_out's."""
     d_in._match(d_out)
     if d_out.cols != d_in.rows:
         raise ShapeError(
@@ -875,10 +883,22 @@ def homology_at(d_in: Matrix, d_out: Matrix) -> HomologyGroup:
         )
     if not (d_out @ d_in).is_zero:
         raise NotAComplex("composite differential is nonzero")
-    arriving = invariant_factors(d_in)
-    return HomologyGroup(
-        d_in.rows - len(invariant_factors(d_out)) - len(arriving), torsion(arriving)
-    )
+    ranks, diffs = (d_out.rows, d_in.rows), {1: d_out, 2: d_in}
+    return _homology(ranks.__getitem__, diffs.__getitem__, 1)[1]
+
+
+def _homology(rank, diff, top: int) -> tuple[HomologyGroup, ...]:
+    """Homology in degrees 0..top of the complex of ranks rank(n) whose
+    differential out of degree n is diff(n), known up to unimodular changes
+    of basis: degree n has free rank rank(n) - rk diff(n) - rk diff(n + 1)
+    and torsion the non-unit invariant factors of diff(n + 1)."""
+    groups = []
+    rank_out = 0
+    for n in range(top + 1):
+        arriving = invariant_factors(diff(n + 1))
+        groups.append(HomologyGroup(rank(n) - rank_out - len(arriving), torsion(arriving)))
+        rank_out = len(arriving)
+    return tuple(groups)
 
 
 def homology_to_json(h: HomologyGroup) -> dict:

@@ -15,12 +15,17 @@ from typing import Any, Callable
 
 from .errors import DivisibilityError, InvalidRing
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to the first 13 prime bases
+# (Sorenson and Webster, Math. Comp. 86, 2017): Miller-Rabin with _MR_BASES
+# is exact below it, and no base set is proven at or above it
+_PRIME_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (the base set above is exact below 3.3e24)."""
-    if n < 2:
+    """Whether n is a prime below _PRIME_BOUND, by deterministic
+    Miller-Rabin; False at or above the bound, where no prime is proven."""
+    if n < 2 or n >= _PRIME_BOUND:
         return False
     for q in _MR_BASES:
         if n % q == 0:
@@ -54,6 +59,8 @@ class RingTag:
     def __post_init__(self) -> None:
         if self.kind not in ("Z", "Q", "F"):
             raise InvalidRing(f"unknown ring kind {self.kind!r}")
+        if self.kind == "F" and self.p >= _PRIME_BOUND:
+            raise InvalidRing(f"modulus {self.p} is outside the proven primality range p < {_PRIME_BOUND}")
         if self.kind == "F" and not is_prime(self.p):
             raise InvalidRing(f"modulus {self.p} is not prime")
         if self.kind != "F" and self.p != 0:

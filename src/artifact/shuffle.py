@@ -18,12 +18,14 @@ from .chains import (
     ChainMap,
     ConnComplex,
     ModelClass,
+    _blockwise,
     _keyed_block_matrix,
     _tensor_layout,
     classify,
     complex_to_json,
     disk,
     homology,
+    identity_chain_map,
     sphere,
     tensor,
 )
@@ -111,17 +113,18 @@ def shuffle_product(x: ConnComplex, y: ConnComplex) -> ShuffleComplex:
     return ShuffleComplex(underlying, tuple(tuple(p) for p in pairs_at))
 
 
-def _pairwise_map(src_x, src_y, tgt_x, tgt_y, factor) -> ChainMap:
-    """A map between two shuffle products acting on each block shared by
-    their layouts; factor(k, l) supplies the block component."""
-    source = shuffle_product(src_x, src_y)
-    target = shuffle_product(tgt_x, tgt_y)
+def _shuffle_map(f: ChainMap, g: ChainMap) -> ChainMap:
+    """f boxtimes g: the map between the shuffle products of the sources and
+    of the targets that acts on each block shared by their layouts, the
+    block of a pair onto [k], [l] by f_k (x) g_l."""
+    source = shuffle_product(f.source, g.source)
+    target = shuffle_product(f.target, g.target)
+    block = lambda fg: kron(f.component(fg[0][-1]), g.component(fg[1][-1]))
     comps = {}
     for n in range(max(source.top, target.top) + 1):
-        rows = _shuffle_layout(tgt_x, tgt_y, target.blocks[n] if n <= target.top else ())
-        cols = _shuffle_layout(src_x, src_y, source.blocks[n] if n <= source.top else ())
-        blocks = {(fg, fg): factor(fg[0][-1], fg[1][-1]) for fg in cols if fg in rows}
-        comps[n] = _keyed_block_matrix(source.ring, rows, cols, blocks)
+        rows = _shuffle_layout(f.target, g.target, target.blocks[n] if n <= target.top else ())
+        cols = _shuffle_layout(f.source, g.source, source.blocks[n] if n <= source.top else ())
+        comps[n] = _blockwise(source.ring, rows, cols, block)
     return ChainMap(source.underlying, target.underlying, comps)
 
 
@@ -129,26 +132,14 @@ def shuffle_map_left(mu: ChainMap, y: ConnComplex) -> ChainMap:
     """mu boxtimes Y: blockwise mu_k (x) identity."""
     if mu.ring != y.ring:
         raise RingError(f"map over {mu.ring}, factor over {y.ring}")
-    return _pairwise_map(
-        mu.source,
-        y,
-        mu.target,
-        y,
-        lambda k, l: kron(mu.component(k), identity(y.ring, y.rank(l))),
-    )
+    return _shuffle_map(mu, identity_chain_map(y))
 
 
 def shuffle_map_right(x: ConnComplex, theta: ChainMap) -> ChainMap:
     """X boxtimes theta: blockwise identity (x) theta_l."""
     if x.ring != theta.ring:
         raise RingError(f"factor over {x.ring}, map over {theta.ring}")
-    return _pairwise_map(
-        x,
-        theta.source,
-        x,
-        theta.target,
-        lambda k, l: kron(identity(x.ring, x.rank(k)), theta.component(l)),
-    )
+    return _shuffle_map(identity_chain_map(x), theta)
 
 
 def ez_map(x: ConnComplex, y: ConnComplex) -> ChainMap:

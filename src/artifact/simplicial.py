@@ -17,7 +17,16 @@ from dataclasses import dataclass
 from functools import cache
 
 from . import deltacat
-from .chains import ChainMap, ConnComplex, _Value, _build, _check_matrix, _json_header, _keyed_block_matrix
+from .chains import (
+    ChainMap,
+    ConnComplex,
+    _Value,
+    _blockwise,
+    _build,
+    _check_matrix,
+    _json_header,
+    _keyed_block_matrix,
+)
 from .errors import DomainError, NotSimplicial, RingError, ShapeError
 from .linalg import (
     Matrix,
@@ -248,48 +257,33 @@ def nerve(p: FinPoset, horizon: int) -> FinSimplicialSet:
     return _vertex_tuple_set(horizon, levels)
 
 
-def product(u: FinSimplicialSet, v: FinSimplicialSet) -> FinSimplicialSet:
-    """Levelwise cartesian product with componentwise structure maps;
-    pairs are ordered first-factor-major."""
+def _levelwise_set(u: FinSimplicialSet, v: FinSimplicialSet, cells, index) -> FinSimplicialSet:
+    """The set on the levels cells(u's cells, v's cells) whose structure
+    map (m, i) is index(u's map, v's map, u's count, v's count), the cell
+    counts taken at the level the map lands in; u and v share a horizon."""
     if u.horizon != v.horizon:
         raise ShapeError(f"horizons differ: {u.horizon} vs {v.horizon}")
     h = u.horizon
-    cells = [
-        [(a, b) for a in u.cells[m] for b in v.cells[m]]
-        for m in range(h + 1)
-    ]
-
-    def pair_map(u_map, v_map, width):
-        return [s * width + t for s in u_map for t in v_map]
-
     faces, degens = _families(
         h,
-        lambda m, i: pair_map(u.face_map(m, i), v.face_map(m, i), v.cell_count(m - 1)),
-        lambda m, i: pair_map(u.degen_map(m, i), v.degen_map(m, i), v.cell_count(m + 1)),
+        lambda m, i: index(u.face_map(m, i), v.face_map(m, i), u.cell_count(m - 1), v.cell_count(m - 1)),
+        lambda m, i: index(u.degen_map(m, i), v.degen_map(m, i), u.cell_count(m + 1), v.cell_count(m + 1)),
     )
-    return FinSimplicialSet(h, cells, faces, degens)
+    return FinSimplicialSet(h, [cells(u.cells[m], v.cells[m]) for m in range(h + 1)], faces, degens)
+
+
+def product(u: FinSimplicialSet, v: FinSimplicialSet) -> FinSimplicialSet:
+    """Levelwise cartesian product with componentwise structure maps;
+    pairs are ordered first-factor-major."""
+    pairs = lambda us, vs: [(a, b) for a in us for b in vs]
+    return _levelwise_set(u, v, pairs, lambda s, t, _, width: [a * width + b for a in s for b in t])
 
 
 def coproduct(u: FinSimplicialSet, v: FinSimplicialSet) -> FinSimplicialSet:
     """Levelwise disjoint union: all cells of the first summand, then all
     cells of the second."""
-    if u.horizon != v.horizon:
-        raise ShapeError(f"horizons differ: {u.horizon} vs {v.horizon}")
-    h = u.horizon
-    cells = [
-        [(0, a) for a in u.cells[m]] + [(1, b) for b in v.cells[m]]
-        for m in range(h + 1)
-    ]
-
-    def joined(u_map, v_map, offset):
-        return list(u_map) + [t + offset for t in v_map]
-
-    faces, degens = _families(
-        h,
-        lambda m, i: joined(u.face_map(m, i), v.face_map(m, i), u.cell_count(m - 1)),
-        lambda m, i: joined(u.degen_map(m, i), v.degen_map(m, i), u.cell_count(m + 1)),
-    )
-    return FinSimplicialSet(h, cells, faces, degens)
+    tagged = lambda us, vs: [(0, a) for a in us] + [(1, b) for b in vs]
+    return _levelwise_set(u, v, tagged, lambda s, t, offset, _: list(s) + [b + offset for b in t])
 
 
 class SimplicialModule(_Value):
@@ -585,11 +579,10 @@ def dk_map(g: ChainMap, horizon: int) -> SimplicialMap:
     """Blockwise action on the degreewise sums: the block at surjection f
     with target [k] is the degree-k component."""
     source, target = dk(g.source, horizon), dk(g.target, horizon)
-    comps = []
-    for n in range(horizon + 1):
-        rows, cols = _dk_layout(g.target, n), _dk_layout(g.source, n)
-        blocks = {(f, f): g.component(f[-1]) for f in cols if f in rows}
-        comps.append(_keyed_block_matrix(g.ring, rows, cols, blocks))
+    comps = [
+        _blockwise(g.ring, _dk_layout(g.target, n), _dk_layout(g.source, n), lambda f: g.component(f[-1]))
+        for n in range(horizon + 1)
+    ]
     return SimplicialMap(source, target, comps)
 
 
@@ -664,18 +657,23 @@ def nor_map(f: SimplicialMap) -> ChainMap:
     return ChainMap(src.complex, tgt.complex, comps)
 
 
+def _levelwise_module(a: SimplicialModule, b: SimplicialModule, ranks, combine) -> SimplicialModule:
+    """The module with these ranks whose face and degeneracy (m, i) are
+    combine(that map of a, that map of b), each built on its first read."""
+    return _module(
+        a.ring,
+        ranks,
+        lambda m, i: combine(a.face(m, i), b.face(m, i)),
+        lambda m, i: combine(a.degen(m, i), b.degen(m, i)),
+    )
+
+
 def tensor_sm(m: SimplicialModule, n: SimplicialModule) -> SimplicialModule:
     """Levelwise Kronecker product, truncated to the smaller horizon."""
     if m.ring != n.ring:
         raise RingError(f"factors over {m.ring} and {n.ring}")
     h = min(m.horizon, n.horizon)
-    ranks = tuple(m.rank(i) * n.rank(i) for i in range(h + 1))
-    return _module(
-        m.ring,
-        ranks,
-        lambda lv, i: kron(m.face(lv, i), n.face(lv, i)),
-        lambda lv, i: kron(m.degen(lv, i), n.degen(lv, i)),
-    )
+    return _levelwise_module(m, n, tuple(m.rank(i) * n.rank(i) for i in range(h + 1)), kron)
 
 
 def copower(m: SimplicialModule, u: FinSimplicialSet) -> SimplicialModule:
@@ -691,18 +689,12 @@ def direct_sum_sm(a: SimplicialModule, b: SimplicialModule) -> SimplicialModule:
         raise RingError(f"summands over {a.ring} and {b.ring}")
     if a.horizon != b.horizon:
         raise ShapeError(f"horizons differ: {a.horizon} vs {b.horizon}")
-    h = a.horizon
-    ranks = tuple(a.rank(i) + b.rank(i) for i in range(h + 1))
+    ranks = tuple(a.rank(i) + b.rank(i) for i in range(a.horizon + 1))
 
     def diag(x: Matrix, y: Matrix) -> Matrix:
         return block_matrix(a.ring, [x.rows, y.rows], [x.cols, y.cols], {(0, 0): x, (1, 1): y})
 
-    return _module(
-        a.ring,
-        ranks,
-        lambda m, i: diag(a.face(m, i), b.face(m, i)),
-        lambda m, i: diag(a.degen(m, i), b.degen(m, i)),
-    )
+    return _levelwise_module(a, b, ranks, diag)
 
 
 def cylinder(m: SimplicialModule) -> tuple[SimplicialMap, SimplicialMap]:

@@ -344,6 +344,20 @@ def test_ring_tags_have_one_spelling(tmp_path, capsys):
     assert code == 1 and out == {"error": "unknown ring tag ''"}
 
 
+def test_a_composite_modulus_that_fools_twelve_bases_exits_one(tmp_path, capsys):
+    # 318665857834031151167461 = 399165290221 * 798330580441 is a strong
+    # pseudoprime to the first 12 prime bases, and so once named a field
+    # whose inverses raised a bare ValueError (exit 2)
+    tag = "F318665857834031151167461"
+    tagged = write(tmp_path, "f.json", {**torsion_complex_json(), "ring": tag})
+    integral = write(tmp_path, "z.json", torsion_complex_json())
+    for argv in (["homology", tagged], ["homology", integral, "--ring", tag]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        assert json.loads(captured.out) == {"error": "modulus 318665857834031151167461 is not prime"}
+
+
 @pytest.mark.parametrize(
     "verb, option, value",
     [

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from artifact import disk
 from artifact.deltacat import (
     MonotoneMap,
     Shuffle,
@@ -22,6 +23,7 @@ from artifact.deltacat import (
     surjection_with_degeneracy_set,
 )
 from artifact.errors import DomainError, ShapeError
+from artifact.simplicial import dk_transition
 
 from oracles import brute_monotone_maps, brute_shuffles, brute_surjections
 
@@ -36,6 +38,14 @@ def test_monotone_map_validates_values():
         MonotoneMap(1, 1, (0, 2))  # out of range
     with pytest.raises(ValueError):
         MonotoneMap(1, 1, (0,))  # wrong length
+
+
+def test_a_monotone_map_stores_its_values_as_a_tuple():
+    listed = MonotoneMap(1, 1, [0, 1])
+    assert listed == MonotoneMap(1, 1, (0, 1)) == identity_map(1)
+    assert type(listed.values) is tuple and hash(listed) == hash(identity_map(1))
+    assert dk_transition(disk(1), listed) == dk_transition(disk(1), identity_map(1))
+    assert Shuffle(1, 1, [2, 1]) == Shuffle(1, 1, (2, 1))
 
 
 def test_faces_and_degeneracies_are_the_generating_maps():

@@ -46,7 +46,7 @@ from artifact import (
     zeros,
 )
 from artifact.chains import _keyed_block_matrix
-from artifact.deltacat import degeneracy, face
+from artifact.deltacat import Shuffle, degeneracy, enumerate_shuffles, face, shuffle_count
 from artifact.errors import DomainError, InvalidRing, NotAComplex, NotSimplicial, RingError, ShapeError
 
 from oracles import non_simplicial_module
@@ -198,6 +198,30 @@ GUARDS = [
         "vcat with mixed rings",
     ),
     (
+        "hcat-negative-rows",
+        lambda: hcat(ZZ, -1, []),
+        ShapeError,
+        "negative dimensions",
+    ),
+    (
+        "vcat-negative-cols",
+        lambda: vcat(ZZ, -2, []),
+        ShapeError,
+        "negative dimensions",
+    ),
+    (
+        "block-negative-row-size",
+        lambda: block_matrix(ZZ, [2, -1], [1], {}),
+        ShapeError,
+        "negative dimensions",
+    ),
+    (
+        "block-negative-col-size",
+        lambda: block_matrix(ZZ, [1], [-1, 2], {}),
+        ShapeError,
+        "negative dimensions",
+    ),
+    (
         "solve-rows",
         lambda: solve(ONE, zeros(ZZ, 2, 1)),
         ShapeError,
@@ -222,12 +246,43 @@ GUARDS = [
         InvalidRing,
         "only prime fields carry a modulus",
     ),
+    (
+        "ring-modulus-past-the-proven-range",
+        lambda: RingTag("F", 3317044064679887385961981),
+        InvalidRing,
+        "modulus 3317044064679887385961981 is outside the proven primality range p < 3317044064679887385961981",
+    ),
     # monotone maps
     (
         "monotone-negative-ordinal",
         lambda: MonotoneMap(-1, 0, ()),
         ValueError,
         "ordinals must be nonnegative",
+    ),
+    # shuffles
+    (
+        "shuffle-negative-first-block",
+        lambda: Shuffle(-1, 1, ()),
+        ValueError,
+        "block sizes must be nonnegative",
+    ),
+    (
+        "shuffle-negative-second-block",
+        lambda: Shuffle(2, -1, (1,)),
+        ValueError,
+        "block sizes must be nonnegative",
+    ),
+    (
+        "shuffle-count-negative",
+        lambda: shuffle_count(-1, 2),
+        DomainError,
+        "shuffles need p, q >= 0",
+    ),
+    (
+        "enumerate-shuffles-negative",
+        lambda: enumerate_shuffles(2, -1),
+        DomainError,
+        "shuffles need p, q >= 0",
     ),
     (
         "monotone-json-not-monotone",

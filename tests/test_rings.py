@@ -8,6 +8,11 @@ from artifact import GF, QQ, ZZ, RingTag, parse_ring, ring_ops
 from artifact.errors import DivisibilityError, InvalidRing
 from artifact.rings import is_prime, scalar_from_json, scalar_to_json
 
+# the least strong pseudoprimes to the first 12 and the first 13 prime bases
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+PSI_12 = 399165290221 * 798330580441
+PSI_13 = 1287836182261 * 2575672364521
+
 
 def test_parse_ring_accepts_the_three_families():
     assert parse_ring("Z") is ZZ
@@ -32,9 +37,21 @@ def test_parse_ring_rejects_garbage(bad):
 
 def test_prime_test_on_small_and_large_witnesses():
     primes = [2, 3, 5, 7, 11, 97, 7919, 2**31 - 1]
-    composites = [0, 1, 4, 9, 15, 91, 561, 25326001, 2**32 + 1]
+    composites = [0, 1, 4, 9, 15, 91, 561, 25326001, 2**32 + 1, PSI_12, PSI_13]
     assert all(is_prime(p) for p in primes)
     assert not any(is_prime(c) for c in composites)
+
+
+def test_no_modulus_at_or_above_the_proven_primality_range_names_a_field():
+    # the first 13 prime bases are exact only below PSI_13, so a tag there
+    # is refused before any Miller-Rabin round, prime or not
+    assert GF(2**61 - 1).p == 2**61 - 1
+    for p in (PSI_13, PSI_13 + 2, 2**89 - 1, 10**4000 + 1):
+        with pytest.raises(InvalidRing) as info:
+            RingTag("F", p)
+        assert str(info.value) == f"modulus {p} is outside the proven primality range p < {PSI_13}"
+    with pytest.raises(InvalidRing):
+        parse_ring(f"F{PSI_13}")
 
 
 def test_integer_canon_accepts_integral_fractions_only():
