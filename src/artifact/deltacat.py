@@ -35,12 +35,17 @@ class MonotoneMap:
         if not isinstance(self.values, tuple):
             object.__setattr__(self, "values", tuple(self.values))
         n, m = self.source_top, self.target_top
+        if type(n) is not int or type(m) is not int:
+            raise ValueError("ordinals must be integers")
         if n < 0 or m < 0:
             raise ValueError("ordinals must be nonnegative")
         if len(self.values) != n + 1:
             raise ValueError(f"expected {n + 1} values")
-        if any(v < 0 or v > m for v in self.values):
-            raise ValueError(f"values must lie in [0, {m}]")
+        for v in self.values:
+            if type(v) is not int:
+                raise ValueError("values must be integers")
+            if v < 0 or v > m:
+                raise ValueError(f"values must lie in [0, {m}]")
         if any(a > b for a, b in zip(self.values, self.values[1:])):
             raise ValueError("values must be weakly increasing")
 
@@ -174,12 +179,14 @@ class Shuffle:
     perm: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.p) is not int or type(self.q) is not int:
+            raise ValueError("block sizes must be integers")
         if self.p < 0 or self.q < 0:
             raise ValueError("block sizes must be nonnegative")
         if not isinstance(self.perm, tuple):
             object.__setattr__(self, "perm", tuple(self.perm))
         n = self.p + self.q
-        if sorted(self.perm) != list(range(1, n + 1)):
+        if any(type(v) is not int for v in self.perm) or sorted(self.perm) != list(range(1, n + 1)):
             raise ValueError("perm must be a permutation of 1..p+q")
         if any(
             self.perm[i] > self.perm[i + 1]

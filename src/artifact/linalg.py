@@ -8,7 +8,6 @@ generate the full kernel lattice, image bases the full image lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from math import gcd, lcm
 from sys import byteorder
 from typing import Any, Iterable, Optional
@@ -39,8 +38,9 @@ class Matrix:
     def __post_init__(self, entries) -> None:
         """Check the grid against the shape and keep its nonzero entries,
         canonicalized; only the public constructor runs this."""
-        if self.rows < 0 or self.cols < 0:
-            raise ShapeError("negative dimensions")
+        rows, cols = self.rows, self.cols
+        if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
+            raise _dimension_error(rows, cols)
         if len(entries) != self.rows or any(len(row) != self.cols for row in entries):
             raise ShapeError(
                 f"entry grid does not match shape {self.rows}x{self.cols}"
@@ -267,22 +267,30 @@ def _check_indices(idxs: list[int], bound: int, kind: str) -> None:
             raise ShapeError(f"{kind} index {k} outside 0..{bound - 1}")
 
 
+def _dimension_error(*dims) -> ShapeError:
+    """The error for sizes that are not all nonnegative ints; a bool is
+    not one, though it compares equal to one."""
+    if all(type(n) is int for n in dims):
+        return ShapeError("negative dimensions")
+    return ShapeError("dimensions must be integers")
+
+
 def zeros(ring: RingTag, rows: int, cols: int) -> Matrix:
-    if rows < 0 or cols < 0:
-        raise ShapeError("negative dimensions")
+    if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
+        raise _dimension_error(rows, cols)
     return _make(ring, rows, cols, {})
 
 
 def identity(ring: RingTag, n: int) -> Matrix:
-    if n < 0:
-        raise ShapeError("negative dimensions")
+    if type(n) is not int or n < 0:
+        raise _dimension_error(n)
     one = ring_ops(ring).one
     return _make(ring, n, n, {i: {i: one} for i in range(n)})
 
 
 def hcat(ring: RingTag, rows: int, mats: Iterable[Matrix]) -> Matrix:
-    if rows < 0:
-        raise ShapeError("negative dimensions")
+    if type(rows) is not int or rows < 0:
+        raise _dimension_error(rows)
     out: dict[int, dict] = {}
     offset = 0
     for m in mats:
@@ -301,8 +309,8 @@ def hcat(ring: RingTag, rows: int, mats: Iterable[Matrix]) -> Matrix:
 
 
 def vcat(ring: RingTag, cols: int, mats: Iterable[Matrix]) -> Matrix:
-    if cols < 0:
-        raise ShapeError("negative dimensions")
+    if type(cols) is not int or cols < 0:
+        raise _dimension_error(cols)
     out: dict[int, dict] = {}
     offset = 0
     for m in mats:
@@ -325,13 +333,13 @@ def block_matrix(
     """Assemble a matrix from blocks; absent blocks are zero."""
     row_off = [0]
     for r in row_sizes:
-        if r < 0:
-            raise ShapeError("negative dimensions")
+        if type(r) is not int or r < 0:
+            raise _dimension_error(r)
         row_off.append(row_off[-1] + r)
     col_off = [0]
     for c in col_sizes:
-        if c < 0:
-            raise ShapeError("negative dimensions")
+        if type(c) is not int or c < 0:
+            raise _dimension_error(c)
         col_off.append(col_off[-1] + c)
     out: dict[int, dict] = {}
     # indexing past the end raises IndexError; a negative index would count from the end
@@ -675,59 +683,58 @@ def _rational_rank(rows: list[dict]) -> int:
 
 def _eliminate_columns(ring: RingTag, cols: list[tuple[dict, dict]]) -> tuple[list, list]:
     """Column-reduce cols, pairs (head, tail) of sparse {row: entry}
-    columns, in place, bottom row first: the columns whose heads end in
-    the current row are reduced over Z by Euclid steps on the smallest
-    |entry| with unimodular column operations only, over a field by pivot
-    and clear, until one (the pivot) is left. Tails ride along, so they
-    record the column transform when they start as the identity.
-    Returns the pivots as (row, column) pairs, bottom row first, each head
-    zero below its row, and the columns whose heads are now zero."""
+    columns, in place, bottom row first, until one (the pivot) is left of
+    the columns whose heads end in the current row: over Z by Euclid rounds
+    on the smallest |entry| with unimodular column operations only, in a
+    field by one round on the first column, scaled to 1. Tails ride along,
+    so they record the column transform when they start as the identity.
+    A reduced head ends above its row, so one scan from the lowest row up
+    meets every column. Returns the pivots as (row, head, tail) triples,
+    bottom row first, each head zero below its row and positive there over
+    Z (1 in a field), and the columns whose heads are now zero."""
     p = ring.p
+    field = ring.kind != "Z"
     by_low: dict[int, list] = {}
-    lows: list[int] = []
     null = []
 
     def place(col) -> None:
-        if not col[0]:
-            null.append(col)
-            return
-        low = max(col[0])
-        bucket = by_low.get(low)
-        if bucket is None:
-            by_low[low] = [col]
-            heappush(lows, -low)
+        if col[0]:
+            by_low.setdefault(max(col[0]), []).append(col)
         else:
-            bucket.append(col)
+            null.append(col)
 
     for col in cols:
         place(col)
     pivots = []
-    while lows:
-        r = -heappop(lows)
-        active = by_low.pop(r)
-        if ring.kind == "Z":
-            while len(active) > 1:
-                piv = min(active, key=lambda c: abs(c[0][r]))
-                left = [piv]
-                for col in active:
-                    if col is not piv:
-                        q = col[0][r] // piv[0][r]
-                        _sub_multiple(col[0], q, piv[0], 0)
-                        _sub_multiple(col[1], q, piv[1], 0)
-                        if r in col[0]:
-                            left.append(col)
-                        else:
-                            place(col)
-                active = left
-        else:
-            piv = active[0]
-            inv = pow(piv[0][r], -1, p) if p else 1 / piv[0][r]
-            for col in active[1:]:
-                q = col[0][r] * inv % p if p else col[0][r] * inv
-                _sub_multiple(col[0], q, piv[0], p)
-                _sub_multiple(col[1], q, piv[1], p)
-                place(col)
-        pivots.append((r, active[0]))
+    for r in range(max(by_low) if by_low else -1, -1, -1):
+        active = by_low.pop(r, None)
+        if active is None:
+            continue
+        if field:
+            head, tail = active[0]
+            c = pow(head[r], -1, p) if p else 1 / head[r]
+            if c != 1:
+                active[0] = (_scaled(head, c, p), _scaled(tail, c, p))
+        while len(active) > 1:
+            piv = active[0] if field else min(active, key=lambda c: abs(c[0][r]))
+            head, tail = piv
+            left = [piv]
+            for col in active:
+                if col is not piv:
+                    y = col[0][r]
+                    q = y if field else y // head[r]
+                    _sub_multiple(col[0], q, head, p)
+                    _sub_multiple(col[1], q, tail, p)
+                    if r in col[0]:
+                        left.append(col)
+                    else:
+                        place(col)
+            active = left
+        head, tail = active[0]
+        # only now: a Z sign flipped mid-row would change the floor quotients
+        if head[r] < 0:
+            head, tail = _scaled(head, -1, p), _scaled(tail, -1, p)
+        pivots.append((r, head, tail))
     return pivots, null
 
 
@@ -753,29 +760,29 @@ def _hermite_pairs(ring: RingTag, cols: list[tuple[dict, dict]]) -> tuple[list, 
     """canonical_columns of the heads of cols, pairs (head, tail), with the
     tails riding along: the pivot columns as (row, head, tail) triples by
     increasing pivot row, and the pairs whose heads are now zero."""
-    p = ring.p
     pivots, null = _eliminate_columns(ring, cols)
-    basis = []
-    for r, (head, tail) in reversed(pivots):
-        v = head[r]
-        if ring.kind == "Z":
-            c = -1 if v < 0 else 1
-        else:
-            c = pow(v, -1, p) if p else 1 / v
-        if c != 1:
-            head, tail = _scaled(head, c, p), _scaled(tail, c, p)
-        basis.append((r, head, tail))
-    for n, (_, col, tail) in enumerate(basis):
-        for r, piv, piv_tail in reversed(basis[:n]):
-            a = col.get(r)
-            if a is None:
-                continue
-            # field pivots are 1
-            q = a // piv[r] if ring.kind == "Z" else a
-            if q:
-                _sub_multiple(col, q, piv, p)
-                _sub_multiple(tail, q, piv_tail, p)
+    basis = pivots[::-1]
+    for n, (_, head, tail) in enumerate(basis):
+        _reduce(ring, head, tail, reversed(basis[:n]))
     return basis, null
+
+
+def _reduce(ring: RingTag, head: dict, tail: dict, pivots) -> None:
+    """Reduce the column (head, tail) in place against pivots, normalized
+    (row, head, tail) triples by decreasing row: at each pivot's row,
+    subtract the multiple of the pivot that clears the column's entry
+    there, y // v over Z and y in a field. Over Z a remainder in [0, v)
+    stays in that row, which no later pivot reaches."""
+    p = ring.p
+    field = ring.kind != "Z"
+    for r, piv, piv_tail in pivots:
+        y = head.get(r)
+        if y is None:
+            continue
+        q = y if field else y // piv[r]
+        if q:
+            _sub_multiple(head, q, piv, p)
+            _sub_multiple(tail, q, piv_tail, p)
 
 
 def _scaled(col: dict, c, p: int) -> dict:
@@ -810,35 +817,25 @@ def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
     some column of b is outside the column lattice of a (over a field, its
     span). The column elimination of [A; I] gives A V = H, the pivot
     columns of H in echelon form; each column of b is reduced against them
-    bottom row first, dividing at each pivot, and x collects the matching
-    columns of V; whatever is left of b means no solution. The answer
-    depends only on (a, b)."""
+    bottom row first, and x collects the matching columns of V, negated;
+    whatever is left of b means no solution. The answer depends only on
+    (a, b)."""
     a._match(b)
     if a.rows != b.rows:
         raise ShapeError(f"solve: {a.rows} rows vs {b.rows} rows")
     ring = a.ring
     p = ring.p
     pivots, _ = _eliminate_columns(ring, _identity_tails(a))
-    x = {}
+    x: dict[int, dict] = {}
     for k, residual in _columns(b).items():
         col: dict = {}
-        for r, (head, tail) in pivots:
-            y = residual.get(r)
-            if y is None:
-                continue
-            v = head[r]
-            # over Z a remainder stays in row r, which no later pivot reaches
-            if ring.kind == "Z":
-                q = y // v
-            else:
-                q = y * pow(v, -1, p) % p if p else y / v
-            _sub_multiple(residual, q, head, p)
-            _sub_multiple(col, -q, tail, p)
+        _reduce(ring, residual, col, pivots)
         if residual:
             return None
-        if col:
-            x[k] = col
-    return _make(ring, b.cols, a.cols, x).transpose()
+        for i, z in col.items():
+            # p - z is -z over Z and Q (p = 0) and the residue of -z mod p
+            x.setdefault(i, {})[k] = p - z
+    return _make(ring, a.cols, b.cols, x)
 
 
 def torsion(factors: tuple) -> tuple[int, ...]:

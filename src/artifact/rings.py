@@ -59,6 +59,8 @@ class RingTag:
     def __post_init__(self) -> None:
         if self.kind not in ("Z", "Q", "F"):
             raise InvalidRing(f"unknown ring kind {self.kind!r}")
+        if type(self.p) is not int:
+            raise InvalidRing(f"modulus {self.p!r} is not an integer")
         if self.kind == "F" and self.p >= _PRIME_BOUND:
             raise InvalidRing(f"modulus {self.p} is outside the proven primality range p < {_PRIME_BOUND}")
         if self.kind == "F" and not is_prime(self.p):

@@ -221,6 +221,50 @@ GUARDS = [
         ShapeError,
         "negative dimensions",
     ),
+    # a size that is not an int is refused like a negative one; True and
+    # 1.0 compare equal to 1 but are not sizes
+    (
+        "matrix-non-integer-rows",
+        lambda: Matrix(ZZ, 1.0, 1, [[1]]),
+        ShapeError,
+        "dimensions must be integers",
+    ),
+    (
+        "zeros-non-integer",
+        lambda: zeros(ZZ, 1.5, 1),
+        ShapeError,
+        "dimensions must be integers",
+    ),
+    (
+        "identity-bool",
+        lambda: identity(ZZ, True),
+        ShapeError,
+        "dimensions must be integers",
+    ),
+    (
+        "hcat-non-integer-rows",
+        lambda: hcat(ZZ, 1.0, []),
+        ShapeError,
+        "dimensions must be integers",
+    ),
+    (
+        "vcat-non-integer-cols",
+        lambda: vcat(ZZ, 2.0, []),
+        ShapeError,
+        "dimensions must be integers",
+    ),
+    (
+        "block-non-integer-row-size",
+        lambda: block_matrix(ZZ, [1.5], [1], {}),
+        ShapeError,
+        "dimensions must be integers",
+    ),
+    (
+        "block-bool-col-size",
+        lambda: block_matrix(ZZ, [1], [True], {}),
+        ShapeError,
+        "dimensions must be integers",
+    ),
     (
         "solve-rows",
         lambda: solve(ONE, zeros(ZZ, 2, 1)),
@@ -252,12 +296,36 @@ GUARDS = [
         InvalidRing,
         "modulus 3317044064679887385961981 is outside the proven primality range p < 3317044064679887385961981",
     ),
+    (
+        "ring-modulus-not-an-integer",
+        lambda: RingTag("F", 5.0),
+        InvalidRing,
+        "modulus 5.0 is not an integer",
+    ),
+    (
+        "ring-modulus-bool",
+        lambda: RingTag("Z", False),
+        InvalidRing,
+        "modulus False is not an integer",
+    ),
     # monotone maps
     (
         "monotone-negative-ordinal",
         lambda: MonotoneMap(-1, 0, ()),
         ValueError,
         "ordinals must be nonnegative",
+    ),
+    (
+        "monotone-non-integer-ordinal",
+        lambda: MonotoneMap(1, 1.0, (0, 1)),
+        ValueError,
+        "ordinals must be integers",
+    ),
+    (
+        "monotone-non-integer-value",
+        lambda: MonotoneMap(1, 1, (0, 0.5)),
+        ValueError,
+        "values must be integers",
     ),
     # shuffles
     (
@@ -271,6 +339,18 @@ GUARDS = [
         lambda: Shuffle(2, -1, (1,)),
         ValueError,
         "block sizes must be nonnegative",
+    ),
+    (
+        "shuffle-non-integer-block",
+        lambda: Shuffle(1.0, 1, (1, 2)),
+        ValueError,
+        "block sizes must be integers",
+    ),
+    (
+        "shuffle-non-integer-perm",
+        lambda: Shuffle(1, 1, (2.0, 1)),
+        ValueError,
+        "perm must be a permutation of 1..p+q",
     ),
     (
         "shuffle-count-negative",

@@ -602,6 +602,69 @@ def test_solve_agrees_with_an_independent_membership_oracle(ring):
     assert outcomes == {True, False}
 
 
+F = Fraction
+# row 3 is row 1 plus row 2, so a has rank 2 and a kernel of rank 3, and
+# its transpose a kernel of rank 1
+SOLVE_A = [[-2, 4, -1, 3, 0], [1, -3, 5, 2, 6], [-1, 1, 4, 5, 6]]
+SOLVE_X0 = [[1, 0], [0, 1], [2, -1], [0, 3], [-1, 1]]
+SOLVE_Y0 = [[2, 1], [0, -1], [1, 3]]
+# the solutions of a x = a X0, of aT y = aT Y0 and of (2 4) z = (3); these
+# particular ones are what the column elimination picks, and a change to
+# its pivot choice, quotients or normalization moves them
+PINNED_SOLUTIONS = {
+    ZZ: ([[-55, -216], [-30, -110], [-6, -22], [0, 0], [0, 0]], [[3, 4], [1, 2], [0, 0]], None),
+    QQ: ([[-4, -29], [-3, -11], [0, 0], [0, 0], [0, 0]], [[3, 4], [1, 2], [0, 0]], [[F(3, 2)], [0]]),
+    GF(2): ([[1, 0], [0, 0], [0, 0], [0, 0], [0, 0]], [[1, 0], [1, 0], [0, 0]], None),
+    GF(5): ([[4, 2], [0, 0], [0, 0], [3, 1], [0, 0]], [[3, 4], [1, 2], [0, 0]], [[4], [0]]),
+    GF(2**61 - 1): (
+        [[-4, -29], [-3, -11], [0, 0], [0, 0], [0, 0]],
+        [[3, 4], [1, 2], [0, 0]],
+        [[1152921504606846977], [0]],
+    ),
+}
+
+
+@pytest.mark.parametrize("ring", list(PINNED_SOLUTIONS), ids=str)
+def test_solve_pinned_particular_solutions(ring):
+    wide, tall, half = PINNED_SOLUTIONS[ring]
+    a = m(ring, SOLVE_A)
+    assert solve(a, a @ m(ring, SOLVE_X0)) == m(ring, wide)
+    assert solve(a.transpose(), a.transpose() @ m(ring, SOLVE_Y0)) == m(ring, tall)
+    found = solve(m(ring, [[2, 4]]), m(ring, [[3]]))
+    assert found == (None if half is None else m(ring, half))
+    assert solve(a, m(ring, [[1], [0], [0]])) is None
+    # 0 x n, n x 0 and all-zero systems
+    assert solve(zeros(ring, 0, 3), zeros(ring, 0, 2)) == zeros(ring, 3, 2)
+    assert solve(zeros(ring, 3, 0), zeros(ring, 3, 2)) == zeros(ring, 0, 2)
+    assert solve(zeros(ring, 3, 0), m(ring, [[0], [1], [0]])) is None
+    assert solve(zeros(ring, 2, 3), zeros(ring, 2, 2)) == zeros(ring, 3, 2)
+    assert solve(zeros(ring, 2, 3), m(ring, [[0], [1]])) is None
+
+
+def column(ring, entries: dict, rows: int) -> Matrix:
+    return Matrix(ring, rows, 1, tuple((entries.get(i, 0),) for i in range(rows)))
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(5), GF(2**61 - 1)], ids=str)
+def test_column_elimination_returns_normalized_pivots(ring):
+    """Each pivot (row, head, tail) of the column elimination of [A; I]
+    has its head positive (over Z) or 1 (in a field) at its row and zero
+    below it, and A @ tail == head; one pivot per unit of rank, bottom row
+    first; the other columns end with a zero head and a kernel tail."""
+    rng = random.Random(211)
+    for rows, cols in [(0, 3), (3, 0), (0, 0), (1, 1), (3, 5), (5, 3), (6, 6), (8, 4)] * 4:
+        a = random_sparse(rng, ring, rows, cols)
+        pivots, null = linalg._eliminate_columns(ring, linalg._identity_tails(a))
+        assert len(pivots) == len(invariant_factors(a))
+        assert [r for r, _, _ in pivots] == sorted({r for r, _, _ in pivots}, reverse=True)
+        for r, head, tail in pivots:
+            assert head[r] > 0 if ring == ZZ else head[r] == 1
+            assert max(head) == r
+            assert a @ column(ring, tail, cols) == column(ring, head, rows)
+        for head, tail in null:
+            assert not head and (a @ column(ring, tail, cols)).is_zero
+
+
 def test_solve_takes_no_smith_decomposition(monkeypatch):
     import artifact.linalg as linalg
 

@@ -54,6 +54,17 @@ def test_no_modulus_at_or_above_the_proven_primality_range_names_a_field():
         parse_ring(f"F{PSI_13}")
 
 
+@pytest.mark.parametrize("kind, p", [("F", 5.0), ("F", True), ("F", "5"), ("Z", False), ("Q", 0.0)])
+def test_a_modulus_that_is_not_an_int_names_no_ring(kind, p):
+    # 5.0 and True pass the primality test and compare equal to 5 and 1,
+    # and a tag with such a modulus would print as one parse_ring refuses
+    with pytest.raises(InvalidRing) as info:
+        RingTag(kind, p)
+    assert str(info.value) == f"modulus {p!r} is not an integer"
+    for tag in (ZZ, QQ, GF(5), RingTag("F", 5), RingTag("Z", 0)):
+        assert parse_ring(str(tag)) == tag
+
+
 def test_integer_canon_accepts_integral_fractions_only():
     ops = ring_ops(ZZ)
     assert ops.canon(5) == 5
