@@ -18,6 +18,7 @@ from .linalg import (
     HomologyGroup,
     Matrix,
     _by_degree,
+    _free_of_rank,
     _homology,
     _is_natural,
     _json_object,
@@ -31,7 +32,6 @@ from .linalg import (
     mat_from_json,
     mat_to_json,
     solve,
-    torsion,
     vcat,
     zeros,
 )
@@ -188,14 +188,14 @@ def compose_maps(g: ChainMap, f: ChainMap) -> ChainMap:
 
 def sphere(n: int, ring: RingTag = ZZ) -> ConnComplex:
     """Rank one in degree n, zero elsewhere."""
-    if n < 0:
+    if type(n) is not int or n < 0:
         raise DomainError("sphere needs n >= 0")
     return ConnComplex(ring, (0,) * n + (1,))
 
 
 def disk(n: int, ring: RingTag = ZZ) -> ConnComplex:
     """Rank one in degrees n and n-1 joined by the identity; exact."""
-    if n < 1:
+    if type(n) is not int or n < 1:
         raise DomainError("disk needs n >= 1")
     ranks = (0,) * (n - 1) + (1, 1)
     return ConnComplex(ring, ranks, {n: identity(ring, 1)})
@@ -349,8 +349,8 @@ def _model_class(f: ChainMap) -> ModelClass:
     we = all(h.is_zero for h in cone)
     comps = [f.component(n) for n in range(max(x.top, y.top) + 1)]
     factors = [invariant_factors(c) for c in comps]
-    fib = all(len(t) == c.rows and not torsion(t) for c, t in zip(comps[1:], factors[1:]))
-    cof = all(len(t) == c.cols and not torsion(t) for c, t in zip(comps, factors))
+    fib = all(_free_of_rank(t, c.rows) for c, t in zip(comps[1:], factors[1:]))
+    cof = all(_free_of_rank(t, c.cols) for c, t in zip(comps, factors))
     return ModelClass(fib, cof, we)
 
 
@@ -529,7 +529,7 @@ def rlp_generator_check(f: ChainMap, max_n: int) -> RlpReport:
     cols(M) - rank(M) and no non-unit invariant factor.  M is
     _cone_matrix(f, n - 1) up to the sign of its second block column, so
     has the same rank."""
-    if max_n < 0:
+    if type(max_n) is not int or max_n < 0:
         raise DomainError("rlp_generator_check needs max_n >= 0")
     x = f.source
     point = is_surjective(f.component(0))
@@ -540,7 +540,7 @@ def rlp_generator_check(f: ChainMap, max_n: int) -> RlpReport:
         pair_eqs = _cone_matrix(f, n - 1)
         into_pairs = invariant_factors(vcat(f.ring, x.rank(n), [x.diff(n), f.component(n)]))
         pairs_rank = pair_eqs.cols - len(invariant_factors(pair_eqs))
-        sphere_results.append(len(into_pairs) == pairs_rank and not torsion(into_pairs))
+        sphere_results.append(_free_of_rank(into_pairs, pairs_rank))
     return RlpReport(max_n, point, tuple(sphere_results), tuple(disk_results))
 
 

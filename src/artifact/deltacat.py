@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from math import comb
 
 from .errors import DomainError, ShapeError
@@ -65,22 +65,23 @@ def identity_map(n: int) -> MonotoneMap:
     return MonotoneMap(n, n, tuple(range(n + 1)))
 
 
-@cache
+# typed, so that face(2.0, 0) reaches the guard instead of the cached face(2, 0)
+@lru_cache(maxsize=None, typed=True)
 def face(n: int, i: int) -> MonotoneMap:
     """The injective map [n-1] -> [n] that misses i."""
-    if n < 1:
+    if type(n) is not int or n < 1:
         raise IndexError("face requires n >= 1")
-    if not 0 <= i <= n:
+    if type(i) is not int or not 0 <= i <= n:
         raise IndexError(f"face index {i} out of range for n={n}")
     return MonotoneMap(n - 1, n, tuple(k if k < i else k + 1 for k in range(n)))
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def degeneracy(n: int, i: int) -> MonotoneMap:
     """The surjective map [n+1] -> [n] that hits i twice."""
-    if n < 0:
+    if type(n) is not int or n < 0:
         raise IndexError("degeneracy requires n >= 0")
-    if not 0 <= i <= n:
+    if type(i) is not int or not 0 <= i <= n:
         raise IndexError(f"degeneracy index {i} out of range for n={n}")
     return MonotoneMap(n + 1, n, tuple(k if k <= i else k - 1 for k in range(n + 2)))
 
@@ -209,7 +210,7 @@ class Shuffle:
 
 
 def _check_blocks(p: int, q: int) -> None:
-    if p < 0 or q < 0:
+    if type(p) is not int or type(q) is not int or p < 0 or q < 0:
         raise DomainError("shuffles need p, q >= 0")
 
 

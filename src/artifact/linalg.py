@@ -82,7 +82,7 @@ class Matrix:
 
     def __getitem__(self, idx: tuple[int, int]):
         i, j = idx
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
+        if not (type(i) is type(j) is int and 0 <= i < self.rows and 0 <= j < self.cols):
             raise ShapeError(f"index {idx} outside a {self.rows}x{self.cols} matrix")
         return self._rows.get(i, _EMPTY).get(j, ring_ops(self.ring).zero)
 
@@ -263,7 +263,7 @@ def _columns(a: Matrix) -> dict[int, dict]:
 
 def _check_indices(idxs: list[int], bound: int, kind: str) -> None:
     for k in idxs:
-        if not 0 <= k < bound:
+        if type(k) is not int or not 0 <= k < bound:
             raise ShapeError(f"{kind} index {k} outside 0..{bound - 1}")
 
 
@@ -844,9 +844,14 @@ def torsion(factors: tuple) -> tuple[int, ...]:
     return tuple(d for d in factors if d != 1)
 
 
+def _free_of_rank(factors: tuple, n: int) -> bool:
+    """The invariant factors have rank n and no torsion: for n the rows the
+    map is onto, for n the columns it is a split injection."""
+    return len(factors) == n and not torsion(factors)
+
+
 def is_surjective(a: Matrix) -> bool:
-    factors = invariant_factors(a)
-    return len(factors) == a.rows and not torsion(factors)
+    return _free_of_rank(invariant_factors(a), a.rows)
 
 
 def is_injective(a: Matrix) -> bool:

@@ -87,26 +87,23 @@ def shuffle_product(x: ConnComplex, y: ConnComplex) -> ShuffleComplex:
     layouts = [_shuffle_layout(x, y, pairs) for pairs in pairs_at]
     diffs = {}
     for n in range(1, top + 1):
-        faces = [face(n, i) for i in range(n + 1)]
+        faces = [face(n, i).values for i in range(n + 1)]
         rows, cols = layouts[n - 1], layouts[n]
         blocks = {}
-        for f, g in pairs_at[n]:
-            col = (f.values, g.values)
-            if col not in cols:
-                continue
+        for f, g in cols:
             for i, delta in enumerate(faces):
                 f_rule = _dk_rule(f, delta)
                 g_rule = _dk_rule(g, delta)
                 if f_rule is None or g_rule is None:
                     continue
-                row = (f_rule[0].values, g_rule[0].values)
+                row = (f_rule[0], g_rule[0])
                 # a dead row is a zero-height block
                 if row not in rows:
                     continue
-                mat = kron(x_blocks[f.target_top, f_rule[1]], y_blocks[g.target_top, g_rule[1]])
+                mat = kron(x_blocks[f[-1], f_rule[1]], y_blocks[g[-1], g_rule[1]])
                 if i % 2:
                     mat = -mat
-                key = (row, col)
+                key = (row, (f, g))
                 blocks[key] = blocks[key] + mat if key in blocks else mat
         diffs[n] = _keyed_block_matrix(ring, rows, cols, blocks)
     underlying = ConnComplex(ring, tuple(sum(sizes.values()) for sizes in layouts), diffs)

@@ -178,9 +178,9 @@ def _vertex_tuple_set(horizon, cells) -> FinSimplicialSet:
 def simplex_set(n: int, horizon: int) -> FinSimplicialSet:
     """The combinatorial n-simplex: level m holds the weakly increasing
     (m+1)-tuples over {0..n} in lexicographic order."""
-    if horizon < 0:
+    if type(horizon) is not int or horizon < 0:
         raise DomainError("simplex needs horizon >= 0")
-    if n < 0:
+    if type(n) is not int or n < 0:
         raise DomainError("simplex dimension must be nonnegative")
     cells = [
         list(itertools.combinations_with_replacement(range(n + 1), m + 1))
@@ -191,9 +191,9 @@ def simplex_set(n: int, horizon: int) -> FinSimplicialSet:
 
 def boundary_simplex_set(n: int, horizon: int) -> FinSimplicialSet:
     """The boundary of the n-simplex: the non-surjective tuples."""
-    if horizon < 0:
+    if type(horizon) is not int or horizon < 0:
         raise DomainError("boundary needs horizon >= 0")
-    if n < 1:
+    if type(n) is not int or n < 1:
         raise DomainError("boundary needs n >= 1")
     full = set(range(n + 1))
     cells = [
@@ -249,7 +249,7 @@ def least_element(p: FinPoset) -> int | None:
 def nerve(p: FinPoset, horizon: int) -> FinSimplicialSet:
     """Level m holds the weak chains a_0 <= ... <= a_m as tuples of element
     indices, in lexicographic index order."""
-    if horizon < 0:
+    if type(horizon) is not int or horizon < 0:
         raise DomainError("nerve needs horizon >= 0")
     levels = [[(i,) for i in range(len(p))]]
     for _ in range(horizon):
@@ -502,19 +502,17 @@ def dk_blocks(n: int) -> list[deltacat.MonotoneMap]:
 
 
 @cache
-def _dk_rule(g: deltacat.MonotoneMap, eta: deltacat.MonotoneMap):
+def _dk_rule(g: tuple[int, ...], eta: tuple[int, ...]):
     """The Dold-Kan block map that eta: [m] -> [n] induces on the block of
-    g: [n] ->> [k], as (epi part of g o eta, sign): the identity of X_k when
-    sign is 0, sign times the degree-k differential otherwise.  None when
-    the block map is zero, that is when the mono part of g o eta is neither
-    the identity nor the face that omits exactly the top element k."""
-    mono, epi = deltacat.epi_mono_factorize(deltacat.compose(g, eta))
-    k = g.target_top
-    if mono.source_top == k:
-        return epi, 0
-    if mono.source_top == k - 1 and mono.values == tuple(range(k)):
-        return epi, -1 if k % 2 else 1
-    return None
+    g: [n] ->> [k], from their values: (g o eta, 0), the identity of X_k,
+    when the image of g o eta is [0..k]; (g o eta, (-1)^k), that sign times
+    the degree-k differential, when it is [0..k-1]; None (zero) otherwise.
+    An image [0..t] makes g o eta its own epi part, so nothing is factored."""
+    values = tuple(g[v] for v in eta)
+    k, t = g[-1], values[-1]
+    if len(set(values)) != t + 1 or t < k - 1:
+        return None
+    return values, 0 if t == k else -1 if k % 2 else 1
 
 
 def _dk_blocks(x: ConnComplex) -> dict:
@@ -549,13 +547,13 @@ def dk_transition(x: ConnComplex, eta: deltacat.MonotoneMap) -> Matrix:
 def _dk_transition(x: ConnComplex, blocks: dict, layouts, eta: deltacat.MonotoneMap) -> Matrix:
     """dk_transition(x, eta) from the blocks _dk_blocks(x) and the level
     layouts, layouts[n] = _dk_layout(x, n), that one dk call shares."""
+    rows, cols = layouts[eta.source_top], layouts[eta.target_top]
     placed = {}
-    for g in deltacat._surjections_upto(eta.target_top, x.top):
-        rule = _dk_rule(g, eta)
+    for g in cols:
+        rule = _dk_rule(g, eta.values)
         if rule is not None:
             epi, sign = rule
-            placed[epi.values, g.values] = blocks[g.target_top, sign]
-    rows, cols = layouts[eta.source_top], layouts[eta.target_top]
+            placed[epi, g] = blocks[g[-1], sign]
     return _keyed_block_matrix(x.ring, rows, cols, placed)
 
 
@@ -563,7 +561,7 @@ def dk(x: ConnComplex, horizon: int) -> SimplicialModule:
     """The simplicial module with level n the sum of X_k over surjections
     [n] ->> [k], built to the requested horizon; each level's faces and
     degeneracies are built on their first read."""
-    if horizon < 0:
+    if type(horizon) is not int or horizon < 0:
         raise DomainError("dk needs horizon >= 0")
     blocks = _dk_blocks(x)
     layouts = [_dk_layout(x, n) for n in range(horizon + 1)]

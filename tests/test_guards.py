@@ -38,6 +38,7 @@ from artifact import (
     nerve,
     nor,
     nor_map,
+    rlp_generator_check,
     simplex_set,
     solve,
     sphere,
@@ -55,6 +56,7 @@ ONE = identity(ZZ, 1)
 ZERO = zeros(ZZ, 1, 1)
 ONE_Q = identity(QQ, 1)
 FIVE = Matrix.from_rows(ZZ, [[5]])
+SQUARE = Matrix.from_rows(ZZ, [[1, 2], [3, 4]])
 
 
 def module(faces, degens, ranks=(1, 1)):
@@ -153,6 +155,24 @@ GUARDS = [
         lambda: lift_square(*[identity_chain_map(sphere(0))] * 3, identity_chain_map(disk(1))),
         ShapeError,
         "bottom map must run from the target of f to the target of g",
+    ),
+    (
+        "disk-non-integer",
+        lambda: disk(1.5),
+        DomainError,
+        "disk needs n >= 1",
+    ),
+    (
+        "sphere-bool",
+        lambda: sphere(True),
+        DomainError,
+        "sphere needs n >= 0",
+    ),
+    (
+        "rlp-non-integer-max-n",
+        lambda: rlp_generator_check(identity_chain_map(sphere(1)), 1.5),
+        DomainError,
+        "rlp_generator_check needs max_n >= 0",
     ),
     # matrices
     (
@@ -265,6 +285,37 @@ GUARDS = [
         ShapeError,
         "dimensions must be integers",
     ),
+    # matrix indices: a float or a bool compares like an int but is not one
+    (
+        "col-select-non-integer",
+        lambda: SQUARE.col_select([0.5]),
+        ShapeError,
+        "column index 0.5 outside 0..1",
+    ),
+    (
+        "col-select-float",
+        lambda: SQUARE.col_select([1.0]),
+        ShapeError,
+        "column index 1.0 outside 0..1",
+    ),
+    (
+        "row-select-bool",
+        lambda: SQUARE.row_select([True]),
+        ShapeError,
+        "row index True outside 0..1",
+    ),
+    (
+        "getitem-non-integer",
+        lambda: SQUARE[0.5, 0],
+        ShapeError,
+        "index (0.5, 0) outside a 2x2 matrix",
+    ),
+    (
+        "getitem-bool",
+        lambda: SQUARE[True, 0],
+        ShapeError,
+        "index (True, 0) outside a 2x2 matrix",
+    ),
     (
         "solve-rows",
         lambda: solve(ONE, zeros(ZZ, 2, 1)),
@@ -361,6 +412,18 @@ GUARDS = [
     (
         "enumerate-shuffles-negative",
         lambda: enumerate_shuffles(2, -1),
+        DomainError,
+        "shuffles need p, q >= 0",
+    ),
+    (
+        "shuffle-count-non-integer",
+        lambda: shuffle_count(1.5, 2),
+        DomainError,
+        "shuffles need p, q >= 0",
+    ),
+    (
+        "enumerate-shuffles-non-integer",
+        lambda: enumerate_shuffles(1.0, 1),
         DomainError,
         "shuffles need p, q >= 0",
     ),
@@ -517,6 +580,12 @@ GUARDS = [
         "simplex dimension must be nonnegative",
     ),
     (
+        "simplex-non-integer-dimension",
+        lambda: simplex_set(1.0, 2),
+        DomainError,
+        "simplex dimension must be nonnegative",
+    ),
+    (
         "coproduct-horizons",
         lambda: coproduct(simplex_set(0, 1), simplex_set(0, 2)),
         ShapeError,
@@ -635,6 +704,24 @@ GUARDS = [
         DomainError,
         "boundary needs horizon >= 0",
     ),
+    (
+        "dk-non-integer-horizon",
+        lambda: dk(disk(1), 2.0),
+        DomainError,
+        "dk needs horizon >= 0",
+    ),
+    (
+        "nerve-non-integer-horizon",
+        lambda: nerve(chain_poset(1), 1.5),
+        DomainError,
+        "nerve needs horizon >= 0",
+    ),
+    (
+        "boundary-non-integer-horizon",
+        lambda: boundary_simplex_set(2, 1.0),
+        DomainError,
+        "boundary needs horizon >= 0",
+    ),
     # block assembly: a negative index would count from the end
     (
         "block-negative-index",
@@ -701,6 +788,14 @@ INDEX_GUARDS = [
     ("delta-face-index", lambda: face(1, 2), "face index 2 out of range for n=1"),
     ("delta-degeneracy-level", lambda: degeneracy(-1, 0), "degeneracy requires n >= 0"),
     ("delta-degeneracy-index", lambda: degeneracy(1, 2), "degeneracy index 2 out of range for n=1"),
+    # a cached face(2, 0) or degeneracy(1, 0) must not answer for a float level
+    ("delta-face-non-integer-level", lambda: (face(2, 0), face(2.0, 0)), "face requires n >= 1"),
+    ("delta-face-non-integer-index", lambda: face(2, 0.5), "face index 0.5 out of range for n=2"),
+    (
+        "delta-degeneracy-non-integer-level",
+        lambda: (degeneracy(1, 0), degeneracy(1.0, 0)),
+        "degeneracy requires n >= 0",
+    ),
 ]
 
 

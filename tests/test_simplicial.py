@@ -58,7 +58,14 @@ from artifact import (
 )
 from artifact.chains import _check_matrix
 from artifact.cli import change_ring
-from artifact.deltacat import MonotoneMap, degeneracy, face
+from artifact.deltacat import (
+    MonotoneMap,
+    compose,
+    degeneracy,
+    epi_mono_factorize,
+    face,
+    identity_map,
+)
 from artifact.errors import DomainError, NotSimplicial, RingError, ShapeError
 from artifact.shuffle import nor_tensor_compare
 from artifact.simplicial import _families, _module, dk_blocks, dk_transition
@@ -622,55 +629,80 @@ def test_dk_transition_matrix_for_the_level_two_inclusion():
     assert m.face(2, 2) == got
 
 
-def test_dk_layout_is_resolved_once_per_structure_map(monkeypatch):
+def test_dk_layout_is_resolved_once_per_structure_map():
     # a block map of a face or degeneracy is simplex combinatorics only, so
     # _dk_rule keeps it: another complex whose top is no larger reuses the
     # block maps of the first, onto [k] for every k <= top, without
-    # factorizing
-    import artifact.deltacat as deltacat
+    # resolving any of them again
+    from artifact.simplicial import _dk_rule
 
     warm = ConnComplex(ZZ, (1, 2, 1, 1))
     assert warm.top == 3
     dk(warm, 3)._force()  # dk builds a structure map on its first read
     one = Matrix(GF(3), 1, 1, ((1,),))
     x = ConnComplex(GF(3), (1, 1, 1, 1), {1: one, 3: one})
-
-    def forbidden(*args):
-        raise AssertionError("a Dold-Kan block map was resolved again")
-
-    monkeypatch.setattr(deltacat, "compose", forbidden)
-    monkeypatch.setattr(deltacat, "epi_mono_factorize", forbidden)
+    before = _dk_rule.cache_info()
     m = dk(x, 3)
     assert check_simplicial_identities(m).ok
     assert m.ranks == tuple(sum(comb(n, k) * x.rank(k) for k in range(n + 1)) for n in range(4))
+    after = _dk_rule.cache_info()
+    assert after.misses == before.misses, "a Dold-Kan block map was resolved again"
+    assert after.hits > before.hits
 
 
 def test_dk_resolves_only_the_summands_up_to_the_top(monkeypatch):
     # X_k is zero above x.top, so each structure map eta: [m] -> [n]
     # resolves at most one block per surjection [n] ->> [k] with k <= top,
     # not one per each of the 2^n surjections out of [n]
-    import artifact.deltacat as deltacat
-    from artifact.simplicial import _dk_rule
+    import artifact.simplicial as simplicial
 
     x = ConnComplex(ZZ, (1, 1), {1: Matrix(ZZ, 1, 1, ((2,),))})
     horizon = 12
-    compose = deltacat.compose
+    rule = simplicial._dk_rule
     calls = Counter()
 
-    def counting(g, f):
-        calls[f] += 1
-        return compose(g, f)
+    def counting(g, eta):
+        calls[eta] += 1
+        return rule(g, eta)
 
-    _dk_rule.cache_clear()
-    monkeypatch.setattr(deltacat, "compose", counting)
+    monkeypatch.setattr(simplicial, "_dk_rule", counting)
     m = dk(x, horizon)._force()  # dk builds a structure map on its first read
     assert m.ranks == tuple(n + 1 for n in range(horizon + 1))
     etas = [face(n, i) for n in range(1, horizon + 1) for i in range(n + 1)]
     etas += [degeneracy(n, i) for n in range(horizon) for i in range(n + 1)]
-    assert set(calls) == set(etas)
+    assert set(calls) == {eta.values for eta in etas}
     for eta in etas:
         n = eta.target_top
-        assert calls[eta] <= sum(comb(n, k) for k in range(x.top + 1))
+        assert calls[eta.values] <= sum(comb(n, k) for k in range(x.top + 1))
+
+
+def test_dk_rule_agrees_with_the_epi_mono_factorization():
+    # the block map of eta on the block of g is the identity when the mono
+    # part of g o eta is the identity of [k], (-1)^k times the differential
+    # when it is the face that omits k, and zero otherwise; _dk_rule reads
+    # this off the image of g o eta without factorizing
+    from artifact.simplicial import _dk_rule
+
+    def factored(g, eta):
+        mono, epi = epi_mono_factorize(compose(g, eta))
+        k = g.target_top
+        if mono == identity_map(k):
+            return epi.values, 0
+        if k and mono == face(k, k):
+            return epi.values, (-1) ** k
+        return None
+
+    cases = 0
+    for n in range(6):
+        surjections = dk_blocks(n)
+        assert len(surjections) == 2**n
+        for m in range(6):
+            for values in itertools.combinations_with_replacement(range(n + 1), m + 1):
+                eta = MonotoneMap(m, n, values)
+                for g in surjections:
+                    assert _dk_rule(g.values, eta.values) == factored(g, eta), (g, eta)
+                    cases += 1
+    assert cases == 38976
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(5)], ids=str)
