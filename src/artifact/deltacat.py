@@ -109,26 +109,22 @@ def epi_mono_factorize(f: MonotoneMap) -> tuple[MonotoneMap, MonotoneMap]:
 def enumerate_surjections(n: int, k: int) -> list[MonotoneMap]:
     """All surjective monotone maps [n] -> [k] in the canonical order
     (descending lexicographic on value sequences); comb(n, k) of them."""
-    return list(_surjections(n, k))
+    # before the cache, which keys 2.0 and True like 2 and 1
+    if type(n) is not int or type(k) is not int:
+        raise DomainError("enumerate_surjections: each size must be an integer")
+    return list(_surjections_onto(n, tuple(j == k for j in range(k + 1))))
 
 
 @cache
-def _surjections(n: int, k: int) -> tuple[MonotoneMap, ...]:
-    if k > n or k < 0 or n < 0:
-        return ()
-    maps = [
+def _surjections_onto(n: int, live: tuple[bool, ...]) -> tuple[MonotoneMap, ...]:
+    """The surjections out of [n] onto the [k] with live[k] true, in the
+    canonical order.  Value sequences descend as the degeneracy sets, in
+    their combinations order, ascend; live is a nonzero pattern of ranks."""
+    return tuple(
         surjection_with_degeneracy_set(n, repeats)
-        for repeats in itertools.combinations(range(n), n - k)
-    ]
-    maps.sort(key=lambda f: f.values, reverse=True)
-    return tuple(maps)
-
-
-@cache
-def _surjections_upto(n: int, top: int) -> tuple[MonotoneMap, ...]:
-    """The surjections out of [n] onto [k] for k <= min(n, top), in the
-    canonical order; target size comes first, so this is a prefix of top = n."""
-    return tuple(f for k in range(min(n, top) + 1) for f in _surjections(n, k))
+        for k in range(min(n + 1, len(live))) if live[k]
+        for repeats in reversed(list(itertools.combinations(range(n), n - k)))
+    )
 
 
 def degeneracy_set(f: MonotoneMap) -> tuple[int, ...]:
@@ -155,16 +151,16 @@ def enumerate_jointly_monic_pairs(
     """Pairs of surjections (f: [n]->>[k], g: [n]->>[l]) that are jointly
     monic (disjoint degeneracy sets), with k <= xtop and l <= ytop, ordered
     f-major then g-minor in the canonical surjection order."""
-    return list(_jointly_monic_pairs(n, xtop, ytop))
+    if type(n) is not int or type(xtop) is not int or type(ytop) is not int:
+        raise DomainError("enumerate_jointly_monic_pairs: each size must be an integer")
+    return list(_jointly_monic_pairs(n, (True,) * (xtop + 1), (True,) * (ytop + 1)))
 
 
 @cache
-def _jointly_monic_pairs(
-    n: int, xtop: int, ytop: int
-) -> tuple[tuple[MonotoneMap, MonotoneMap], ...]:
-    gsets = [(g, set(degeneracy_set(g))) for g in _surjections_upto(n, ytop)]
+def _jointly_monic_pairs(n: int, xlive: tuple[bool, ...], ylive: tuple[bool, ...]) -> tuple:
+    gsets = [(g, set(degeneracy_set(g))) for g in _surjections_onto(n, ylive)]
     pairs = []
-    for f in _surjections_upto(n, xtop):
+    for f in _surjections_onto(n, xlive):
         fset = set(degeneracy_set(f))
         pairs.extend((f, g) for g, gset in gsets if fset.isdisjoint(gset))
     return tuple(pairs)
@@ -222,12 +218,9 @@ def shuffle_count(p: int, q: int) -> int:
 def enumerate_shuffles(p: int, q: int) -> list[Shuffle]:
     """All (p,q)-shuffles, ordered by the first block's value set."""
     _check_blocks(p, q)
-    out = []
     universe = range(1, p + q + 1)
-    for first in itertools.combinations(universe, p):
-        rest = tuple(sorted(set(universe) - set(first)))
-        out.append(Shuffle(p, q, first + rest))
-    return out
+    rest = lambda first: tuple(v for v in universe if v not in first)
+    return [Shuffle(p, q, first + rest(first)) for first in itertools.combinations(universe, p)]
 
 
 def shuffle_of_pair(f: MonotoneMap, g: MonotoneMap) -> Shuffle:

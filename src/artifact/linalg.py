@@ -693,7 +693,7 @@ def _eliminate_columns(ring: RingTag, cols: list[tuple[dict, dict]]) -> tuple[li
     bottom row first, each head zero below its row and positive there over
     Z (1 in a field), and the columns whose heads are now zero."""
     p = ring.p
-    field = ring.kind != "Z"
+    field = ring.is_field
     by_low: dict[int, list] = {}
     null = []
 
@@ -774,7 +774,7 @@ def _reduce(ring: RingTag, head: dict, tail: dict, pivots) -> None:
     there, y // v over Z and y in a field. Over Z a remainder in [0, v)
     stays in that row, which no later pivot reaches."""
     p = ring.p
-    field = ring.kind != "Z"
+    field = ring.is_field
     for r, piv, piv_tail in pivots:
         y = head.get(r)
         if y is None:

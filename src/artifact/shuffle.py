@@ -29,10 +29,10 @@ from .chains import (
     sphere,
     tensor,
 )
-from .deltacat import MonotoneMap, enumerate_jointly_monic_pairs, face, shuffle_of_pair
+from .deltacat import MonotoneMap, _jointly_monic_pairs, face, shuffle_of_pair
 from .errors import DomainError, RingError
 from .linalg import HomologyGroup, Matrix, identity, kron
-from .simplicial import _dk_blocks, _dk_rule, nor, tensor_sm
+from .simplicial import _dk_blocks, _dk_rule, _live, nor, tensor_sm
 
 
 Pair = tuple[MonotoneMap, MonotoneMap]
@@ -41,7 +41,9 @@ Pair = tuple[MonotoneMap, MonotoneMap]
 @dataclass(frozen=True)
 class ShuffleComplex:
     """A connective complex whose degree-n part is indexed by jointly monic
-    surjection pairs, in the canonical pair order."""
+    surjection pairs, in the canonical pair order.  blocks lists, in each
+    degree, every jointly monic pair onto [k], [l] with k <= x.top and
+    l <= y.top for the factors x and y, the zero-size pairs included."""
 
     underlying: ConnComplex
     blocks: tuple[tuple[Pair, ...], ...]
@@ -61,14 +63,13 @@ class ShuffleComplex:
         return self.underlying.diff(n)
 
 
-def _shuffle_layout(x: ConnComplex, y: ConnComplex, pairs) -> dict:
-    """The layout of the jointly monic pairs of the product of x and y:
-    {(values of f, values of g): rank X_k * rank Y_l} over the pairs onto
-    [k], [l] in their order, leaving out the zero-size blocks; the values of
-    a surjection onto [k] end in k."""
-    xr, yr = x.ranks, y.ranks
-    sizes = ((f.values, g.values, xr[f.target_top] * yr[g.target_top]) for f, g in pairs)
-    return {(f, g): size for f, g, size in sizes if size}
+def _shuffle_layout(x: ConnComplex, y: ConnComplex, n: int) -> dict:
+    """The degree-n layout of the product of x and y: {(values of f, values
+    of g): rank X_k * rank Y_l} over the jointly monic pairs onto [k], [l]
+    with X_k and Y_l nonzero, in the canonical pair order; the values of a
+    surjection onto [k] end in k."""
+    pairs = _jointly_monic_pairs(n, _live(x), _live(y))
+    return {(f.values, g.values): x.ranks[f.target_top] * y.ranks[g.target_top] for f, g in pairs}
 
 
 def shuffle_product(x: ConnComplex, y: ConnComplex) -> ShuffleComplex:
@@ -83,8 +84,7 @@ def shuffle_product(x: ConnComplex, y: ConnComplex) -> ShuffleComplex:
     ring = x.ring
     top = x.top + y.top
     x_blocks, y_blocks = _dk_blocks(x), _dk_blocks(y)
-    pairs_at = [enumerate_jointly_monic_pairs(n, x.top, y.top) for n in range(top + 1)]
-    layouts = [_shuffle_layout(x, y, pairs) for pairs in pairs_at]
+    layouts = [_shuffle_layout(x, y, n) for n in range(top + 1)]
     diffs = {}
     for n in range(1, top + 1):
         faces = [face(n, i).values for i in range(n + 1)]
@@ -107,7 +107,8 @@ def shuffle_product(x: ConnComplex, y: ConnComplex) -> ShuffleComplex:
                 blocks[key] = blocks[key] + mat if key in blocks else mat
         diffs[n] = _keyed_block_matrix(ring, rows, cols, blocks)
     underlying = ConnComplex(ring, tuple(sum(sizes.values()) for sizes in layouts), diffs)
-    return ShuffleComplex(underlying, tuple(tuple(p) for p in pairs_at))
+    every = (True,) * (x.top + 1), (True,) * (y.top + 1)
+    return ShuffleComplex(underlying, tuple(_jointly_monic_pairs(n, *every) for n in range(top + 1)))
 
 
 def _shuffle_map(f: ChainMap, g: ChainMap) -> ChainMap:
@@ -119,8 +120,7 @@ def _shuffle_map(f: ChainMap, g: ChainMap) -> ChainMap:
     block = lambda fg: kron(f.component(fg[0][-1]), g.component(fg[1][-1]))
     comps = {}
     for n in range(max(source.top, target.top) + 1):
-        rows = _shuffle_layout(f.target, g.target, target.blocks[n] if n <= target.top else ())
-        cols = _shuffle_layout(f.source, g.source, source.blocks[n] if n <= source.top else ())
+        rows, cols = _shuffle_layout(f.target, g.target, n), _shuffle_layout(f.source, g.source, n)
         comps[n] = _blockwise(source.ring, rows, cols, block)
     return ChainMap(source.underlying, target.underlying, comps)
 
@@ -147,11 +147,11 @@ def ez_map(x: ConnComplex, y: ConnComplex) -> ChainMap:
     ring = x.ring
     comps = {}
     for n in range(boxed.top + 1):
-        rows = _shuffle_layout(x, y, boxed.blocks[n])
+        rows = _shuffle_layout(x, y, n)
         blocks = {}
-        for f, g in boxed.blocks[n]:
+        for f, g in _jointly_monic_pairs(n, _live(x), _live(y)):
             row = (f.values, g.values)
-            if f.target_top + g.target_top == n and row in rows:
+            if f.target_top + g.target_top == n:
                 sign = shuffle_of_pair(f, g).sign()
                 blocks[row, (f.target_top, g.target_top)] = identity(ring, rows[row]).scale(sign)
         comps[n] = _keyed_block_matrix(ring, rows, _tensor_layout(x, y, n), blocks)

@@ -498,7 +498,9 @@ def free_module(u: FinSimplicialSet, ring: RingTag) -> SimplicialModule:
 def dk_blocks(n: int) -> list[deltacat.MonotoneMap]:
     """The canonical block list at level n: surjections out of [n], target
     size ascending, value sequences descending within each target size."""
-    return list(deltacat._surjections_upto(n, n))
+    if type(n) is not int:
+        raise DomainError("dk_blocks: the level must be an integer")
+    return list(deltacat._surjections_onto(n, (True,) * (n + 1)))
 
 
 @cache
@@ -527,16 +529,21 @@ def _dk_blocks(x: ConnComplex) -> dict:
     return blocks
 
 
+def _live(x: ConnComplex) -> tuple[bool, ...]:
+    """The nonzero pattern of the ranks of x, which keys the Δ tables."""
+    return tuple(map(bool, x.ranks))
+
+
 def _dk_layout(x: ConnComplex, n: int) -> dict:
     """The level-n layout of the Dold-Kan module of x: {values of f: rank
-    X_k} over the surjections f: [n] ->> [k] with k <= x.top, in the
+    X_k} over the surjections f: [n] ->> [k] with X_k nonzero, in the
     canonical order; the values of a surjection onto [k] end in k."""
-    return {f.values: x.ranks[f.target_top] for f in deltacat._surjections_upto(n, x.top)}
+    return {f.values: x.ranks[f.target_top] for f in deltacat._surjections_onto(n, _live(x))}
 
 
 def dk_transition(x: ConnComplex, eta: deltacat.MonotoneMap) -> Matrix:
     """The structure matrix of eta: [m] -> [n] on the sums over surjections
-    onto [k] with k <= x.top.  Column block g: [n] ->> [k] contributes to the
+    onto [k] with X_k nonzero.  Column block g: [n] ->> [k] contributes to the
     row block holding the epi part of g o eta: the identity when the mono
     part is the identity, the degree-k differential times (-1)^k when the
     mono part omits exactly the top element k, zero otherwise."""
@@ -551,9 +558,9 @@ def _dk_transition(x: ConnComplex, blocks: dict, layouts, eta: deltacat.Monotone
     placed = {}
     for g in cols:
         rule = _dk_rule(g, eta.values)
-        if rule is not None:
-            epi, sign = rule
-            placed[epi, g] = blocks[g[-1], sign]
+        # a dead row is a zero-height block
+        if rule is not None and rule[0] in rows:
+            placed[rule[0], g] = blocks[g[-1], rule[1]]
     return _keyed_block_matrix(x.ring, rows, cols, placed)
 
 

@@ -390,6 +390,46 @@ def dense_ez_map(x, y, n):
     )
 
 
+def _aw_part(z, h, values):
+    """The block map that the face with these values, [i] -> [n], induces
+    on the block of the surjection h: [n] ->> [k] of the Dold-Kan sums of
+    z, projected onto the nondegenerate block of degree i: the identity of
+    Z_k when h o face is the identity of [k], (-1)^k d_k when it is the
+    face of [k] that omits k, and None (zero) otherwise."""
+    image, epi = _brute_epi_mono(tuple(h[v] for v in values))
+    k = h[-1]
+    if epi != tuple(range(len(values))):
+        return None
+    if image == tuple(range(k + 1)):
+        return dense_identity(z.ring, z.rank(k))
+    if image == tuple(range(k)):
+        sign = -1 if k % 2 else 1
+        return dense_map(z.ring, lambda v: sign * v, dense(z.diff(k)))
+    return None
+
+
+def dense_aw_map(x, y, n):
+    """Component n of the Alexander-Whitney map X boxtimes Y -> X (x) Y,
+    over every jointly monic pair, the zero-size ones too: the block of
+    (f, g) goes to the tensor block (i, n - i) by the front face of f (the
+    values 0..i) tensored with the back face of g (the values i..n), each
+    projected onto its nondegenerate block, for every i."""
+    ring = x.ring
+    cols = _shuffle_keys(n)
+    blocks = {}
+    for j, (f, g) in enumerate(cols):
+        for i in range(n + 1):
+            front, back = _aw_part(x, f, range(i + 1)), _aw_part(y, g, range(i, n + 1))
+            if front is not None and back is not None:
+                blocks[i, j] = dense_kron(ring, front, back)
+    return dense_blocks(
+        ring,
+        [x.rank(k) * y.rank(l) for k, l in _tensor_keys(n)],
+        [x.rank(f[-1]) * y.rank(g[-1]) for f, g in cols],
+        blocks,
+    )
+
+
 def zero_rank_map(rng, ring, bound=2):
     """A random chain map between complexes of rank zero in degree 1: their
     differentials vanish, so any components commute with them."""

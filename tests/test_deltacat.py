@@ -23,7 +23,7 @@ from artifact.deltacat import (
     surjection_with_degeneracy_set,
 )
 from artifact.errors import DomainError, ShapeError
-from artifact.simplicial import dk_transition
+from artifact.simplicial import dk_blocks, dk_transition
 
 from oracles import brute_monotone_maps, brute_shuffles, brute_surjections
 
@@ -171,6 +171,12 @@ def test_jointly_monic_pairs_have_disjoint_degeneracy_sets():
                         if len(set(joint)) == len(joint):
                             expect.add((fv, gv))
         assert seen == expect
+
+
+def test_negative_sizes_enumerate_nothing():
+    assert enumerate_surjections(-1, 0) == enumerate_surjections(2, -1) == []
+    assert enumerate_jointly_monic_pairs(-1, 1, 1) == enumerate_jointly_monic_pairs(2, 2, -1) == []
+    assert dk_blocks(-1) == []
 
 
 def test_pair_order_respects_target_size_then_descending_values():

@@ -27,6 +27,7 @@ from artifact import (
     direct_sum_sm,
     disk,
     dk,
+    dk_blocks,
     dk_map,
     hcat,
     homology_at,
@@ -47,7 +48,15 @@ from artifact import (
     zeros,
 )
 from artifact.chains import _keyed_block_matrix
-from artifact.deltacat import Shuffle, degeneracy, enumerate_shuffles, face, shuffle_count
+from artifact.deltacat import (
+    Shuffle,
+    degeneracy,
+    enumerate_jointly_monic_pairs,
+    enumerate_shuffles,
+    enumerate_surjections,
+    face,
+    shuffle_count,
+)
 from artifact.errors import DomainError, InvalidRing, NotAComplex, NotSimplicial, RingError, ShapeError
 
 from oracles import non_simplicial_module
@@ -426,6 +435,44 @@ GUARDS = [
         lambda: enumerate_shuffles(1.0, 1),
         DomainError,
         "shuffles need p, q >= 0",
+    ),
+    # the Δ enumerators check a size before their caches, which would key
+    # 2.0 and True like 2 and 1 and answer from an earlier int call
+    (
+        "enumerate-surjections-non-integer-source",
+        lambda: (enumerate_jointly_monic_pairs(2, 1, 1), enumerate_surjections(2.0, 1)),
+        DomainError,
+        "enumerate_surjections: each size must be an integer",
+    ),
+    (
+        "enumerate-surjections-bool-target",
+        lambda: (enumerate_surjections(1, 1), enumerate_surjections(1, True)),
+        DomainError,
+        "enumerate_surjections: each size must be an integer",
+    ),
+    (
+        "jointly-monic-pairs-non-integer-tops",
+        lambda: (enumerate_jointly_monic_pairs(2, 1, 1), enumerate_jointly_monic_pairs(2, True, 1.0)),
+        DomainError,
+        "enumerate_jointly_monic_pairs: each size must be an integer",
+    ),
+    (
+        "jointly-monic-pairs-non-integer-source",
+        lambda: enumerate_jointly_monic_pairs(2.0, 1, 1),
+        DomainError,
+        "enumerate_jointly_monic_pairs: each size must be an integer",
+    ),
+    (
+        "dk-blocks-non-integer",
+        lambda: (dk_blocks(2), dk_blocks(2.0)),
+        DomainError,
+        "dk_blocks: the level must be an integer",
+    ),
+    (
+        "dk-blocks-bool",
+        lambda: dk_blocks(True),
+        DomainError,
+        "dk_blocks: the level must be an integer",
     ),
     (
         "monotone-json-not-monotone",

@@ -26,6 +26,7 @@ from artifact import (
     map_to_json,
     mapping_cone,
     moore,
+    nor,
     nor_tensor_compare,
     shuffle_map_left,
     shuffle_map_right,
@@ -38,10 +39,16 @@ from artifact import (
 )
 from artifact.cli import change_ring
 from artifact.deltacat import enumerate_jointly_monic_pairs
+from artifact.shuffle import _shuffle_layout
+from artifact.simplicial import _dk_layout
 from artifact.errors import DomainError, RingError
 
 from oracles import (
+    dense,
+    dense_aw_map,
     dense_ez_map,
+    dense_identity,
+    dense_matmul,
     dense_shuffle_map_left,
     dense_shuffle_map_right,
     random_chain_map,
@@ -216,6 +223,56 @@ def test_shuffle_face_rules_are_resolved_once_per_structure_map():
     assert after.hits > before.hits
 
 
+def _zero_rank_complexes():
+    """Complexes with leading, interior and trailing zero ranks."""
+    one = Matrix(GF(3), 1, 1, ((1,),))
+    return [
+        sphere(0),
+        sphere(2),
+        ConnComplex(ZZ, (1, 0, 2)),
+        ConnComplex(GF(3), (0, 1, 1, 0, 2), {2: one}),
+        nor(dk(torsion_circle(), 4)).complex,
+        nor(dk(random_complex(random.Random(31), ZZ, max_top=2, max_rank=2), 4)).complex,
+    ]
+
+
+def test_layouts_list_the_nonzero_blocks_of_the_full_enumeration_in_order():
+    # one rule for a zero summand: the Dold-Kan and shuffle layouts hold
+    # exactly the nonzero-size entries of dk_blocks and of the pair
+    # enumeration, key for key and in their order
+    complexes = _zero_rank_complexes()
+    assert complexes[4].ranks == (1, 1, 0, 0, 0)
+    for x in complexes:
+        for n in range(6):
+            full = [(f.values, x.rank(f.target_top)) for f in dk_blocks(n)]
+            assert list(_dk_layout(x, n).items()) == [(key, size) for key, size in full if size]
+    for x in complexes:
+        for y in complexes:
+            if x.ring != y.ring:
+                continue
+            for n in range(x.top + y.top + 2):
+                full = [
+                    ((f.values, g.values), x.rank(f.target_top) * y.rank(g.target_top))
+                    for f, g in enumerate_jointly_monic_pairs(n, x.top, y.top)
+                ]
+                assert list(_shuffle_layout(x, y, n).items()) == [(key, size) for key, size in full if size]
+
+
+def test_shuffle_pairs_are_enumerated_once_per_nonzero_pattern():
+    # the live pairs depend on the nonzero pattern of the ranks only: a
+    # product over another ring with other ranks of the same pattern adds
+    # no miss to the pair table
+    from artifact.deltacat import _jointly_monic_pairs
+
+    y = nor(dk(torsion_circle(), 3)).complex
+    shuffle_product(ConnComplex(ZZ, (1, 0, 2)), y)
+    before = _jointly_monic_pairs.cache_info()
+    shuffle_product(ConnComplex(GF(5), (2, 0, 1)), change_ring(y, GF(5)))
+    after = _jointly_monic_pairs.cache_info()
+    assert after.misses == before.misses, "a pair list was enumerated again"
+    assert after.hits > before.hits
+
+
 # ---------------------------------------------------------------------------
 # functoriality
 
@@ -276,6 +333,29 @@ def test_comparison_map_matches_the_dense_oracle(ring):
             nabla = ez_map(x, y)
             for n in range(x.top + y.top + 1):
                 assert same_as_dense(nabla.component(n), dense_ez_map(x, y, n))
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(5)], ids=str)
+def test_alexander_whitney_inverts_the_comparison_map_and_is_a_chain_map(ring):
+    # the dense Alexander-Whitney oracle walks every jointly monic pair;
+    # AW o EZ is the identity of X (x) Y and AW o d = d o AW, in every
+    # degree, and random_complex draws zero ranks, so the pairs that the
+    # layouts leave out are met
+    rng = random.Random(715)
+    zero_ranks = 0
+    for _ in range(8):
+        x = random_complex(rng, ring, max_top=3, max_rank=2)
+        y = random_complex(rng, ring, max_top=3, max_rank=2)
+        zero_ranks += 0 in x.ranks + y.ranks
+        nabla, boxed, product = ez_map(x, y), shuffle_product(x, y), tensor(x, y)
+        aw = [dense_aw_map(x, y, n) for n in range(boxed.top + 1)]
+        for n in range(boxed.top + 1):
+            back = dense_matmul(ring, aw[n], dense(nabla.component(n)))
+            assert repr(back) == repr(dense_identity(ring, product.rank(n)))
+            if n:
+                lhs = dense_matmul(ring, aw[n - 1], dense(boxed.diff(n)))
+                assert repr(lhs) == repr(dense_matmul(ring, dense(product.diff(n)), aw[n]))
+    assert zero_ranks
 
 
 def test_comparison_map_is_natural():
