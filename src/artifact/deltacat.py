@@ -6,9 +6,9 @@ The canonical surjection order used everywhere downstream (block layouts,
 serialized block indices) is: target size ascending, and within a fixed
 target the value sequences in descending lexicographic order.
 
-Both enumerations are pure functions of their arguments and are memoized
-for the life of the process; each call returns a fresh list.  So are the
-faces and degeneracies, each call returning the same frozen MonotoneMap.
+A surjection is its value tuple inside the library: the memoized Δ tables
+hold tuples, and each enumeration returns a fresh list of the one frozen
+MonotoneMap per surjection built at the boundary, as face and degeneracy do.
 """
 
 from __future__ import annotations
@@ -62,6 +62,8 @@ class MonotoneMap:
 
 
 def identity_map(n: int) -> MonotoneMap:
+    if type(n) is not int:
+        raise DomainError("identity_map: the size must be an integer")
     return MonotoneMap(n, n, tuple(range(n + 1)))
 
 
@@ -69,9 +71,13 @@ def identity_map(n: int) -> MonotoneMap:
 @lru_cache(maxsize=None, typed=True)
 def face(n: int, i: int) -> MonotoneMap:
     """The injective map [n-1] -> [n] that misses i."""
-    if type(n) is not int or n < 1:
+    if type(n) is not int:
+        raise IndexError("face: the level must be an integer")
+    if type(i) is not int:
+        raise IndexError("face: the index must be an integer")
+    if n < 1:
         raise IndexError("face requires n >= 1")
-    if type(i) is not int or not 0 <= i <= n:
+    if not 0 <= i <= n:
         raise IndexError(f"face index {i} out of range for n={n}")
     return MonotoneMap(n - 1, n, tuple(k if k < i else k + 1 for k in range(n)))
 
@@ -79,9 +85,13 @@ def face(n: int, i: int) -> MonotoneMap:
 @lru_cache(maxsize=None, typed=True)
 def degeneracy(n: int, i: int) -> MonotoneMap:
     """The surjective map [n+1] -> [n] that hits i twice."""
-    if type(n) is not int or n < 0:
+    if type(n) is not int:
+        raise IndexError("degeneracy: the level must be an integer")
+    if type(i) is not int:
+        raise IndexError("degeneracy: the index must be an integer")
+    if n < 0:
         raise IndexError("degeneracy requires n >= 0")
-    if type(i) is not int or not 0 <= i <= n:
+    if not 0 <= i <= n:
         raise IndexError(f"degeneracy index {i} out of range for n={n}")
     return MonotoneMap(n + 1, n, tuple(k if k <= i else k - 1 for k in range(n + 2)))
 
@@ -112,37 +122,52 @@ def enumerate_surjections(n: int, k: int) -> list[MonotoneMap]:
     # before the cache, which keys 2.0 and True like 2 and 1
     if type(n) is not int or type(k) is not int:
         raise DomainError("enumerate_surjections: each size must be an integer")
-    return list(_surjections_onto(n, tuple(j == k for j in range(k + 1))))
+    return list(map(_surjection, _surjections_onto(n, tuple(j == k for j in range(k + 1)))))
 
 
 @cache
-def _surjections_onto(n: int, live: tuple[bool, ...]) -> tuple[MonotoneMap, ...]:
-    """The surjections out of [n] onto the [k] with live[k] true, in the
-    canonical order.  Value sequences descend as the degeneracy sets, in
-    their combinations order, ascend; live is a nonzero pattern of ranks."""
+def _surjection(values: tuple[int, ...]) -> MonotoneMap:
+    """The public map of a surjection's value tuple, built once per process."""
+    return MonotoneMap(len(values) - 1, values[-1], values)
+
+
+@cache
+def _surjections_onto(n: int, live: tuple[bool, ...]) -> tuple[tuple[int, ...], ...]:
+    """The value tuples of the surjections out of [n] onto the [k] with live[k]
+    true, in the canonical order.  Value sequences descend as the degeneracy
+    sets, in their combinations order, ascend; live is a nonzero pattern of ranks."""
     return tuple(
-        surjection_with_degeneracy_set(n, repeats)
+        _surjection_values(n, repeats)
         for k in range(min(n + 1, len(live))) if live[k]
         for repeats in reversed(list(itertools.combinations(range(n), n - k)))
     )
+
+
+def _surjection_values(n: int, repeats) -> tuple[int, ...]:
+    """The values of the surjection out of [n] that repeats at the given positions."""
+    return tuple(itertools.accumulate((j not in repeats for j in range(n)), initial=0))
+
+
+def _repeat_positions(values: tuple[int, ...]) -> tuple[int, ...]:
+    """The j with values[j] = values[j+1]; disjoint for a jointly monic pair."""
+    return tuple(j for j in range(len(values) - 1) if values[j] == values[j + 1])
 
 
 def degeneracy_set(f: MonotoneMap) -> tuple[int, ...]:
     """The positions j with f(j) = f(j+1); determines a surjection uniquely."""
     if not f.is_surjective:
         raise DomainError("degeneracy_set needs a surjective map")
-    return tuple(
-        j for j in range(f.source_top) if f.values[j] == f.values[j + 1]
-    )
+    return _repeat_positions(f.values)
 
 
 def surjection_with_degeneracy_set(n: int, repeats: tuple[int, ...]) -> MonotoneMap:
     """The surjection [n] -> [n - len(repeats)] whose degeneracy set is given."""
+    if type(n) is not int:
+        raise DomainError("surjection_with_degeneracy_set: the size must be an integer")
     rep = set(repeats)
-    values = [0]
-    for j in range(n):
-        values.append(values[-1] if j in rep else values[-1] + 1)
-    return MonotoneMap(n, n - len(rep), tuple(values))
+    if any(type(j) is not int or not 0 <= j < n for j in rep):
+        raise DomainError("surjection_with_degeneracy_set: degeneracy positions must lie in 0..n-1")
+    return MonotoneMap(n, n - len(rep), _surjection_values(n, rep))
 
 
 def enumerate_jointly_monic_pairs(
@@ -153,15 +178,16 @@ def enumerate_jointly_monic_pairs(
     f-major then g-minor in the canonical surjection order."""
     if type(n) is not int or type(xtop) is not int or type(ytop) is not int:
         raise DomainError("enumerate_jointly_monic_pairs: each size must be an integer")
-    return list(_jointly_monic_pairs(n, (True,) * (xtop + 1), (True,) * (ytop + 1)))
+    pairs = _jointly_monic_pairs(n, (True,) * (xtop + 1), (True,) * (ytop + 1))
+    return [(_surjection(f), _surjection(g)) for f, g in pairs]
 
 
 @cache
 def _jointly_monic_pairs(n: int, xlive: tuple[bool, ...], ylive: tuple[bool, ...]) -> tuple:
-    gsets = [(g, set(degeneracy_set(g))) for g in _surjections_onto(n, ylive)]
+    gsets = [(g, set(_repeat_positions(g))) for g in _surjections_onto(n, ylive)]
     pairs = []
     for f in _surjections_onto(n, xlive):
-        fset = set(degeneracy_set(f))
+        fset = set(_repeat_positions(f))
         pairs.extend((f, g) for g, gset in gsets if fset.isdisjoint(gset))
     return tuple(pairs)
 
@@ -206,7 +232,9 @@ class Shuffle:
 
 
 def _check_blocks(p: int, q: int) -> None:
-    if type(p) is not int or type(q) is not int or p < 0 or q < 0:
+    if type(p) is not int or type(q) is not int:
+        raise DomainError("shuffles: each block size must be an integer")
+    if p < 0 or q < 0:
         raise DomainError("shuffles need p, q >= 0")
 
 

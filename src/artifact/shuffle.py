@@ -29,7 +29,8 @@ from .chains import (
     sphere,
     tensor,
 )
-from .deltacat import MonotoneMap, _jointly_monic_pairs, face, shuffle_of_pair
+from .deltacat import MonotoneMap, _jointly_monic_pairs, _surjection, face, shuffle_of_pair
+from .deltacat import enumerate_jointly_monic_pairs
 from .errors import DomainError, RingError
 from .linalg import HomologyGroup, Matrix, identity, kron
 from .simplicial import _dk_blocks, _dk_rule, _live, nor, tensor_sm
@@ -41,12 +42,16 @@ Pair = tuple[MonotoneMap, MonotoneMap]
 @dataclass(frozen=True)
 class ShuffleComplex:
     """A connective complex whose degree-n part is indexed by jointly monic
-    surjection pairs, in the canonical pair order.  blocks lists, in each
-    degree, every jointly monic pair onto [k], [l] with k <= x.top and
-    l <= y.top for the factors x and y, the zero-size pairs included."""
+    surjection pairs, in the canonical pair order.  blocks lists, read from
+    the tops of the factors x and y, every jointly monic pair onto [k], [l]
+    with k <= x.top and l <= y.top in each degree, zero-size pairs included."""
 
     underlying: ConnComplex
-    blocks: tuple[tuple[Pair, ...], ...]
+    tops: tuple[int, int]
+
+    @property
+    def blocks(self) -> tuple[tuple[Pair, ...], ...]:
+        return tuple(tuple(enumerate_jointly_monic_pairs(n, *self.tops)) for n in range(self.top + 1))
 
     @property
     def ring(self):
@@ -69,7 +74,7 @@ def _shuffle_layout(x: ConnComplex, y: ConnComplex, n: int) -> dict:
     with X_k and Y_l nonzero, in the canonical pair order; the values of a
     surjection onto [k] end in k."""
     pairs = _jointly_monic_pairs(n, _live(x), _live(y))
-    return {(f.values, g.values): x.ranks[f.target_top] * y.ranks[g.target_top] for f, g in pairs}
+    return {(f, g): x.ranks[f[-1]] * y.ranks[g[-1]] for f, g in pairs}
 
 
 def shuffle_product(x: ConnComplex, y: ConnComplex) -> ShuffleComplex:
@@ -107,8 +112,7 @@ def shuffle_product(x: ConnComplex, y: ConnComplex) -> ShuffleComplex:
                 blocks[key] = blocks[key] + mat if key in blocks else mat
         diffs[n] = _keyed_block_matrix(ring, rows, cols, blocks)
     underlying = ConnComplex(ring, tuple(sum(sizes.values()) for sizes in layouts), diffs)
-    every = (True,) * (x.top + 1), (True,) * (y.top + 1)
-    return ShuffleComplex(underlying, tuple(_jointly_monic_pairs(n, *every) for n in range(top + 1)))
+    return ShuffleComplex(underlying, (x.top, y.top))
 
 
 def _shuffle_map(f: ChainMap, g: ChainMap) -> ChainMap:
@@ -149,11 +153,10 @@ def ez_map(x: ConnComplex, y: ConnComplex) -> ChainMap:
     for n in range(boxed.top + 1):
         rows = _shuffle_layout(x, y, n)
         blocks = {}
-        for f, g in _jointly_monic_pairs(n, _live(x), _live(y)):
-            row = (f.values, g.values)
-            if f.target_top + g.target_top == n:
-                sign = shuffle_of_pair(f, g).sign()
-                blocks[row, (f.target_top, g.target_top)] = identity(ring, rows[row]).scale(sign)
+        for f, g in rows:
+            if f[-1] + g[-1] == n:
+                sign = shuffle_of_pair(_surjection(f), _surjection(g)).sign()
+                blocks[(f, g), (f[-1], g[-1])] = identity(ring, rows[f, g]).scale(sign)
         comps[n] = _keyed_block_matrix(ring, rows, _tensor_layout(x, y, n), blocks)
     return ChainMap(tensor(x, y), boxed.underlying, comps)
 

@@ -56,6 +56,8 @@ class FinSimplicialSet(_Value):
     __slots__ = ("horizon", "cells", "_faces", "_degens")
 
     def __init__(self, horizon: int, cells, faces, degens):
+        if type(horizon) is not int:
+            raise ValueError("horizon must be an integer")
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
         cells = tuple(tuple(level) for level in cells)
@@ -236,6 +238,8 @@ class FinPoset(_Value):
 
 def chain_poset(n: int) -> FinPoset:
     """The linear order 0 < 1 < ... < n."""
+    if type(n) is not int:
+        raise DomainError("chain_poset: the size must be an integer")
     return FinPoset(tuple(range(n + 1)), [[i <= j for j in range(n + 1)] for i in range(n + 1)])
 
 
@@ -500,7 +504,7 @@ def dk_blocks(n: int) -> list[deltacat.MonotoneMap]:
     size ascending, value sequences descending within each target size."""
     if type(n) is not int:
         raise DomainError("dk_blocks: the level must be an integer")
-    return list(deltacat._surjections_onto(n, (True,) * (n + 1)))
+    return list(map(deltacat._surjection, deltacat._surjections_onto(n, (True,) * (n + 1))))
 
 
 @cache
@@ -538,7 +542,7 @@ def _dk_layout(x: ConnComplex, n: int) -> dict:
     """The level-n layout of the Dold-Kan module of x: {values of f: rank
     X_k} over the surjections f: [n] ->> [k] with X_k nonzero, in the
     canonical order; the values of a surjection onto [k] end in k."""
-    return {f.values: x.ranks[f.target_top] for f in deltacat._surjections_onto(n, _live(x))}
+    return {f: x.ranks[f[-1]] for f in deltacat._surjections_onto(n, _live(x))}
 
 
 def dk_transition(x: ConnComplex, eta: deltacat.MonotoneMap) -> Matrix:

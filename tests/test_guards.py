@@ -55,7 +55,9 @@ from artifact.deltacat import (
     enumerate_shuffles,
     enumerate_surjections,
     face,
+    identity_map,
     shuffle_count,
+    surjection_with_degeneracy_set,
 )
 from artifact.errors import DomainError, InvalidRing, NotAComplex, NotSimplicial, RingError, ShapeError
 
@@ -428,13 +430,49 @@ GUARDS = [
         "shuffle-count-non-integer",
         lambda: shuffle_count(1.5, 2),
         DomainError,
-        "shuffles need p, q >= 0",
+        "shuffles: each block size must be an integer",
     ),
     (
         "enumerate-shuffles-non-integer",
         lambda: enumerate_shuffles(1.0, 1),
         DomainError,
-        "shuffles need p, q >= 0",
+        "shuffles: each block size must be an integer",
+    ),
+    (
+        "identity-map-non-integer",
+        lambda: identity_map(1.5),
+        DomainError,
+        "identity_map: the size must be an integer",
+    ),
+    (
+        "surjection-with-degeneracy-set-non-integer",
+        lambda: surjection_with_degeneracy_set(2.0, ()),
+        DomainError,
+        "surjection_with_degeneracy_set: the size must be an integer",
+    ),
+    (
+        "surjection-with-degeneracy-set-bool",
+        lambda: surjection_with_degeneracy_set(True, ()),
+        DomainError,
+        "surjection_with_degeneracy_set: the size must be an integer",
+    ),
+    (
+        "surjection-with-degeneracy-set-position-above",
+        lambda: surjection_with_degeneracy_set(2, (5,)),
+        DomainError,
+        "surjection_with_degeneracy_set: degeneracy positions must lie in 0..n-1",
+    ),
+    (
+        "surjection-with-degeneracy-set-position-negative",
+        lambda: surjection_with_degeneracy_set(2, (-1,)),
+        DomainError,
+        "surjection_with_degeneracy_set: degeneracy positions must lie in 0..n-1",
+    ),
+    (
+        "surjection-with-degeneracy-set-position-non-integer",
+        lambda: surjection_with_degeneracy_set(2, (1.0,)),
+        DomainError,
+        "surjection_with_degeneracy_set: degeneracy positions must lie in 0..n-1",
     ),
     # the Δ enumerators check a size before their caches, which would key
     # 2.0 and True like 2 and 1 and answer from an earlier int call
@@ -561,6 +599,18 @@ GUARDS = [
         "horizon must be nonnegative",
     ),
     (
+        "set-non-integer-horizon",
+        lambda: FinSimplicialSet(0.0, [["v"]], [], []),
+        ValueError,
+        "horizon must be an integer",
+    ),
+    (
+        "set-bool-horizon",
+        lambda: FinSimplicialSet(True, [["v"], ["e"]], [[(0,), (0,)]], [[(0,)]]),
+        ValueError,
+        "horizon must be an integer",
+    ),
+    (
         "set-cell-levels",
         lambda: FinSimplicialSet(1, [["v"]], [[(0,), (0,)]], [[(0,)]]),
         ValueError,
@@ -644,6 +694,18 @@ GUARDS = [
         lambda: FinPoset([0, 1], [[True]]),
         ValueError,
         "leq must be a 2x2 table",
+    ),
+    (
+        "chain-poset-non-integer",
+        lambda: chain_poset(1.5),
+        DomainError,
+        "chain_poset: the size must be an integer",
+    ),
+    (
+        "chain-poset-bool",
+        lambda: chain_poset(True),
+        DomainError,
+        "chain_poset: the size must be an integer",
     ),
     # SimplicialMap
     (
@@ -836,13 +898,14 @@ INDEX_GUARDS = [
     ("delta-degeneracy-level", lambda: degeneracy(-1, 0), "degeneracy requires n >= 0"),
     ("delta-degeneracy-index", lambda: degeneracy(1, 2), "degeneracy index 2 out of range for n=1"),
     # a cached face(2, 0) or degeneracy(1, 0) must not answer for a float level
-    ("delta-face-non-integer-level", lambda: (face(2, 0), face(2.0, 0)), "face requires n >= 1"),
-    ("delta-face-non-integer-index", lambda: face(2, 0.5), "face index 0.5 out of range for n=2"),
+    ("delta-face-non-integer-level", lambda: (face(2, 0), face(2.0, 0)), "face: the level must be an integer"),
+    ("delta-face-non-integer-index", lambda: face(2, 0.5), "face: the index must be an integer"),
     (
         "delta-degeneracy-non-integer-level",
         lambda: (degeneracy(1, 0), degeneracy(1.0, 0)),
-        "degeneracy requires n >= 0",
+        "degeneracy: the level must be an integer",
     ),
+    ("delta-degeneracy-bool-index", lambda: degeneracy(1, True), "degeneracy: the index must be an integer"),
 ]
 
 
