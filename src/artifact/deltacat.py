@@ -178,8 +178,14 @@ def enumerate_jointly_monic_pairs(
     f-major then g-minor in the canonical surjection order."""
     if type(n) is not int or type(xtop) is not int or type(ytop) is not int:
         raise DomainError("enumerate_jointly_monic_pairs: each size must be an integer")
+    return list(_monic_pair_maps(n, xtop, ytop))
+
+
+@cache
+def _monic_pair_maps(n: int, xtop: int, ytop: int) -> tuple:
+    """The public maps of the jointly monic pairs onto [k], [l] with k <= xtop and l <= ytop."""
     pairs = _jointly_monic_pairs(n, (True,) * (xtop + 1), (True,) * (ytop + 1))
-    return [(_surjection(f), _surjection(g)) for f, g in pairs]
+    return tuple((_surjection(f), _surjection(g)) for f, g in pairs)
 
 
 @cache

@@ -29,8 +29,7 @@ from .chains import (
     sphere,
     tensor,
 )
-from .deltacat import MonotoneMap, _jointly_monic_pairs, _surjection, face, shuffle_of_pair
-from .deltacat import enumerate_jointly_monic_pairs
+from .deltacat import MonotoneMap, _jointly_monic_pairs, _monic_pair_maps, _surjection, face, shuffle_of_pair
 from .errors import DomainError, RingError
 from .linalg import HomologyGroup, Matrix, identity, kron
 from .simplicial import _dk_blocks, _dk_rule, _live, nor, tensor_sm
@@ -42,16 +41,12 @@ Pair = tuple[MonotoneMap, MonotoneMap]
 @dataclass(frozen=True)
 class ShuffleComplex:
     """A connective complex whose degree-n part is indexed by jointly monic
-    surjection pairs, in the canonical pair order.  blocks lists, read from
-    the tops of the factors x and y, every jointly monic pair onto [k], [l]
-    with k <= x.top and l <= y.top in each degree, zero-size pairs included."""
+    surjection pairs, in the canonical pair order.  blocks lists, in each
+    degree, every jointly monic pair onto [k], [l] with k <= x.top and
+    l <= y.top for the factors x and y, the zero-size pairs included."""
 
     underlying: ConnComplex
-    tops: tuple[int, int]
-
-    @property
-    def blocks(self) -> tuple[tuple[Pair, ...], ...]:
-        return tuple(tuple(enumerate_jointly_monic_pairs(n, *self.tops)) for n in range(self.top + 1))
+    blocks: tuple[tuple[Pair, ...], ...]
 
     @property
     def ring(self):
@@ -112,7 +107,7 @@ def shuffle_product(x: ConnComplex, y: ConnComplex) -> ShuffleComplex:
                 blocks[key] = blocks[key] + mat if key in blocks else mat
         diffs[n] = _keyed_block_matrix(ring, rows, cols, blocks)
     underlying = ConnComplex(ring, tuple(sum(sizes.values()) for sizes in layouts), diffs)
-    return ShuffleComplex(underlying, (x.top, y.top))
+    return ShuffleComplex(underlying, tuple(_monic_pair_maps(n, x.top, y.top) for n in range(top + 1)))
 
 
 def _shuffle_map(f: ChainMap, g: ChainMap) -> ChainMap:

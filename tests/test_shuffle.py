@@ -278,28 +278,24 @@ def test_shuffle_pairs_are_enumerated_once_per_nonzero_pattern():
 
 
 # A fresh interpreter, so that no earlier test has filled a Δ cache.  It
-# counts the MonotoneMaps built and records the keys of the pair table.
+# counts the MonotoneMaps built.
 BOUNDARY_SCRIPT = """
 import json, random
-from artifact import ZZ, GF, ConnComplex, dk, dk_map, identity_chain_map
+from artifact import ZZ, GF, dk, dk_map, identity_chain_map
 from artifact import nor_tensor_compare, shuffle_map_left, shuffle_product
-from artifact import deltacat, shuffle
-from artifact.simplicial import _live
+from artifact import deltacat
 from oracles import random_complex
 
 built = []
 init = deltacat.MonotoneMap.__post_init__
 deltacat.MonotoneMap.__post_init__ = lambda self: (built.append(self), init(self))[1]
-keys = []
-table = deltacat._jointly_monic_pairs
-deltacat._jointly_monic_pairs = shuffle._jointly_monic_pairs = lambda *key: (keys.append(key), table(*key))[1]
 
 rng = random.Random(761)
 pairs = [(random_complex(rng, r, 2, 2), random_complex(rng, r, 2, 2)) for r in (ZZ, GF(2)) for _ in range(5)]
 for x, y in pairs:
     nor_tensor_compare(dk(x, 4), dk(y, 4))
 generating = lambda: deltacat.face.cache_info().currsize + deltacat.degeneracy.cache_info().currsize
-out = {"cold": len(built), "generating": generating()}
+out = {"cold": len(built), "generating": generating(), "boundary": deltacat._surjection.cache_info().currsize}
 for x, y in pairs:
     shuffle_product(x, y), shuffle_map_left(identity_chain_map(x), y)
 out["warm"] = len(built) - out["cold"]
@@ -308,13 +304,6 @@ for x, y in pairs:
     dk_map(identity_chain_map(x), 4)
 out["dk_map"] = len(built) - out["cold"] - out["warm"]
 out["dk_map_generating"] = generating() - out["generating"]
-
-x, y = ConnComplex(ZZ, (1, 0, 2)), ConnComplex(ZZ, (0, 1))
-keys.clear()
-s = shuffle_product(x, y)
-out["product_keys_live"] = bool(keys) and all(key[1:] == (_live(x), _live(y)) for key in keys)
-s.blocks
-out["blocks_keys_all_true"] = ((True,) * 3, (True,) * 2) in [key[1:] for key in keys]
 out["same_maps"] = all(
     f is g for f, g in zip(deltacat.enumerate_surjections(5, 2), deltacat.enumerate_surjections(5, 2))
 )
@@ -324,9 +313,10 @@ print(json.dumps(out))
 
 def test_monotone_maps_are_built_only_at_the_public_boundary():
     # inside the library a surjection is its value tuple: a cold
-    # normalized-tensor pass builds only the faces and degeneracies it
-    # acts by, later products and shuffle maps build none, and dk_map
-    # builds only the degeneracies it checks for the first time
+    # normalized-tensor pass builds the faces and degeneracies it acts by
+    # and one public map per surjection that its products list in blocks,
+    # later products and shuffle maps build none, and dk_map builds only
+    # the degeneracies it checks for the first time
     paths = [os.path.dirname(os.path.dirname(artifact.__file__)), os.path.dirname(__file__)]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths + [os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
@@ -334,11 +324,9 @@ def test_monotone_maps_are_built_only_at_the_public_boundary():
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out["cold"] == out["generating"], out
+    assert out["cold"] == out["generating"] + out["boundary"], out
     assert out["warm"] == 0, out
     assert out["dk_map"] == out["dk_map_generating"], out
-    # ShuffleComplex.blocks, not the product, reads the all-true pair table
-    assert out["product_keys_live"] and out["blocks_keys_all_true"], out
     assert out["same_maps"], out
 
 
