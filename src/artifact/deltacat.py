@@ -184,8 +184,9 @@ def enumerate_jointly_monic_pairs(
 @cache
 def _monic_pair_maps(n: int, xtop: int, ytop: int) -> tuple:
     """The public maps of the jointly monic pairs onto [k], [l] with k <= xtop and l <= ytop."""
-    pairs = _jointly_monic_pairs(n, (True,) * (xtop + 1), (True,) * (ytop + 1))
-    return tuple((_surjection(f), _surjection(g)) for f, g in pairs)
+    xlive, ylive = (True,) * (xtop + 1), (True,) * (ytop + 1)
+    fs, gs = ({f: _surjection(f) for f in _surjections_onto(n, live)} for live in (xlive, ylive))
+    return tuple((fs[f], gs[g]) for f, g in _jointly_monic_pairs(n, xlive, ylive))
 
 
 @cache
