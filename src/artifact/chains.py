@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
 
-from .errors import ClassError, DomainError, NotAComplex, RingError, ShapeError, SquareError
+from .errors import ClassError, NotAComplex, RingError, ShapeError, SquareError, _check_int
 from .linalg import (
     HomologyGroup,
     Matrix,
@@ -188,15 +188,13 @@ def compose_maps(g: ChainMap, f: ChainMap) -> ChainMap:
 
 def sphere(n: int, ring: RingTag = ZZ) -> ConnComplex:
     """Rank one in degree n, zero elsewhere."""
-    if type(n) is not int or n < 0:
-        raise DomainError("sphere needs n >= 0")
+    _check_int("sphere", "n", n, least=0)
     return ConnComplex(ring, (0,) * n + (1,))
 
 
 def disk(n: int, ring: RingTag = ZZ) -> ConnComplex:
     """Rank one in degrees n and n-1 joined by the identity; exact."""
-    if type(n) is not int or n < 1:
-        raise DomainError("disk needs n >= 1")
+    _check_int("disk", "n", n, least=1)
     ranks = (0,) * (n - 1) + (1, 1)
     return ConnComplex(ring, ranks, {n: identity(ring, 1)})
 
@@ -529,8 +527,7 @@ def rlp_generator_check(f: ChainMap, max_n: int) -> RlpReport:
     cols(M) - rank(M) and no non-unit invariant factor.  M is
     _cone_matrix(f, n - 1) up to the sign of its second block column, so
     has the same rank."""
-    if type(max_n) is not int or max_n < 0:
-        raise DomainError("rlp_generator_check needs max_n >= 0")
+    _check_int("rlp_generator_check", "max_n", max_n, least=0)
     x = f.source
     point = is_surjective(f.component(0))
     sphere_results = []

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 from math import comb
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, _check_int
 from .linalg import _is_natural, _json_object
 
 
@@ -62,8 +62,7 @@ class MonotoneMap:
 
 
 def identity_map(n: int) -> MonotoneMap:
-    if type(n) is not int:
-        raise DomainError("identity_map: the size must be an integer")
+    _check_int("identity_map", "the size", n)
     return MonotoneMap(n, n, tuple(range(n + 1)))
 
 
@@ -71,12 +70,8 @@ def identity_map(n: int) -> MonotoneMap:
 @lru_cache(maxsize=None, typed=True)
 def face(n: int, i: int) -> MonotoneMap:
     """The injective map [n-1] -> [n] that misses i."""
-    if type(n) is not int:
-        raise IndexError("face: the level must be an integer")
-    if type(i) is not int:
-        raise IndexError("face: the index must be an integer")
-    if n < 1:
-        raise IndexError("face requires n >= 1")
+    _check_int("face", "the level", n, least=1, error=IndexError)
+    _check_int("face", "the index", i, error=IndexError)
     if not 0 <= i <= n:
         raise IndexError(f"face index {i} out of range for n={n}")
     return MonotoneMap(n - 1, n, tuple(k if k < i else k + 1 for k in range(n)))
@@ -85,12 +80,8 @@ def face(n: int, i: int) -> MonotoneMap:
 @lru_cache(maxsize=None, typed=True)
 def degeneracy(n: int, i: int) -> MonotoneMap:
     """The surjective map [n+1] -> [n] that hits i twice."""
-    if type(n) is not int:
-        raise IndexError("degeneracy: the level must be an integer")
-    if type(i) is not int:
-        raise IndexError("degeneracy: the index must be an integer")
-    if n < 0:
-        raise IndexError("degeneracy requires n >= 0")
+    _check_int("degeneracy", "the level", n, least=0, error=IndexError)
+    _check_int("degeneracy", "the index", i, error=IndexError)
     if not 0 <= i <= n:
         raise IndexError(f"degeneracy index {i} out of range for n={n}")
     return MonotoneMap(n + 1, n, tuple(k if k <= i else k - 1 for k in range(n + 2)))
@@ -120,8 +111,7 @@ def enumerate_surjections(n: int, k: int) -> list[MonotoneMap]:
     """All surjective monotone maps [n] -> [k] in the canonical order
     (descending lexicographic on value sequences); comb(n, k) of them."""
     # before the cache, which keys 2.0 and True like 2 and 1
-    if type(n) is not int or type(k) is not int:
-        raise DomainError("enumerate_surjections: each size must be an integer")
+    _check_int("enumerate_surjections", "each size", n, k)
     return list(map(_surjection, _surjections_onto(n, tuple(j == k for j in range(k + 1)))))
 
 
@@ -162,8 +152,7 @@ def degeneracy_set(f: MonotoneMap) -> tuple[int, ...]:
 
 def surjection_with_degeneracy_set(n: int, repeats: tuple[int, ...]) -> MonotoneMap:
     """The surjection [n] -> [n - len(repeats)] whose degeneracy set is given."""
-    if type(n) is not int:
-        raise DomainError("surjection_with_degeneracy_set: the size must be an integer")
+    _check_int("surjection_with_degeneracy_set", "the size", n)
     rep = set(repeats)
     if any(type(j) is not int or not 0 <= j < n for j in rep):
         raise DomainError("surjection_with_degeneracy_set: degeneracy positions must lie in 0..n-1")
@@ -176,8 +165,7 @@ def enumerate_jointly_monic_pairs(
     """Pairs of surjections (f: [n]->>[k], g: [n]->>[l]) that are jointly
     monic (disjoint degeneracy sets), with k <= xtop and l <= ytop, ordered
     f-major then g-minor in the canonical surjection order."""
-    if type(n) is not int or type(xtop) is not int or type(ytop) is not int:
-        raise DomainError("enumerate_jointly_monic_pairs: each size must be an integer")
+    _check_int("enumerate_jointly_monic_pairs", "each size", n, xtop, ytop)
     return list(_monic_pair_maps(n, xtop, ytop))
 
 
@@ -238,21 +226,14 @@ class Shuffle:
         return -1 if inversions % 2 else 1
 
 
-def _check_blocks(p: int, q: int) -> None:
-    if type(p) is not int or type(q) is not int:
-        raise DomainError("shuffles: each block size must be an integer")
-    if p < 0 or q < 0:
-        raise DomainError("shuffles need p, q >= 0")
-
-
 def shuffle_count(p: int, q: int) -> int:
-    _check_blocks(p, q)
+    _check_int("shuffles", "each block size", p, q, least=0)
     return comb(p + q, p)
 
 
 def enumerate_shuffles(p: int, q: int) -> list[Shuffle]:
     """All (p,q)-shuffles, ordered by the first block's value set."""
-    _check_blocks(p, q)
+    _check_int("shuffles", "each block size", p, q, least=0)
     universe = range(1, p + q + 1)
     rest = lambda first: tuple(v for v in universe if v not in first)
     return [Shuffle(p, q, first + rest(first)) for first in itertools.combinations(universe, p)]

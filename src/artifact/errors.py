@@ -41,3 +41,13 @@ class ClassError(ArtifactError, ValueError):
 
 class NotSimplicial(ArtifactError, ValueError):
     """Levelwise matrices that do not commute with faces and degeneracies."""
+
+
+def _check_int(where: str, name: str, *values, least: int | None = None, error=DomainError) -> None:
+    """Refuse values that are not all ints (a bool is not one, though it
+    compares equal to one) with "<where>: <name> must be an integer", and
+    then any below least with "<where> needs <name> >= <least>"."""
+    if any(type(v) is not int for v in values):
+        raise error(f"{where}: {name} must be an integer")
+    if least is not None and min(values) < least:
+        raise error(f"{where} needs {name} >= {least}")

@@ -264,6 +264,8 @@ def _columns(a: Matrix) -> dict[int, dict]:
 def _check_indices(idxs: list[int], bound: int, kind: str) -> None:
     for k in idxs:
         if type(k) is not int or not 0 <= k < bound:
+            if type(k) is not int:
+                raise ShapeError(f"{kind} index must be an integer")
             raise ShapeError(f"{kind} index {k} outside 0..{bound - 1}")
 
 

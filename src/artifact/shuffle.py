@@ -30,7 +30,7 @@ from .chains import (
     tensor,
 )
 from .deltacat import MonotoneMap, _jointly_monic_pairs, _monic_pair_maps, _surjection, face, shuffle_of_pair
-from .errors import DomainError, RingError
+from .errors import DomainError, RingError, _check_int
 from .linalg import HomologyGroup, Matrix, identity, kron
 from .simplicial import _dk_blocks, _dk_rule, _live, nor, tensor_sm
 
@@ -199,8 +199,7 @@ def nor_tensor_compare(m, n) -> NorTensorReport:
 
 def boxtimes_generator_tests(mu: ChainMap, n: int) -> tuple[ModelClass, ModelClass]:
     """Classifications of mu boxtimes D(n) and of mu boxtimes S(0)."""
-    if n < 1:
-        raise DomainError("generator test needs n >= 1")
+    _check_int("generator test", "n", n, least=1)
     disk_map = shuffle_map_left(mu, disk(n, mu.ring))
     unit_map = shuffle_map_left(mu, sphere(0, mu.ring))
     return classify(disk_map), classify(unit_map)

@@ -27,7 +27,7 @@ from .chains import (
     _json_header,
     _keyed_block_matrix,
 )
-from .errors import DomainError, NotSimplicial, RingError, ShapeError
+from .errors import DomainError, NotSimplicial, RingError, ShapeError, _check_int
 from .linalg import (
     Matrix,
     _by_degree,
@@ -86,19 +86,19 @@ class FinSimplicialSet(_Value):
             raise NotSimplicial(f"{kind} identity fails at level {m} for (i,j)=({i},{j})")
 
     def cell_count(self, m: int) -> int:
-        if not 0 <= m <= self.horizon:
+        if not (type(m) is int and 0 <= m <= self.horizon):
             raise IndexError(f"no level {m} at horizon {self.horizon}")
         return len(self.cells[m])
 
     def face_map(self, m: int, i: int) -> tuple[int, ...]:
         """Index map of d_{m,i}: level m -> level m-1."""
-        if not (0 < m <= self.horizon and 0 <= i <= m):
+        if not (type(m) is type(i) is int and 0 < m <= self.horizon and 0 <= i <= m):
             raise IndexError(f"no face ({m},{i}) at horizon {self.horizon}")
         return self._faces[m - 1][i]
 
     def degen_map(self, m: int, i: int) -> tuple[int, ...]:
         """Index map of s_{m,i}: level m -> level m+1."""
-        if not 0 <= i <= m < self.horizon:
+        if not (type(m) is type(i) is int and 0 <= i <= m < self.horizon):
             raise IndexError(f"no degeneracy ({m},{i}) at horizon {self.horizon}")
         return self._degens[m][i]
 
@@ -180,10 +180,8 @@ def _vertex_tuple_set(horizon, cells) -> FinSimplicialSet:
 def simplex_set(n: int, horizon: int) -> FinSimplicialSet:
     """The combinatorial n-simplex: level m holds the weakly increasing
     (m+1)-tuples over {0..n} in lexicographic order."""
-    if type(horizon) is not int or horizon < 0:
-        raise DomainError("simplex needs horizon >= 0")
-    if type(n) is not int or n < 0:
-        raise DomainError("simplex dimension must be nonnegative")
+    _check_int("simplex", "horizon", horizon, least=0)
+    _check_int("simplex", "n", n, least=0)
     cells = [
         list(itertools.combinations_with_replacement(range(n + 1), m + 1))
         for m in range(horizon + 1)
@@ -193,10 +191,8 @@ def simplex_set(n: int, horizon: int) -> FinSimplicialSet:
 
 def boundary_simplex_set(n: int, horizon: int) -> FinSimplicialSet:
     """The boundary of the n-simplex: the non-surjective tuples."""
-    if type(horizon) is not int or horizon < 0:
-        raise DomainError("boundary needs horizon >= 0")
-    if type(n) is not int or n < 1:
-        raise DomainError("boundary needs n >= 1")
+    _check_int("boundary", "horizon", horizon, least=0)
+    _check_int("boundary", "n", n, least=1)
     full = set(range(n + 1))
     cells = [
         [c for c in itertools.combinations_with_replacement(range(n + 1), m + 1) if set(c) != full]
@@ -230,6 +226,9 @@ class FinPoset(_Value):
                             raise DomainError(f"relation is not transitive at ({i},{j},{k})")
 
     def le(self, i: int, j: int) -> bool:
+        n = len(self.elements)
+        if not (type(i) is type(j) is int and 0 <= i < n and 0 <= j < n):
+            raise IndexError(f"no pair ({i},{j}) among {n} elements")
         return self.leq[i][j]
 
     def __len__(self) -> int:
@@ -238,8 +237,7 @@ class FinPoset(_Value):
 
 def chain_poset(n: int) -> FinPoset:
     """The linear order 0 < 1 < ... < n."""
-    if type(n) is not int:
-        raise DomainError("chain_poset: the size must be an integer")
+    _check_int("chain_poset", "the size", n)
     return FinPoset(tuple(range(n + 1)), [[i <= j for j in range(n + 1)] for i in range(n + 1)])
 
 
@@ -253,8 +251,7 @@ def least_element(p: FinPoset) -> int | None:
 def nerve(p: FinPoset, horizon: int) -> FinSimplicialSet:
     """Level m holds the weak chains a_0 <= ... <= a_m as tuples of element
     indices, in lexicographic index order."""
-    if type(horizon) is not int or horizon < 0:
-        raise DomainError("nerve needs horizon >= 0")
+    _check_int("nerve", "horizon", horizon, least=0)
     levels = [[(i,) for i in range(len(p))]]
     for _ in range(horizon):
         levels.append([c + (j,) for c in levels[-1] for j in range(len(p)) if p.le(c[-1], j)])
@@ -375,12 +372,12 @@ class SimplicialModule(_Value):
         return len(self.ranks) - 1
 
     def rank(self, m: int) -> int:
-        if not 0 <= m <= self.horizon:
+        if not (type(m) is int and 0 <= m <= self.horizon):
             raise IndexError(f"no level {m} at horizon {self.horizon}")
         return self.ranks[m]
 
     def face(self, m: int, i: int) -> Matrix:
-        if not (0 < m <= self.horizon and 0 <= i <= m):
+        if not (type(m) is type(i) is int and 0 < m <= self.horizon and 0 <= i <= m):
             raise IndexError(f"no face ({m},{i}) at horizon {self.horizon}")
         fams = self._faces[m - 1]
         if fams is None:
@@ -388,7 +385,7 @@ class SimplicialModule(_Value):
         return fams[i]
 
     def degen(self, m: int, i: int) -> Matrix:
-        if not 0 <= i <= m < self.horizon:
+        if not (type(m) is type(i) is int and 0 <= i <= m < self.horizon):
             raise IndexError(f"no degeneracy ({m},{i}) at horizon {self.horizon}")
         fams = self._degens[m]
         if fams is None:
@@ -452,7 +449,7 @@ class SimplicialMap(_Value):
                         raise NotSimplicial(f"component does not commute with {kind} ({m},{i})")
 
     def component(self, m: int) -> Matrix:
-        if not 0 <= m <= self.source.horizon:
+        if not (type(m) is int and 0 <= m <= self.source.horizon):
             raise IndexError(f"no level {m} at horizon {self.source.horizon}")
         return self.components[m]
 
@@ -502,8 +499,7 @@ def free_module(u: FinSimplicialSet, ring: RingTag) -> SimplicialModule:
 def dk_blocks(n: int) -> list[deltacat.MonotoneMap]:
     """The canonical block list at level n: surjections out of [n], target
     size ascending, value sequences descending within each target size."""
-    if type(n) is not int:
-        raise DomainError("dk_blocks: the level must be an integer")
+    _check_int("dk_blocks", "the level", n)
     return list(map(deltacat._surjection, deltacat._surjections_onto(n, (True,) * (n + 1))))
 
 
@@ -572,8 +568,7 @@ def dk(x: ConnComplex, horizon: int) -> SimplicialModule:
     """The simplicial module with level n the sum of X_k over surjections
     [n] ->> [k], built to the requested horizon; each level's faces and
     degeneracies are built on their first read."""
-    if type(horizon) is not int or horizon < 0:
-        raise DomainError("dk needs horizon >= 0")
+    _check_int("dk", "horizon", horizon, least=0)
     blocks = _dk_blocks(x)
     layouts = [_dk_layout(x, n) for n in range(horizon + 1)]
     return _module(
@@ -757,6 +752,8 @@ def verify_nerve_contraction(p: FinPoset, horizon: int, ring: RingTag) -> Contra
     is a contracting homotopy: on the quotient of the levelwise module by
     its degenerate part, 1 - (collapse then include) = d h + h d in every
     degree below the horizon."""
+    # the horizon before the least element, which may end the check early
+    _check_int("nerve", "horizon", horizon, least=0)
     e = least_element(p)
     if e is None:
         return ContractionReport(None, (), ())

@@ -20,6 +20,7 @@ from artifact import (
     SimplicialModule,
     block_matrix,
     boundary_simplex_set,
+    boxtimes_generator_tests,
     chain_poset,
     compose_simplicial,
     coproduct,
@@ -45,6 +46,7 @@ from artifact import (
     sphere,
     tensor_map,
     vcat,
+    verify_nerve_contraction,
     zeros,
 )
 from artifact.chains import _keyed_block_matrix
@@ -92,6 +94,9 @@ def unchecked_simplicial_map(source, target, components):
     f.source, f.target, f.components = source, target, tuple(components)
     return f
 
+
+# two incomparable elements: no least element
+ANTICHAIN = FinPoset([0, 1], [[True, False], [False, True]])
 
 # the constant module on Z at horizon 1: both faces and the degeneracy are 1
 CONSTANT = SimplicialModule(ZZ, (1, 1), {1: [ONE, ONE]}, {0: [ONE]})
@@ -171,19 +176,19 @@ GUARDS = [
         "disk-non-integer",
         lambda: disk(1.5),
         DomainError,
-        "disk needs n >= 1",
+        "disk: n must be an integer",
     ),
     (
         "sphere-bool",
         lambda: sphere(True),
         DomainError,
-        "sphere needs n >= 0",
+        "sphere: n must be an integer",
     ),
     (
         "rlp-non-integer-max-n",
         lambda: rlp_generator_check(identity_chain_map(sphere(1)), 1.5),
         DomainError,
-        "rlp_generator_check needs max_n >= 0",
+        "rlp_generator_check: max_n must be an integer",
     ),
     # matrices
     (
@@ -301,19 +306,19 @@ GUARDS = [
         "col-select-non-integer",
         lambda: SQUARE.col_select([0.5]),
         ShapeError,
-        "column index 0.5 outside 0..1",
+        "column index must be an integer",
     ),
     (
         "col-select-float",
         lambda: SQUARE.col_select([1.0]),
         ShapeError,
-        "column index 1.0 outside 0..1",
+        "column index must be an integer",
     ),
     (
         "row-select-bool",
         lambda: SQUARE.row_select([True]),
         ShapeError,
-        "row index True outside 0..1",
+        "row index must be an integer",
     ),
     (
         "getitem-non-integer",
@@ -418,13 +423,13 @@ GUARDS = [
         "shuffle-count-negative",
         lambda: shuffle_count(-1, 2),
         DomainError,
-        "shuffles need p, q >= 0",
+        "shuffles needs each block size >= 0",
     ),
     (
         "enumerate-shuffles-negative",
         lambda: enumerate_shuffles(2, -1),
         DomainError,
-        "shuffles need p, q >= 0",
+        "shuffles needs each block size >= 0",
     ),
     (
         "shuffle-count-non-integer",
@@ -674,13 +679,13 @@ GUARDS = [
         "simplex-negative-dimension",
         lambda: simplex_set(-1, 1),
         DomainError,
-        "simplex dimension must be nonnegative",
+        "simplex needs n >= 0",
     ),
     (
         "simplex-non-integer-dimension",
         lambda: simplex_set(1.0, 2),
         DomainError,
-        "simplex dimension must be nonnegative",
+        "simplex: n must be an integer",
     ),
     (
         "coproduct-horizons",
@@ -817,19 +822,51 @@ GUARDS = [
         "dk-non-integer-horizon",
         lambda: dk(disk(1), 2.0),
         DomainError,
-        "dk needs horizon >= 0",
+        "dk: horizon must be an integer",
     ),
     (
         "nerve-non-integer-horizon",
         lambda: nerve(chain_poset(1), 1.5),
         DomainError,
-        "nerve needs horizon >= 0",
+        "nerve: horizon must be an integer",
     ),
     (
         "boundary-non-integer-horizon",
         lambda: boundary_simplex_set(2, 1.0),
         DomainError,
-        "boundary needs horizon >= 0",
+        "boundary: horizon must be an integer",
+    ),
+    # a poset with no least element has no contraction to check, but its
+    # horizon is checked first, as nerve checks it
+    (
+        "contraction-non-integer-horizon",
+        lambda: verify_nerve_contraction(ANTICHAIN, 1.5, ZZ),
+        DomainError,
+        "nerve: horizon must be an integer",
+    ),
+    (
+        "contraction-bool-horizon",
+        lambda: verify_nerve_contraction(ANTICHAIN, True, ZZ),
+        DomainError,
+        "nerve: horizon must be an integer",
+    ),
+    (
+        "contraction-negative-horizon",
+        lambda: verify_nerve_contraction(ANTICHAIN, -3, ZZ),
+        DomainError,
+        "nerve needs horizon >= 0",
+    ),
+    (
+        "generator-test-non-integer",
+        lambda: boxtimes_generator_tests(identity_chain_map(sphere(0)), 1.0),
+        DomainError,
+        "generator test: n must be an integer",
+    ),
+    (
+        "generator-test-level",
+        lambda: boxtimes_generator_tests(identity_chain_map(sphere(0)), 0),
+        DomainError,
+        "generator test needs n >= 1",
     ),
     # block assembly: a negative index would count from the end
     (
@@ -893,9 +930,9 @@ def test_guard_raises_its_type_and_message(build, error, message):
 # the simplex category's guards against an index outside a level range;
 # the reads of simplicial objects are pinned in test_simplicial.py
 INDEX_GUARDS = [
-    ("delta-face-level", lambda: face(0, 0), "face requires n >= 1"),
+    ("delta-face-level", lambda: face(0, 0), "face needs the level >= 1"),
     ("delta-face-index", lambda: face(1, 2), "face index 2 out of range for n=1"),
-    ("delta-degeneracy-level", lambda: degeneracy(-1, 0), "degeneracy requires n >= 0"),
+    ("delta-degeneracy-level", lambda: degeneracy(-1, 0), "degeneracy needs the level >= 0"),
     ("delta-degeneracy-index", lambda: degeneracy(1, 2), "degeneracy index 2 out of range for n=1"),
     # a cached face(2, 0) or degeneracy(1, 0) must not answer for a float level
     ("delta-face-non-integer-level", lambda: (face(2, 0), face(2.0, 0)), "face: the level must be an integer"),

@@ -696,6 +696,23 @@ def test_smith_normal_form_is_called_only_through_the_public_api():
     assert callers == []
 
 
+def test_the_package_holds_no_assert():
+    # a static check: python -O strips asserts, so every invariant the
+    # package relies on is a typed error
+    import ast
+    import pathlib
+
+    import artifact
+
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(pathlib.Path(artifact.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
+
+
 def test_the_package_holds_no_unused_import_and_no_unreferenced_private_function():
     # a static check: an import a module never uses, or a module-level
     # private function, class or assigned name that no module of the

@@ -185,6 +185,24 @@ def test_poset_validation():
         )  # not transitive
 
 
+@pytest.mark.parametrize(
+    "i, j, message",
+    [
+        (-1, 0, "no pair (-1,0) among 2 elements"),
+        (0, 2, "no pair (0,2) among 2 elements"),
+        (True, 0, "no pair (True,0) among 2 elements"),
+        (1.0, 0, "no pair (1.0,0) among 2 elements"),
+    ],
+)
+def test_poset_comparisons_outside_its_elements_raise_index_error(i, j, message):
+    # -1 would read the last row and True the second; 1.0 indexes nothing
+    p = chain_poset(1)
+    with pytest.raises(IndexError) as info:
+        p.le(i, j)
+    assert type(info.value) is IndexError and str(info.value) == message
+    assert p.le(0, 1) and not p.le(1, 0)
+
+
 # ---------------------------------------------------------------------------
 # free modules and identity checking
 
@@ -522,6 +540,14 @@ OUTSIDE_THE_LEVELS = [
     ("degen", (1, 2), "no degeneracy (1,2) at horizon 2"),
     ("rank", (-1,), "no level -1 at horizon 2"),
     ("rank", (3,), "no level 3 at horizon 2"),
+    # a float or a bool compares like an int but is no level or index
+    ("face", (1.0, 0), "no face (1.0,0) at horizon 2"),
+    ("face", (True, 0), "no face (True,0) at horizon 2"),
+    ("face", (2, 1.0), "no face (2,1.0) at horizon 2"),
+    ("degen", (1.0, 0), "no degeneracy (1.0,0) at horizon 2"),
+    ("degen", (1, True), "no degeneracy (1,True) at horizon 2"),
+    ("rank", (1.0,), "no level 1.0 at horizon 2"),
+    ("rank", (True,), "no level True at horizon 2"),
 ]
 # the same reads of a simplicial set
 SET_READ = {"face": "face_map", "degen": "degen_map", "rank": "cell_count"}
@@ -574,7 +600,7 @@ def test_set_reads_outside_its_levels_raise_index_error(build):
 @pytest.mark.parametrize("how", ["eager", "json", "lazy-unread", "lazy-read"])
 def test_map_components_outside_the_levels_raise_index_error(how):
     f = identity_simplicial_map(_module_read_as(how))
-    for m in (-1, 3):
+    for m in (-1, 3, 1.0, True):
         with pytest.raises(IndexError) as info:
             f.component(m)
         assert str(info.value) == f"no level {m} at horizon 2"
