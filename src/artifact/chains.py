@@ -22,13 +22,13 @@ from .linalg import (
     _homology,
     _is_natural,
     _json_object,
+    _make,
     block_matrix,
     hcat,
     identity,
     invariant_factors,
     is_surjective,
     kernel_basis,
-    kron,
     mat_from_json,
     mat_to_json,
     solve,
@@ -229,24 +229,83 @@ def tensor_blocks(x: ConnComplex, y: ConnComplex) -> tuple[tuple[tuple[int, int,
 
 def _keyed_block_matrix(ring: RingTag, rows: dict, cols: dict, blocks: dict) -> Matrix:
     """The block matrix on the row and column block layouts rows and cols,
-    each an ordered {key: size}, with the given blocks, keyed by (row key,
-    column key), and zero elsewhere; ShapeError for a block whose key is
-    missing from its layout."""
-    row_at = {key: i for i, key in enumerate(rows)}
-    col_at = {key: j for j, key in enumerate(cols)}
-    placed = {}
-    for (row, col), mat in blocks.items():
+    each an ordered {key: size}, with blocks, a dict {(row key, column key):
+    list of terms}, and zero elsewhere; ShapeError for a key missing from
+    its layout.  A term is a stored matrix or a triple (sign, a, b) for
+    sign * kron(a, b), each over ring and of its block's shape.  The one
+    private block writer: it computes each layout's offsets once and writes
+    every term's entries straight into the result's rows, building no
+    intermediate matrix.  Sum rule: the terms of one key are added and the
+    sum is reduced mod p once.  Canonical storage: zeros are dropped, and so
+    are rows left empty, so the result is stored as the public constructor
+    would store it."""
+    row_off = list(accumulate(rows.values(), initial=0))
+    col_off = list(accumulate(cols.values(), initial=0))
+    row_at, col_at = dict(zip(rows, row_off)), dict(zip(cols, col_off))
+    p = ring.p
+    out: dict[int, dict] = {}
+    for (row, col), terms in blocks.items():
         try:
-            placed[row_at[row], col_at[col]] = mat
+            r0, c0 = row_at[row], col_at[col]
         except KeyError:
             raise ShapeError(f"block {(row, col)} lies outside the layout") from None
-    return block_matrix(ring, list(rows.values()), list(cols.values()), placed)
+        if len(terms) == 1:
+            # one term over a domain has no zero entry, and no other key
+            # writes inside its block
+            _write_term(out, terms[0], r0, c0, p)
+            continue
+        sums: dict[int, dict] = {}
+        for term in terms:
+            part: dict[int, dict] = {}
+            _write_term(part, term, r0, c0, 0)
+            for i, new in part.items():
+                have = sums.get(i)
+                if have is None:
+                    sums[i] = new
+                    continue
+                for j, z in new.items():
+                    have[j] = have.get(j, 0) + z
+        for i, new in sums.items():
+            new = {j: z % p for j, z in new.items() if z % p} if p else {j: z for j, z in new.items() if z}
+            if new:
+                have = out.get(i)
+                if have is None:
+                    out[i] = new
+                else:
+                    have.update(new)
+    return _make(ring, row_off[-1], col_off[-1], out)
+
+
+def _write_term(out: dict, term, r0: int, c0: int, p: int) -> None:
+    """Write the entries of the term, a matrix or (sign, a, b) for
+    sign * kron(a, b), into the rows of out shifted by (r0, c0), the
+    Kronecker entries reduced mod p when p is nonzero; a stored matrix's
+    rows are copied, never shared."""
+    if type(term) is Matrix:
+        for i, row in term._rows.items():
+            new = out.get(r0 + i)
+            if new is None:
+                new = out[r0 + i] = {}
+            for j, x in row.items():
+                new[c0 + j] = x
+        return
+    sign, a, b = term
+    br, bc = b.rows, b.cols
+    for i, arow in a._rows.items():
+        for k, brow in b._rows.items():
+            new = out.get(r0 + i * br + k)
+            if new is None:
+                new = out[r0 + i * br + k] = {}
+            for j, x in arow.items():
+                at, x = c0 + j * bc, sign * x
+                for l, y in brow.items():
+                    new[at + l] = x * y % p if p else x * y
 
 
 def _blockwise(ring: RingTag, rows: dict, cols: dict, block) -> Matrix:
-    """The map from the layout cols to the layout rows that acts by
-    block(key) on each key both layouts hold, and by zero elsewhere."""
-    return _keyed_block_matrix(ring, rows, cols, {(key, key): block(key) for key in cols if key in rows})
+    """The map from the layout cols to the layout rows that acts by the
+    term block(key) on each key both layouts hold, and by zero elsewhere."""
+    return _keyed_block_matrix(ring, rows, cols, {(key, key): [block(key)] for key in cols if key in rows})
 
 
 def tensor(x: ConnComplex, y: ConnComplex) -> ConnComplex:
@@ -263,10 +322,9 @@ def tensor(x: ConnComplex, y: ConnComplex) -> ConnComplex:
         blocks = {}
         for k, l in layouts[n]:
             if (k - 1, l) in below:
-                blocks[(k - 1, l), (k, l)] = kron(x.diff(k), identity(ring, y.rank(l)))
+                blocks[(k - 1, l), (k, l)] = [(1, x.diff(k), identity(ring, y.rank(l)))]
             if (k, l - 1) in below:
-                block = kron(identity(ring, x.rank(k)), y.diff(l))
-                blocks[(k, l - 1), (k, l)] = -block if k % 2 else block
+                blocks[(k, l - 1), (k, l)] = [(-1 if k % 2 else 1, identity(ring, x.rank(k)), y.diff(l))]
         diffs[n] = _keyed_block_matrix(ring, below, layouts[n], blocks)
     return ConnComplex(ring, tuple(sum(sizes.values()) for sizes in layouts), diffs)
 
@@ -277,7 +335,7 @@ def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
         raise RingError(f"tensor factors over {f.ring} and {g.ring}")
     source = tensor(f.source, g.source)
     target = tensor(f.target, g.target)
-    block = lambda kl: kron(f.component(kl[0]), g.component(kl[1]))
+    block = lambda kl: (1, f.component(kl[0]), g.component(kl[1]))
     comps = {}
     for n in range(max(source.top, target.top) + 1):
         rows, cols = _tensor_layout(f.target, g.target, n), _tensor_layout(f.source, g.source, n)

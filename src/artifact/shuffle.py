@@ -31,7 +31,7 @@ from .chains import (
 )
 from .deltacat import MonotoneMap, _jointly_monic_pairs, _monic_pair_maps, _surjection, face, shuffle_of_pair
 from .errors import DomainError, RingError, _check_int
-from .linalg import HomologyGroup, Matrix, identity, kron
+from .linalg import HomologyGroup, Matrix, identity
 from .simplicial import _dk_blocks, _dk_rule, _live, nor, tensor_sm
 
 
@@ -100,11 +100,8 @@ def shuffle_product(x: ConnComplex, y: ConnComplex) -> ShuffleComplex:
                 # a dead row is a zero-height block
                 if row not in rows:
                     continue
-                mat = kron(x_blocks[f[-1], f_rule[1]], y_blocks[g[-1], g_rule[1]])
-                if i % 2:
-                    mat = -mat
-                key = (row, (f, g))
-                blocks[key] = blocks[key] + mat if key in blocks else mat
+                term = (-1 if i % 2 else 1, x_blocks[f[-1], f_rule[1]], y_blocks[g[-1], g_rule[1]])
+                blocks.setdefault((row, (f, g)), []).append(term)
         diffs[n] = _keyed_block_matrix(ring, rows, cols, blocks)
     underlying = ConnComplex(ring, tuple(sum(sizes.values()) for sizes in layouts), diffs)
     return ShuffleComplex(underlying, tuple(_monic_pair_maps(n, x.top, y.top) for n in range(top + 1)))
@@ -116,7 +113,7 @@ def _shuffle_map(f: ChainMap, g: ChainMap) -> ChainMap:
     block of a pair onto [k], [l] by f_k (x) g_l."""
     source = shuffle_product(f.source, g.source)
     target = shuffle_product(f.target, g.target)
-    block = lambda fg: kron(f.component(fg[0][-1]), g.component(fg[1][-1]))
+    block = lambda fg: (1, f.component(fg[0][-1]), g.component(fg[1][-1]))
     comps = {}
     for n in range(max(source.top, target.top) + 1):
         rows, cols = _shuffle_layout(f.target, g.target, n), _shuffle_layout(f.source, g.source, n)
@@ -151,7 +148,7 @@ def ez_map(x: ConnComplex, y: ConnComplex) -> ChainMap:
         for f, g in rows:
             if f[-1] + g[-1] == n:
                 sign = shuffle_of_pair(_surjection(f), _surjection(g)).sign()
-                blocks[(f, g), (f[-1], g[-1])] = identity(ring, rows[f, g]).scale(sign)
+                blocks[(f, g), (f[-1], g[-1])] = [identity(ring, rows[f, g]).scale(sign)]
         comps[n] = _keyed_block_matrix(ring, rows, _tensor_layout(x, y, n), blocks)
     return ChainMap(tensor(x, y), boxed.underlying, comps)
 
