@@ -23,6 +23,7 @@ from .linalg import (
     _is_natural,
     _json_object,
     _make,
+    _write_block,
     block_matrix,
     hcat,
     identity,
@@ -250,56 +251,22 @@ def _keyed_block_matrix(ring: RingTag, rows: dict, cols: dict, blocks: dict) -> 
         except KeyError:
             raise ShapeError(f"block {(row, col)} lies outside the layout") from None
         if len(terms) == 1:
-            # one term over a domain has no zero entry, and no other key
-            # writes inside its block
-            _write_term(out, terms[0], r0, c0, p)
+            # one term over a domain has no zero entry to drop
+            _write_block(out, terms[0], r0, c0, p)
             continue
-        sums: dict[int, dict] = {}
+        sums: dict[tuple[int, int], object] = {}
         for term in terms:
             part: dict[int, dict] = {}
-            _write_term(part, term, r0, c0, 0)
+            _write_block(part, term, r0, c0, 0)
             for i, new in part.items():
-                have = sums.get(i)
-                if have is None:
-                    sums[i] = new
-                    continue
                 for j, z in new.items():
-                    have[j] = have.get(j, 0) + z
-        for i, new in sums.items():
-            new = {j: z % p for j, z in new.items() if z % p} if p else {j: z for j, z in new.items() if z}
-            if new:
-                have = out.get(i)
-                if have is None:
-                    out[i] = new
-                else:
-                    have.update(new)
+                    sums[i, j] = sums.get((i, j), 0) + z
+        for (i, j), z in sums.items():
+            if p:
+                z %= p
+            if z:
+                out.setdefault(i, {})[j] = z
     return _make(ring, row_off[-1], col_off[-1], out)
-
-
-def _write_term(out: dict, term, r0: int, c0: int, p: int) -> None:
-    """Write the entries of the term, a matrix or (sign, a, b) for
-    sign * kron(a, b), into the rows of out shifted by (r0, c0), the
-    Kronecker entries reduced mod p when p is nonzero; a stored matrix's
-    rows are copied, never shared."""
-    if type(term) is Matrix:
-        for i, row in term._rows.items():
-            new = out.get(r0 + i)
-            if new is None:
-                new = out[r0 + i] = {}
-            for j, x in row.items():
-                new[c0 + j] = x
-        return
-    sign, a, b = term
-    br, bc = b.rows, b.cols
-    for i, arow in a._rows.items():
-        for k, brow in b._rows.items():
-            new = out.get(r0 + i * br + k)
-            if new is None:
-                new = out[r0 + i * br + k] = {}
-            for j, x in arow.items():
-                at, x = c0 + j * bc, sign * x
-                for l, y in brow.items():
-                    new[at + l] = x * y % p if p else x * y
 
 
 def _blockwise(ring: RingTag, rows: dict, cols: dict, block) -> Matrix:

@@ -62,7 +62,7 @@ class MonotoneMap:
 
 
 def identity_map(n: int) -> MonotoneMap:
-    _check_int("identity_map", "the size", n)
+    _check_int("identity_map", "the size", n, least=0)
     return MonotoneMap(n, n, tuple(range(n + 1)))
 
 
@@ -152,7 +152,7 @@ def degeneracy_set(f: MonotoneMap) -> tuple[int, ...]:
 
 def surjection_with_degeneracy_set(n: int, repeats: tuple[int, ...]) -> MonotoneMap:
     """The surjection [n] -> [n - len(repeats)] whose degeneracy set is given."""
-    _check_int("surjection_with_degeneracy_set", "the size", n)
+    _check_int("surjection_with_degeneracy_set", "the size", n, least=0)
     rep = set(repeats)
     if any(type(j) is not int or not 0 <= j < n for j in rep):
         raise DomainError("surjection_with_degeneracy_set: degeneracy positions must lie in 0..n-1")

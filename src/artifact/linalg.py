@@ -3,6 +3,8 @@
 Matrices act on column vectors, so the composite g o f is the product G @ F.
 Over the integers every basis this module returns is saturated: kernel bases
 generate the full kernel lattice, image bases the full image lattice.
+Over F2 (ring.p == 2) ranks, kernel bases, solutions and canonical columns
+are eliminated on integer bitmasks with XOR, over other rings on sparse dicts.
 """
 
 from __future__ import annotations
@@ -300,12 +302,7 @@ def hcat(ring: RingTag, rows: int, mats: Iterable[Matrix]) -> Matrix:
             raise ShapeError("hcat with mismatched row counts")
         if m.ring != ring:
             raise RingError("hcat with mixed rings")
-        for i, row in m._rows.items():
-            new = out.get(i)
-            if new is None:
-                new = out[i] = {}
-            for j, x in row.items():
-                new[j + offset] = x
+        _write_block(out, m, 0, offset, 0)
         offset += m.cols
     return _make(ring, rows, offset, out)
 
@@ -354,13 +351,7 @@ def block_matrix(
                 raise ShapeError(f"block ({bi},{bj}) has shape {m.rows}x{m.cols}")
             if m.ring != ring:
                 raise RingError("block with mixed ring")
-            r0, c0 = row_off[bi], col_off[bj]
-            for i, row in m._rows.items():
-                new = out.get(r0 + i)
-                if new is None:
-                    new = out[r0 + i] = {}
-                for j, x in row.items():
-                    new[c0 + j] = x
+            _write_block(out, m, row_off[bi], col_off[bj], 0)
     except IndexError:
         raise ShapeError(f"block ({bi},{bj}) lies outside the block grid") from None
     return _make(ring, row_off[-1], col_off[-1], out)
@@ -370,17 +361,35 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product in the row-major basis convention:
     basis vector i*b.cols + j of the source is e_i (x) e_j."""
     a._match(b)
-    p = a.ring.p
+    out: dict[int, dict] = {}
+    _write_block(out, (1, a, b), 0, 0, a.ring.p)
+    return _make(a.ring, a.rows * b.rows, a.cols * b.cols, out)
+
+
+def _write_block(out: dict, term, r0: int, c0: int, p: int) -> None:
+    """Write the entries of the term, a matrix or (sign, a, b) for
+    sign * kron(a, b), into the rows of out shifted by (r0, c0), the
+    Kronecker entries reduced mod p when p is nonzero; a stored matrix's
+    rows are copied, never shared."""
+    if type(term) is Matrix:
+        for i, row in term._rows.items():
+            new = out.get(r0 + i)
+            if new is None:
+                new = out[r0 + i] = {}
+            for j, x in row.items():
+                new[c0 + j] = x
+        return
+    sign, a, b = term
     br, bc = b.rows, b.cols
-    out = {}
     for i, arow in a._rows.items():
         for k, brow in b._rows.items():
-            if p:
-                row = {j * bc + l: x * y % p for j, x in arow.items() for l, y in brow.items()}
-            else:
-                row = {j * bc + l: x * y for j, x in arow.items() for l, y in brow.items()}
-            out[i * br + k] = row
-    return _make(a.ring, a.rows * br, a.cols * bc, out)
+            new = out.get(r0 + i * br + k)
+            if new is None:
+                new = out[r0 + i * br + k] = {}
+            for j, x in arow.items():
+                at, x = c0 + j * bc, sign * x
+                for l, y in brow.items():
+                    new[at + l] = x * y % p if p else x * y
 
 
 @dataclass(frozen=True)
@@ -693,7 +702,8 @@ def _eliminate_columns(ring: RingTag, cols: list[tuple[dict, dict]]) -> tuple[li
     A reduced head ends above its row, so one scan from the lowest row up
     meets every column. Returns the pivots as (row, head, tail) triples,
     bottom row first, each head zero below its row and positive there over
-    Z (1 in a field), and the columns whose heads are now zero."""
+    Z (1 in a field), and the columns whose heads are now zero.  Over F2
+    the public callers replay this order on bitmasks (_eliminate_f2)."""
     p = ring.p
     field = ring.is_field
     by_low: dict[int, list] = {}
@@ -747,7 +757,9 @@ def canonical_columns(b: Matrix) -> Matrix:
     that entry positive (1 over a field) and the entries in other columns at
     pivot rows reduced. Each column is reduced against the nearest pivot
     first, so no later step undoes an earlier one and the result depends
-    only on the lattice (over a field, the span)."""
+    only on the lattice (over a field, the span).  Over F2 on bitmasks."""
+    if b.ring.p == 2:
+        return _hermite_f2(b.ring, b.rows, list(_f2_columns(b).values()))
     return _hermite(b.ring, b.rows, list(_columns(b).values()))
 
 
@@ -804,7 +816,10 @@ def _identity_tails(a: Matrix) -> list[tuple[dict, dict]]:
 
 def kernel_basis(a: Matrix) -> Matrix:
     """Columns form a basis of ker(a); over Z the full kernel lattice: the
-    transform part of the columns of [A; I] whose A-part eliminates to zero."""
+    transform part of the columns of [A; I] whose A-part eliminates to zero.
+    Over F2 on bitmasks, with the same pivots."""
+    if a.ring.p == 2:
+        return _hermite_f2(a.ring, a.cols, [tail for _, tail in _f2_pivots(a)[1]])
     _, null = _eliminate_columns(a.ring, _identity_tails(a))
     return _hermite(a.ring, a.cols, [tail for _, tail in null])
 
@@ -821,12 +836,25 @@ def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
     columns of H in echelon form; each column of b is reduced against them
     bottom row first, and x collects the matching columns of V, negated;
     whatever is left of b means no solution. The answer depends only on
-    (a, b)."""
+    (a, b).  Over F2 on bitmasks, with the same pivots and answer."""
     a._match(b)
     if a.rows != b.rows:
         raise ShapeError(f"solve: {a.rows} rows vs {b.rows} rows")
     ring = a.ring
     p = ring.p
+    if p == 2:
+        pivots, _ = _f2_pivots(a)
+        found = {}
+        for k, residual in _f2_columns(b).items():
+            col = 0
+            for r, head, tail in pivots:
+                if residual >> r & 1:
+                    residual, col = residual ^ head, col ^ tail
+            if residual:
+                return None
+            if col:
+                found[k] = _f2_vector(col)
+        return _make(ring, b.cols, a.cols, found).transpose()
     pivots, _ = _eliminate_columns(ring, _identity_tails(a))
     x: dict[int, dict] = {}
     for k, residual in _columns(b).items():
@@ -838,6 +866,60 @@ def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
             # p - z is -z over Z and Q (p = 0) and the residue of -z mod p
             x.setdefault(i, {})[k] = p - z
     return _make(ring, a.cols, b.cols, x)
+
+
+def _f2_columns(a: Matrix) -> dict[int, int]:
+    """The nonzero columns of the F2 matrix a as bitmasks of their rows, in
+    the order _columns lists them."""
+    cols: dict[int, int] = {}
+    for i, row in a._rows.items():
+        for j in row:
+            cols[j] = cols.get(j, 0) | 1 << i
+    return cols
+
+
+def _f2_pivots(a: Matrix) -> tuple[list, list]:
+    """_eliminate_f2 of the columns of [A; I] for the F2 matrix a."""
+    heads = _f2_columns(a)
+    return _eliminate_f2([(heads.get(j, 0), 1 << j) for j in range(a.cols)])
+
+
+def _f2_vector(mask: int) -> dict:
+    """The sparse 0/1 vector on the set bits of mask."""
+    return dict.fromkeys((i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"), 1)
+
+
+def _eliminate_f2(cols: list[tuple[int, int]]) -> tuple[list, list]:
+    """_eliminate_columns over F2 with heads and tails as bitmasks of their
+    rows (M4RI, Albrecht-Bard-Hart 2010), in its bucket order: the first
+    column placed in a row's bucket is the pivot, 1 there already, and each
+    later one is reduced by XOR with it and appended to the bucket of its
+    new lowest row; bucket -1 holds the zero heads."""
+    by_low: dict[int, list] = {}
+    for col in cols:
+        by_low.setdefault(col[0].bit_length() - 1, []).append(col)
+    pivots = []
+    for r in range(max(by_low, default=-1), -1, -1):
+        active = by_low.pop(r, None)
+        if active is None:
+            continue
+        head, tail = active[0]
+        for h, t in active[1:]:
+            h ^= head
+            by_low.setdefault(h.bit_length() - 1, []).append((h, t ^ tail))
+        pivots.append((r, head, tail))
+    return pivots, by_low.get(-1, [])
+
+
+def _hermite_f2(ring: RingTag, rows: int, cols: list[int]) -> Matrix:
+    """_hermite over F2 on columns given as bitmasks."""
+    basis: list[tuple[int, int]] = []
+    for r, head, _ in reversed(_eliminate_f2([(col, 0) for col in cols])[0]):
+        for s, piv in reversed(basis):
+            if head >> s & 1:
+                head ^= piv
+        basis.append((r, head))
+    return _make(ring, len(basis), rows, {n: _f2_vector(head) for n, (_, head) in enumerate(basis)}).transpose()
 
 
 def torsion(factors: tuple) -> tuple[int, ...]:

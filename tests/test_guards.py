@@ -450,6 +450,18 @@ GUARDS = [
         "identity_map: the size must be an integer",
     ),
     (
+        "identity-map-negative",
+        lambda: identity_map(-1),
+        DomainError,
+        "identity_map needs the size >= 0",
+    ),
+    (
+        "surjection-with-degeneracy-set-negative",
+        lambda: surjection_with_degeneracy_set(-1, ()),
+        DomainError,
+        "surjection_with_degeneracy_set needs the size >= 0",
+    ),
+    (
         "surjection-with-degeneracy-set-non-integer",
         lambda: surjection_with_degeneracy_set(2.0, ()),
         DomainError,

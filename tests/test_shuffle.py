@@ -16,6 +16,7 @@ from artifact import (
     ChainMap,
     ConnComplex,
     Matrix,
+    block_matrix,
     boxtimes_generator_tests,
     classify,
     compose_maps,
@@ -27,6 +28,7 @@ from artifact import (
     identity,
     identity_chain_map,
     is_exact,
+    kron,
     map_to_json,
     mapping_cone,
     moore,
@@ -40,12 +42,14 @@ from artifact import (
     tensor,
     tensor_map,
     tensor_sm,
+    zeros,
 )
+from artifact.chains import _keyed_block_matrix
 from artifact.cli import change_ring
 from artifact.deltacat import enumerate_jointly_monic_pairs
 from artifact.shuffle import _shuffle_layout
 from artifact.simplicial import _dk_layout
-from artifact.errors import DomainError, RingError
+from artifact.errors import DomainError, RingError, ShapeError
 
 from oracles import (
     dense,
@@ -57,6 +61,7 @@ from oracles import (
     dense_shuffle_map_right,
     random_chain_map,
     random_complex,
+    random_matrix,
     same_as_dense,
     zero_rank_map,
 )
@@ -530,3 +535,76 @@ def test_shuffle_json_carries_the_block_layout():
         {"f": [0, 1, 1], "g": [0, 0, 1], "k": 1, "l": 1},
         {"f": [0, 0, 1], "g": [0, 1, 1], "k": 1, "l": 1},
     ]
+
+
+def cells(a):
+    return {(i, j) for i, row in a._rows.items() for j in row}
+
+
+@pytest.mark.parametrize("ring", [GF(2), GF(5)], ids=str)
+def test_block_writer_stores_sums_canonically(ring):
+    # no two faces of a shuffle product land on one key (they would need a
+    # repeat at one position in both surjections of a jointly monic pair),
+    # so the sum rule is met here on the alternating face sum of a Dold-Kan
+    # module, written as one key; its degenerate blocks cancel
+    rng = random.Random(917)
+    one = identity(ring, 1)
+    cancelled = 0
+    for _ in range(10):
+        x = random_complex(rng, ring, max_top=3, max_rank=2)
+        y = random_complex(rng, ring, max_top=2, max_rank=2)
+        m = dk(x, 4)
+        written = [shuffle_product(x, y).diff(n) for n in range(1, x.top + y.top + 1)]
+        written += [tensor(x, y).diff(n) for n in range(1, x.top + y.top + 1)]
+        written += [m.face(n, i) for n in range(1, 5) for i in range(n + 1)]
+        written += [m.degen(n, i) for n in range(4) for i in range(n + 1)]
+        for n in range(1, 5):
+            faces = [m.face(n, i) for i in range(n + 1)]
+            terms = [(-1 if i % 2 else 1, face, one) for i, face in enumerate(faces)]
+            d = _keyed_block_matrix(ring, {0: m.rank(n - 1)}, {0: m.rank(n)}, {(0, 0): terms})
+            assert d == moore(m).diff(n)
+            cancelled += len(set().union(*map(cells, faces)) - cells(d))
+            written.append(d)
+        for d in written:
+            assert d == Matrix(ring, d.rows, d.cols, d.entries)
+            assert all(d._rows.values()) and all(x for row in d._rows.values() for x in row.values())
+    assert cancelled > 100
+
+
+def split(rng, n):
+    """Two sizes whose product is n."""
+    if n == 0:
+        k = rng.randint(0, 2)
+        return (0, k) if rng.random() < 0.5 else (k, 0)
+    d = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+    return d, n // d
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(5)], ids=str)
+def test_block_writer_matches_block_matrix(ring):
+    rng = random.Random(919)
+    for _ in range(60):
+        rows = {("r", i): rng.randint(0, 3) for i in range(rng.randint(0, 4))}
+        cols = {("c", j): rng.randint(0, 3) for j in range(rng.randint(0, 4))}
+        blocks, placed = {}, {}
+        for bi, (row, height) in enumerate(rows.items()):
+            for bj, (col, width) in enumerate(cols.items()):
+                terms, total = [], zeros(ring, height, width)
+                for _ in range(rng.choice((0, 1, 1, 2, 3))):
+                    if rng.random() < 0.4:
+                        term = random_matrix(rng, ring, height, width, bound=2)
+                        total = total + term
+                    else:
+                        (h1, h2), (w1, w2) = split(rng, height), split(rng, width)
+                        a, b = random_matrix(rng, ring, h1, w1, 2), random_matrix(rng, ring, h2, w2, 2)
+                        term = (rng.choice((1, -1)), a, b)
+                        total = total + kron(a, b).scale(term[0])
+                    terms.append(term)
+                if terms:
+                    blocks[row, col], placed[bi, bj] = terms, total
+        got = _keyed_block_matrix(ring, rows, cols, blocks)
+        assert got == block_matrix(ring, list(rows.values()), list(cols.values()), placed)
+        assert got == Matrix(ring, got.rows, got.cols, got.entries)
+        for outside in ((("r", 9), ("c", 0)), (("r", 0), ("c", 9))):
+            with pytest.raises(ShapeError, match="lies outside the layout"):
+                _keyed_block_matrix(ring, rows, cols, {**blocks, outside: [zeros(ring, 0, 0)]})
