@@ -4,7 +4,8 @@ Matrices act on column vectors, so the composite g o f is the product G @ F.
 Over the integers every basis this module returns is saturated: kernel bases
 generate the full kernel lattice, image bases the full image lattice.
 Over F2 (ring.p == 2) ranks, kernel bases, solutions and canonical columns
-are eliminated on integer bitmasks with XOR, over other rings on sparse dicts.
+are eliminated on integer bitmasks with XOR; the other rings eliminate sparse
+dicts, and F_p ranks hand over to packed rows once they fill in.
 """
 
 from __future__ import annotations
@@ -302,7 +303,12 @@ def hcat(ring: RingTag, rows: int, mats: Iterable[Matrix]) -> Matrix:
             raise ShapeError("hcat with mismatched row counts")
         if m.ring != ring:
             raise RingError("hcat with mixed rings")
-        _write_block(out, m, 0, offset, 0)
+        for i, row in m._rows.items():
+            new = out.get(i)
+            if new is None:
+                new = out[i] = {}
+            for j, x in row.items():
+                new[j + offset] = x
         offset += m.cols
     return _make(ring, rows, offset, out)
 
@@ -351,7 +357,13 @@ def block_matrix(
                 raise ShapeError(f"block ({bi},{bj}) has shape {m.rows}x{m.cols}")
             if m.ring != ring:
                 raise RingError("block with mixed ring")
-            _write_block(out, m, row_off[bi], col_off[bj], 0)
+            r0, c0 = row_off[bi], col_off[bj]
+            for i, row in m._rows.items():
+                new = out.get(r0 + i)
+                if new is None:
+                    new = out[r0 + i] = {}
+                for j, x in row.items():
+                    new[c0 + j] = x
     except IndexError:
         raise ShapeError(f"block ({bi},{bj}) lies outside the block grid") from None
     return _make(ring, row_off[-1], col_off[-1], out)

@@ -907,7 +907,7 @@ GUARDS = [
     ),
     (
         "keyed-block-outside-its-layout",
-        lambda: _keyed_block_matrix(ZZ, {(0, 1): 1}, {(1, 0): 1}, {((0, 1), (0, 1)): FIVE}),
+        lambda: _keyed_block_matrix(ZZ, {(0, 1): 1}, {(1, 0): 1}, {((0, 1), (0, 1)): [FIVE]}),
         ShapeError,
         "block ((0, 1), (0, 1)) lies outside the layout",
     ),
