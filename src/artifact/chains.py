@@ -229,50 +229,39 @@ def tensor_blocks(x: ConnComplex, y: ConnComplex) -> tuple[tuple[tuple[int, int,
 
 
 def _keyed_block_matrix(ring: RingTag, rows: dict, cols: dict, blocks: dict) -> Matrix:
-    """The block matrix on the row and column block layouts rows and cols,
-    each an ordered {key: size}, with blocks, a dict {(row key, column key):
-    list of terms}, and zero elsewhere; ShapeError for a key missing from
-    its layout.  A term is a stored matrix or a triple (sign, a, b) for
-    sign * kron(a, b), each over ring and of its block's shape.  The one
-    private block writer: it computes each layout's offsets once and writes
-    every term's entries straight into the result's rows, building no
-    intermediate matrix.  Sum rule: the terms of one key are added and the
-    sum is reduced mod p once.  Canonical storage: zeros are dropped, and so
-    are rows left empty, so the result is stored as the public constructor
-    would store it."""
+    """The block matrix on the ordered {key: size} layouts rows and cols
+    with blocks {(row key, column key): term}, a term being a stored matrix
+    or (sign, a, b) for sign * kron(a, b), and zero elsewhere; ShapeError or
+    RingError for a key outside its layout or a term of another shape or
+    ring.  The one private block writer: it writes each term straight into
+    the rows, and as a term over a domain has no zero entry, the result is
+    stored as the constructor would store it."""
     row_off = list(accumulate(rows.values(), initial=0))
     col_off = list(accumulate(cols.values(), initial=0))
-    row_at, col_at = dict(zip(rows, row_off)), dict(zip(cols, col_off))
-    p = ring.p
+    row_at, col_at = dict(zip(rows, zip(row_off, rows.values()))), dict(zip(cols, zip(col_off, cols.values())))
     out: dict[int, dict] = {}
-    for (row, col), terms in blocks.items():
+    for (row, col), term in blocks.items():
         try:
-            r0, c0 = row_at[row], col_at[col]
+            (r0, height), (c0, width) = row_at[row], col_at[col]
         except KeyError:
             raise ShapeError(f"block {(row, col)} lies outside the layout") from None
-        if len(terms) == 1:
-            # one term over a domain has no zero entry to drop
-            _write_block(out, terms[0], r0, c0, p)
-            continue
-        sums: dict[tuple[int, int], object] = {}
-        for term in terms:
-            part: dict[int, dict] = {}
-            _write_block(part, term, r0, c0, 0)
-            for i, new in part.items():
-                for j, z in new.items():
-                    sums[i, j] = sums.get((i, j), 0) + z
-        for (i, j), z in sums.items():
-            if p:
-                z %= p
-            if z:
-                out.setdefault(i, {})[j] = z
+        if type(term) is Matrix:
+            shape, same = (term.rows, term.cols), term.ring == ring
+        else:
+            _, a, b = term
+            shape, same = (a.rows * b.rows, a.cols * b.cols), a.ring == ring == b.ring
+        if shape != (height, width):
+            raise ShapeError(f"block {(row, col)} has shape {shape[0]}x{shape[1]}, not {height}x{width}")
+        if not same:
+            raise RingError(f"block {(row, col)} over another ring")
+        _write_block(out, term, r0, c0, ring.p)
     return _make(ring, row_off[-1], col_off[-1], out)
 
 
 def _blockwise(ring: RingTag, rows: dict, cols: dict, block) -> Matrix:
     """The map from the layout cols to the layout rows that acts by the
     term block(key) on each key both layouts hold, and by zero elsewhere."""
-    return _keyed_block_matrix(ring, rows, cols, {(key, key): [block(key)] for key in cols if key in rows})
+    return _keyed_block_matrix(ring, rows, cols, {(key, key): block(key) for key in cols if key in rows})
 
 
 def tensor(x: ConnComplex, y: ConnComplex) -> ConnComplex:
@@ -289,9 +278,9 @@ def tensor(x: ConnComplex, y: ConnComplex) -> ConnComplex:
         blocks = {}
         for k, l in layouts[n]:
             if (k - 1, l) in below:
-                blocks[(k - 1, l), (k, l)] = [(1, x.diff(k), identity(ring, y.rank(l)))]
+                blocks[(k - 1, l), (k, l)] = (1, x.diff(k), identity(ring, y.rank(l)))
             if (k, l - 1) in below:
-                blocks[(k, l - 1), (k, l)] = [(-1 if k % 2 else 1, identity(ring, x.rank(k)), y.diff(l))]
+                blocks[(k, l - 1), (k, l)] = (-1 if k % 2 else 1, identity(ring, x.rank(k)), y.diff(l))
         diffs[n] = _keyed_block_matrix(ring, below, layouts[n], blocks)
     return ConnComplex(ring, tuple(sum(sizes.values()) for sizes in layouts), diffs)
 

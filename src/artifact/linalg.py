@@ -303,12 +303,7 @@ def hcat(ring: RingTag, rows: int, mats: Iterable[Matrix]) -> Matrix:
             raise ShapeError("hcat with mismatched row counts")
         if m.ring != ring:
             raise RingError("hcat with mixed rings")
-        for i, row in m._rows.items():
-            new = out.get(i)
-            if new is None:
-                new = out[i] = {}
-            for j, x in row.items():
-                new[j + offset] = x
+        _write_block(out, m, 0, offset, 0)
         offset += m.cols
     return _make(ring, rows, offset, out)
 
@@ -357,13 +352,7 @@ def block_matrix(
                 raise ShapeError(f"block ({bi},{bj}) has shape {m.rows}x{m.cols}")
             if m.ring != ring:
                 raise RingError("block with mixed ring")
-            r0, c0 = row_off[bi], col_off[bj]
-            for i, row in m._rows.items():
-                new = out.get(r0 + i)
-                if new is None:
-                    new = out[r0 + i] = {}
-                for j, x in row.items():
-                    new[c0 + j] = x
+            _write_block(out, m, row_off[bi], col_off[bj], 0)
     except IndexError:
         raise ShapeError(f"block ({bi},{bj}) lies outside the block grid") from None
     return _make(ring, row_off[-1], col_off[-1], out)
@@ -912,14 +901,12 @@ def _eliminate_f2(cols: list[tuple[int, int]]) -> tuple[list, list]:
         by_low.setdefault(col[0].bit_length() - 1, []).append(col)
     pivots = []
     for r in range(max(by_low, default=-1), -1, -1):
-        active = by_low.pop(r, None)
-        if active is None:
-            continue
-        head, tail = active[0]
-        for h, t in active[1:]:
-            h ^= head
-            by_low.setdefault(h.bit_length() - 1, []).append((h, t ^ tail))
-        pivots.append((r, head, tail))
+        if r in by_low:
+            (head, tail), *rest = by_low.pop(r)
+            for h, t in rest:
+                h ^= head
+                by_low.setdefault(h.bit_length() - 1, []).append((h, t ^ tail))
+            pivots.append((r, head, tail))
     return pivots, by_low.get(-1, [])
 
 

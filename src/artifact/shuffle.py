@@ -100,8 +100,9 @@ def shuffle_product(x: ConnComplex, y: ConnComplex) -> ShuffleComplex:
                 # a dead row is a zero-height block
                 if row not in rows:
                     continue
-                term = (-1 if i % 2 else 1, x_blocks[f[-1], f_rule[1]], y_blocks[g[-1], g_rule[1]])
-                blocks.setdefault((row, (f, g)), []).append(term)
+                # faces i < j reach one key only where f and g both repeat
+                # on i..j, which joint monicity forbids: one term per key
+                blocks[row, (f, g)] = (-1 if i % 2 else 1, x_blocks[f[-1], f_rule[1]], y_blocks[g[-1], g_rule[1]])
         diffs[n] = _keyed_block_matrix(ring, rows, cols, blocks)
     underlying = ConnComplex(ring, tuple(sum(sizes.values()) for sizes in layouts), diffs)
     return ShuffleComplex(underlying, tuple(_monic_pair_maps(n, x.top, y.top) for n in range(top + 1)))
@@ -148,7 +149,7 @@ def ez_map(x: ConnComplex, y: ConnComplex) -> ChainMap:
         for f, g in rows:
             if f[-1] + g[-1] == n:
                 sign = shuffle_of_pair(_surjection(f), _surjection(g)).sign()
-                blocks[(f, g), (f[-1], g[-1])] = [identity(ring, rows[f, g]).scale(sign)]
+                blocks[(f, g), (f[-1], g[-1])] = identity(ring, rows[f, g]).scale(sign)
         comps[n] = _keyed_block_matrix(ring, rows, _tensor_layout(x, y, n), blocks)
     return ChainMap(tensor(x, y), boxed.underlying, comps)
 

@@ -560,7 +560,7 @@ def _dk_transition(x: ConnComplex, blocks: dict, layouts, eta: deltacat.Monotone
         rule = _dk_rule(g, eta.values)
         # a dead row is a zero-height block
         if rule is not None and rule[0] in rows:
-            placed[rule[0], g] = [blocks[g[-1], rule[1]]]
+            placed[rule[0], g] = blocks[g[-1], rule[1]]
     return _keyed_block_matrix(x.ring, rows, cols, placed)
 
 

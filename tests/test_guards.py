@@ -907,9 +907,21 @@ GUARDS = [
     ),
     (
         "keyed-block-outside-its-layout",
-        lambda: _keyed_block_matrix(ZZ, {(0, 1): 1}, {(1, 0): 1}, {((0, 1), (0, 1)): [FIVE]}),
+        lambda: _keyed_block_matrix(ZZ, {(0, 1): 1}, {(1, 0): 1}, {((0, 1), (0, 1)): FIVE}),
         ShapeError,
         "block ((0, 1), (0, 1)) lies outside the layout",
+    ),
+    (
+        "keyed-block-of-another-shape",
+        lambda: _keyed_block_matrix(ZZ, {0: 2}, {0: 1}, {(0, 0): (1, FIVE, FIVE)}),
+        ShapeError,
+        "block (0, 0) has shape 1x1, not 2x1",
+    ),
+    (
+        "keyed-block-over-another-ring",
+        lambda: _keyed_block_matrix(QQ, {0: 1}, {0: 1}, {(0, 0): FIVE}),
+        RingError,
+        "block (0, 0) over another ring",
     ),
     # the restrictions of nor and degenerate_part
     (
