@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
+from math import prod
 
 from .errors import ClassError, NotAComplex, RingError, ShapeError, SquareError, _check_int
 from .linalg import (
@@ -238,22 +239,26 @@ def _keyed_block_matrix(ring: RingTag, rows: dict, cols: dict, blocks: dict) -> 
     stored as the constructor would store it."""
     row_off = list(accumulate(rows.values(), initial=0))
     col_off = list(accumulate(cols.values(), initial=0))
-    row_at, col_at = dict(zip(rows, zip(row_off, rows.values()))), dict(zip(cols, zip(col_off, cols.values())))
+    row_at, col_at = dict(zip(rows, row_off)), dict(zip(cols, col_off))
     out: dict[int, dict] = {}
     for (row, col), term in blocks.items():
         try:
-            (r0, height), (c0, width) = row_at[row], col_at[col]
+            r0, c0 = row_at[row], col_at[col]
         except KeyError:
             raise ShapeError(f"block {(row, col)} lies outside the layout") from None
+        # the fast test compares rings by identity, the exact one by value
         if type(term) is Matrix:
-            shape, same = (term.rows, term.cols), term.ring == ring
+            fits = term.rows == rows[row] and term.cols == cols[col] and term.ring is ring
         else:
             _, a, b = term
-            shape, same = (a.rows * b.rows, a.cols * b.cols), a.ring == ring == b.ring
-        if shape != (height, width):
-            raise ShapeError(f"block {(row, col)} has shape {shape[0]}x{shape[1]}, not {height}x{width}")
-        if not same:
-            raise RingError(f"block {(row, col)} over another ring")
+            fits = a.rows * b.rows == rows[row] and a.cols * b.cols == cols[col] and a.ring is ring is b.ring
+        if not fits:
+            factors = (term,) if type(term) is Matrix else term[1:]
+            shape = prod(m.rows for m in factors), prod(m.cols for m in factors)
+            if shape != (rows[row], cols[col]):
+                raise ShapeError(f"block {(row, col)} has shape {shape[0]}x{shape[1]}, not {rows[row]}x{cols[col]}")
+            if any(m.ring != ring for m in factors):
+                raise RingError(f"block {(row, col)} over another ring")
         _write_block(out, term, r0, c0, ring.p)
     return _make(ring, row_off[-1], col_off[-1], out)
 

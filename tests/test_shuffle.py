@@ -603,3 +603,12 @@ def test_block_writer_matches_block_matrix(ring):
             for term in (zeros(other, height, width), (1, identity(ring, 1), zeros(other, height, width))):
                 with pytest.raises(RingError, match="over another ring"):
                     _keyed_block_matrix(ring, rows, cols, {**blocks, key: term})
+            # a tag equal to ring but another object names the same ring
+            same = type(ring)(ring.kind, ring.p)
+            assert same == ring and same is not ring
+            term = blocks[key]
+            if type(term) is Matrix:
+                term = Matrix(same, term.rows, term.cols, term.entries)
+            else:
+                term = (term[0], Matrix(same, term[1].rows, term[1].cols, term[1].entries), term[2])
+            assert _keyed_block_matrix(ring, rows, cols, {**blocks, key: term}) == got
