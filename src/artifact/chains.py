@@ -246,7 +246,8 @@ def _keyed_block_matrix(ring: RingTag, rows: dict, cols: dict, blocks: dict) -> 
             r0, c0 = row_at[row], col_at[col]
         except KeyError:
             raise ShapeError(f"block {(row, col)} lies outside the layout") from None
-        # the fast test compares rings by identity, the exact one by value
+        # rings by identity first, as ZZ, QQ and GF(p) are canonical tags;
+        # by value only when a term fails, so an equal tag still fits
         if type(term) is Matrix:
             fits = term.rows == rows[row] and term.cols == cols[col] and term.ring is ring
         else:
