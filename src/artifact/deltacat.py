@@ -179,6 +179,13 @@ def _monic_pair_maps(n: int, xtop: int, ytop: int) -> tuple:
 
 @cache
 def _jointly_monic_pairs(n: int, xlive: tuple[bool, ...], ylive: tuple[bool, ...]) -> tuple:
+    """The pairs of surjections out of [n] onto the live [k] and [l] whose
+    repeat positions are disjoint, f-major in the canonical order.  Only the
+    all-true patterns sweep; any other pattern keeps, in order, the pairs of
+    the all-true table of its lengths that end in live targets."""
+    if not (all(xlive) and all(ylive)):
+        full = _jointly_monic_pairs(n, (True,) * len(xlive), (True,) * len(ylive))
+        return tuple((f, g) for f, g in full if xlive[f[-1]] and ylive[g[-1]])
     gsets = [(g, set(_repeat_positions(g))) for g in _surjections_onto(n, ylive)]
     pairs = []
     for f in _surjections_onto(n, xlive):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from sys import byteorder
 from typing import Any, Iterable, Optional
 
 from .errors import NotAComplex, RingError, ShapeError
@@ -582,11 +581,10 @@ def _smallest_entry(rows: list[dict]) -> tuple[dict, int]:
 
 # Sparse elimination over F_p hands over to packed rows once at least this
 # many rows are left and every one of them holds at least this many
-# nonzeros.  Chosen from the sparse-against-packed table in CHANGES.md:
-# packed rows lose below about 12x12 and on rows that stay very sparse.
+# nonzeros.  Chosen from the sparse-against-packed tables in CHANGES.md,
+# rerun for slots of exactly bits(p² * rows) bits: packed rows lose below
+# about 12x12 and on rows that stay very sparse.
 _PACK_AT = 12
-# the native unsigned formats of memoryview.cast, by width in bytes
-_WORD_FORMATS = {memoryview(bytes(8)).cast(f).itemsize: f for f in "BHIQ"}
 
 
 def _f2_rank(rows: Iterable[dict]) -> int:
@@ -609,32 +607,25 @@ def _f2_rank(rows: Iterable[dict]) -> int:
 
 def _packed_rank(rows: list[dict], p: int) -> int:
     """The rank mod p of the matrix with these sparse rows of residues,
-    each packed into one integer with a byte-aligned slot per column
-    present (Kronecker substitution, Dumas-Fousse-Salvy 2011). A row is
-    reduced mod p only when it becomes the pivot; every other row gains
-    (p - x) times the pivot, so a slot grows by less than p² per pivot and
-    never reaches p² * len(rows), the bound the slots are sized for."""
+    each packed into one integer with a slot of bits(p² * len(rows)) bits
+    per column present (Kronecker substitution, Dumas-Fousse-Salvy 2011),
+    read back by shifts. A row is reduced mod p only when it becomes the
+    pivot; every other row gains (p - x) times the pivot, so a slot grows
+    by less than p² per pivot and stays below p² * len(rows) < 2^width:
+    no carry crosses a slot."""
     slot: dict[int, int] = {}
     for row in rows:
         for j in row:
             if j not in slot:
                 slot[j] = len(slot)
-    width = ((p * p * len(rows)).bit_length() + 7) // 8
-    if width <= 8:
-        # a machine word, so a row unpacks in one native cast
-        width = 1 << (width - 1).bit_length()
-    word = _WORD_FORMATS.get(width)
-    nbytes = len(slot) * width
-    shifts = [8 * width * k for k in range(len(slot))]
-    mask = (1 << 8 * width) - 1
+    width = (p * p * len(rows)).bit_length()
+    shifts = [width * k for k in range(len(slot))]
+    mask = (1 << width) - 1
     packed = [sum(x << shifts[slot[j]] for j, x in row.items()) for row in rows]
     rank = 0
     while packed and rank < len(slot):
-        data = packed.pop().to_bytes(nbytes, byteorder)
-        if word:
-            residues = [x % p for x in memoryview(data).cast(word)]
-        else:
-            residues = [int.from_bytes(data[k : k + width], byteorder) % p for k in range(0, nbytes, width)]
+        top = packed.pop()
+        residues = [(top >> s & mask) % p for s in shifts]
         c = next((k for k, x in enumerate(residues) if x), None)
         if c is None:
             continue

@@ -738,3 +738,129 @@ def degeneracy_violating_module():
     degens = {lv: [m.degen(lv, i) for i in range(lv + 1)] for lv in (0, 1)}
     degens[1][1] = a.Matrix.from_rows(a.ZZ, [[1], [1]])
     return a.SimplicialModule(a.ZZ, m.ranks, faces, degens)
+
+
+# ---------------------------------------------------------------------------
+# homology across rings and of products, from the integral homology
+#
+# A finitely generated abelian group is (free rank, orders m of its cyclic
+# summands Z/m); the orders need not form a divisibility chain, so groups
+# are compared through elementary divisors.
+
+
+def elementary_divisors(orders, primes=(2, 3, 5, 7)):
+    """The sorted prime-power orders of the summands of ⊕ Z/m over the
+    orders m, each of which must factor over primes."""
+    out = []
+    for m in orders:
+        for q in primes:
+            e = 1
+            while m % q == 0:
+                m, e = m // q, e * q
+            if e > 1:
+                out.append(e)
+        if m != 1:
+            raise ValueError(f"an order with a prime factor outside {primes}")
+    return sorted(out)
+
+
+def uct_dims(groups, p):
+    """dim H_n(C; k) of a free complex C over Z with these integral homology
+    groups, by the universal coefficient theorem: the free rank of H_n plus
+    the orders of H_n and of H_{n-1} that p divides, for k = F_p; the free
+    ranks alone for k = Q (p = 0)."""
+    t = [sum(p != 0 and m % p == 0 for m in h.torsion) for h in groups]
+    return [h.free_rank + t[n] + (t[n - 1] if n else 0) for n, h in enumerate(groups)]
+
+
+def kunneth_groups(hx, hy):
+    """H_n(X ⊠ Y) for free complexes over Z with integral homology hx and hy,
+    lists of (free rank, orders), by the Künneth theorem:
+    ⊕_{i+j=n} H_i X ⊗ H_j Y ⊕ ⊕_{i+j=n-1} Tor(H_i X, H_j Y), with
+    Z/s ⊗ Z/t = Tor(Z/s, Z/t) = Z/gcd(s, t); as (free rank, elementary
+    divisors) per degree."""
+    out = []
+    for n in range(len(hx) + len(hy) - 1):
+        free, orders = 0, []
+        for i, (xfree, xtor) in enumerate(hx):
+            if 0 <= n - i < len(hy):
+                yfree, ytor = hy[n - i]
+                free += xfree * yfree
+                orders += xtor * yfree + ytor * xfree + [gcd(s, t) for s in xtor for t in ytor]
+            if 0 <= n - 1 - i < len(hy):
+                orders += [gcd(s, t) for s in xtor for t in hy[n - 1 - i][1]]
+        out.append((free, elementary_divisors(orders)))
+    return out
+
+
+def kunneth_dims(dx, dy):
+    """dim H_n(X ⊠ Y; k) = Σ_{i+j=n} dim H_i(X; k) dim H_j(Y; k) over a field."""
+    return [
+        sum(dx[i] * dy[n - i] for i in range(len(dx)) if 0 <= n - i < len(dy))
+        for n in range(len(dx) + len(dy) - 1)
+    ]
+
+
+def _unimodular(rng, n):
+    """A dense n x n integer matrix of determinant 1: a unit lower times a
+    unit upper triangular matrix with entries in -1..1."""
+    pick = lambda i, j, below: int(i == j) or (rng.randint(-1, 1) if (i > j) == below else 0)
+    lower = (n, n, [[pick(i, j, True) for j in range(n)] for i in range(n)])
+    upper = (n, n, [[pick(i, j, False) for j in range(n)] for i in range(n)])
+    return dense_matmul(a.ZZ, lower, upper)
+
+
+def planted_smith_grid(rng, rows, cols, factors):
+    """The integer grid U D V of a rows x cols matrix whose Smith form has
+    the diagonal D of the given factors (zero beyond them), mixed by
+    unimodular U and V."""
+    d = (rows, cols, [[factors[i] if i == j and i < len(factors) else 0 for j in range(cols)] for i in range(rows)])
+    return dense_matmul(a.ZZ, dense_matmul(a.ZZ, _unimodular(rng, rows), d), _unimodular(rng, cols))[2]
+
+
+def random_summands(rng, top, count):
+    """count summands (k, m) for elementary_complex, the first with torsion:
+    Z in degree k for m = 0, Z --m--> Z in degrees k + 1 -> k for m in
+    {2, 3, 4, 6, 9}."""
+    out = [(rng.randrange(top), rng.choice((2, 3, 4, 6, 9)))]
+    for _ in range(count - 1):
+        k = rng.randint(0, top)
+        out.append((k, 0 if k == top or rng.random() < 0.3 else rng.choice((2, 3, 4, 6, 9))))
+    return out
+
+
+def elementary_complex(ring, top, summands):
+    """The direct sum over ring of the complexes named by the summands
+    (k, m) of random_summands, in the order given."""
+    ranks = [0] * (top + 1)
+    arrows = []  # (target degree, row, column, m)
+    for k, m in summands:
+        if m:
+            arrows.append((k, ranks[k], ranks[k + 1], m))
+            ranks[k + 1] += 1
+        ranks[k] += 1
+    grids = {n: [[0] * ranks[n] for _ in range(ranks[n - 1])] for n in range(1, top + 1)}
+    for k, i, j, m in arrows:
+        grids[k + 1][i][j] = m
+    diffs = {n: a.Matrix.from_rows(ring, grid, ranks[n]) for n, grid in grids.items()}
+    return a.ConnComplex(ring, tuple(ranks), diffs)
+
+
+def elementary_homology(top, summands, p=None):
+    """The homology of elementary_complex read off its summands: over Z
+    (p None) as (free rank, orders) per degree; over F_p, or Q for p = 0,
+    as dimensions, Z --m--> Z adding one to degrees k and k + 1 when p
+    divides m."""
+    if p is None:
+        return [
+            (sum(k == n and not m for k, m in summands), [m for k, m in summands if k == n and m])
+            for n in range(top + 1)
+        ]
+    dims = [0] * (top + 1)
+    for k, m in summands:
+        if not m:
+            dims[k] += 1
+        elif p and m % p == 0:
+            dims[k] += 1
+            dims[k + 1] += 1
+    return dims

@@ -59,9 +59,15 @@ from oracles import (
     dense_matmul,
     dense_shuffle_map_left,
     dense_shuffle_map_right,
+    elementary_complex,
+    elementary_divisors,
+    elementary_homology,
+    kunneth_dims,
+    kunneth_groups,
     random_chain_map,
     random_complex,
     random_matrix,
+    random_summands,
     same_as_dense,
     zero_rank_map,
 )
@@ -267,6 +273,29 @@ def test_layouts_list_the_nonzero_blocks_of_the_full_enumeration_in_order():
                 assert list(_shuffle_layout(x, y, n).items()) == [(key, size) for key, size in full if size]
 
 
+def test_shuffle_product_obeys_the_kunneth_theorem():
+    """H_n(X ⊠ Y) over Z is ⊕ H_i X ⊗ H_j Y ⊕ ⊕ Tor(H_i X, H_j Y), and over
+    GF(2), GF(3) and QQ its dimension is Σ dim H_i X · dim H_j Y, on factors
+    built from summands Z --m--> Z with m in {2, 3, 4, 6, 9}, so that both
+    carry torsion."""
+    rng = random.Random(240)
+    for _ in range(60):
+        xtop, ytop = rng.randint(1, 2), rng.randint(1, 2)
+        xs, ys = random_summands(rng, xtop, rng.randint(1, 3)), random_summands(rng, ytop, rng.randint(1, 3))
+        hx, hy = elementary_homology(xtop, xs), elementary_homology(ytop, ys)
+        x = elementary_complex(ZZ, xtop, xs)
+        assert [(h.free_rank, elementary_divisors(h.torsion)) for h in homology(x)] == [
+            (free, elementary_divisors(orders)) for free, orders in hx
+        ]
+        product = shuffle_product(x, elementary_complex(ZZ, ytop, ys)).underlying
+        groups = [(h.free_rank, elementary_divisors(h.torsion)) for h in homology(product)]
+        assert groups == kunneth_groups(hx, hy)
+        for ring, p in ((GF(2), 2), (GF(3), 3), (QQ, 0)):
+            product = shuffle_product(elementary_complex(ring, xtop, xs), elementary_complex(ring, ytop, ys))
+            dims = kunneth_dims(elementary_homology(xtop, xs, p), elementary_homology(ytop, ys, p))
+            assert [h.free_rank for h in homology(product.underlying)] == dims
+
+
 def test_shuffle_pairs_are_enumerated_once_per_nonzero_pattern():
     # the live pairs depend on the nonzero pattern of the ranks only: a
     # product over another ring with other ranks of the same pattern adds
@@ -316,23 +345,51 @@ print(json.dumps(out))
 """
 
 
+def run_fresh(script: str) -> dict:
+    """The JSON document that script prints in a fresh interpreter that
+    imports artifact and the oracles from this checkout."""
+    paths = [os.path.dirname(os.path.dirname(artifact.__file__)), os.path.dirname(__file__)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths + [os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_monotone_maps_are_built_only_at_the_public_boundary():
     # inside the library a surjection is its value tuple: a cold
     # normalized-tensor pass builds the faces and degeneracies it acts by
     # and one public map per surjection that its products list in blocks,
     # later products and shuffle maps build none, and dk_map builds only
     # the degeneracies it checks for the first time
-    paths = [os.path.dirname(os.path.dirname(artifact.__file__)), os.path.dirname(__file__)]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths + [os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", BOUNDARY_SCRIPT], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    out = run_fresh(BOUNDARY_SCRIPT)
     assert out["cold"] == out["generating"] + out["boundary"], out
     assert out["warm"] == 0, out
     assert out["dk_map"] == out["dk_map_generating"], out
     assert out["same_maps"], out
+
+
+# A fresh interpreter, so that the pair tables are empty.  It records every
+# read of a surjection's repeat positions, which only the disjointness sweep
+# makes, during one cold product whose factors each have a dead degree.
+SWEEP_SCRIPT = """
+import json
+from artifact import ZZ, ConnComplex, deltacat, shuffle_product
+
+read = []
+repeats = deltacat._repeat_positions
+deltacat._repeat_positions = lambda values: (read.append(values), repeats(values))[1]
+x, y = ConnComplex(ZZ, (1, 0, 2)), ConnComplex(ZZ, (2, 1, 0, 1))
+shuffle_product(x, y)
+onto = lambda n, top: len(deltacat._surjections_onto(n, (True,) * (top + 1)))
+print(json.dumps({"read": len(read), "once": sum(onto(n, x.top) + onto(n, y.top) for n in range(x.top + y.top + 1))}))
+"""
+
+
+def test_a_cold_product_sweeps_each_shape_once():
+    # the live layouts filter the all-true pair table of the same shape,
+    # which ShuffleComplex.blocks needs anyway, instead of sweeping again
+    out = run_fresh(SWEEP_SCRIPT)
+    assert out["read"] == out["once"], out
 
 
 # ---------------------------------------------------------------------------
