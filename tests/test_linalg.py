@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pickle
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from artifact import (
     Matrix,
     block_matrix,
     canonical_columns,
+    classify,
     disk,
     has_free_cokernel,
     hcat,
@@ -51,6 +53,8 @@ from oracles import (
     dense_select,
     dense_transpose,
     minor_gcd_invariants,
+    planted_smith_grid,
+    random_chain_map,
     random_matrix,
 )
 
@@ -429,6 +433,111 @@ def test_invariant_factors_of_the_disk_shuffle_product():
         (1,) * 140,
         (1,) * 70,
     ]
+
+
+def sparse_rows(grid):
+    """The nonzero rows of grid as sorted {column: entry} dicts, as
+    invariant_factors hands them on."""
+    return [row for row in ({j: x for j, x in enumerate(line) if x} for line in grid) if row]
+
+
+def homology_big_dense(seed):
+    """The dense 20x24 and 32x32 grids of the homology_big benchmark at
+    seed: entries in -9..9, drawn in that order from one Random(seed)."""
+    rng = random.Random(seed)
+    return [[[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)] for rows, cols in ((20, 24), (32, 32))]
+
+
+def certified_corpus():
+    """Dense integer grids of 16 to 40 rows, square and wide, cyclic and
+    not, with the rank each has: seeded random ones, the homology_big
+    grids of seeds 704, 713 and 731 (non-cyclic at 32x32) and 761, planted
+    Smith forms, a unimodular one, the all-ones grid and one of rank n - 1."""
+    rng = random.Random(29)
+    for rows, cols in ((16, 16), (16, 22), (20, 24), (24, 24), (28, 36), (40, 40)):
+        yield [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)], rows
+    for seed in (704, 713, 731, 761):
+        for grid in homology_big_dense(seed):
+            yield grid, len(grid)
+    for rows, cols in ((16, 16), (18, 24)):
+        for tail in ((2, 6), (3, 3, 9), (2, 4, 8, 16)):
+            yield planted_smith_grid(rng, rows, cols, (1,) * (rows - len(tail)) + tail), rows
+    yield planted_smith_grid(rng, 20, 20, (1,) * 20), 20
+    yield [[1] * 16 for _ in range(16)], 1
+    yield planted_smith_grid(rng, 17, 17, (1,) * 14 + (2, 6)), 16
+
+
+def test_certified_invariants_match_euclid_bit_for_bit():
+    certified = 0
+    for grid, rank in certified_corpus():
+        cols = len(grid[0])
+        expect = tuple(linalg._integer_invariants(sparse_rows(grid)))
+        assert len(expect) == rank
+        got = linalg._certified_invariants(sparse_rows(grid), cols)
+        # a singular leading square falls back; every nonsingular one is answered
+        assert got == (None if rank < len(grid) else expect)
+        certified += got is not None
+        factors = invariant_factors(Matrix.from_rows(ZZ, grid, cols))
+        assert factors == expect and all(type(d) is int for d in factors)
+    assert certified == 21
+    # shapes that stay on the Euclid path: 0xn, nx0 and tall
+    rng = random.Random(31)
+    for rows, cols in ((0, 20), (20, 0), (24, 16), (40, 20)):
+        grid = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        a = Matrix.from_rows(ZZ, grid, cols)
+        assert invariant_factors(a) == tuple(linalg._integer_invariants(sparse_rows(grid)))
+        assert invariant_factors(a) == invariant_factors(a.transpose())
+
+
+def test_certified_invariants_match_the_smith_diagonal_on_small_grids(monkeypatch):
+    """The Z corpus of test_invariant_factors_match_the_smith_diagonal with
+    every size certified and the density gate open: each grid with no more
+    nonzero rows than columns goes to _certified_invariants directly."""
+    monkeypatch.setattr(linalg, "_CERTIFY_AT", 0)
+    certified = 0
+    for grid, a in invariant_factor_corpus(random.Random(83), ZZ, 150):
+        expect = tuple(d for d in smith_normal_form(a).diagonal() if d != 0)
+        assert invariant_factors(a) == expect
+        rows = sparse_rows(grid)
+        if rows and len(rows) <= a.cols:
+            got = linalg._certified_invariants(rows, a.cols)
+            assert got in (None, expect)
+            certified += got is not None
+    assert certified >= 30
+
+
+def count_rows(monkeypatch, name):
+    """The number of rows handed to each call of linalg.<name> from now
+    on."""
+    calls = []
+    real = getattr(linalg, name)
+    monkeypatch.setattr(linalg, name, lambda rows, *rest: calls.append(len(rows)) or real(rows, *rest))
+    return calls
+
+
+def test_only_dense_integer_matrices_take_the_certified_path(monkeypatch):
+    euclid = count_rows(monkeypatch, "_integer_invariants")
+    certified = count_rows(monkeypatch, "_certified_invariants")
+    d = Matrix.from_rows(ZZ, homology_big_dense(761)[1])
+    h = homology(ConnComplex(ZZ, (d.rows, d.cols), {1: d}))
+    assert h[0].free_rank == 0 and h[1].is_zero
+    # Euclid sees only the zero differential out of degree 2
+    assert (euclid, certified) == ([0], [32])
+    homology(shuffle_product(disk(4), disk(4)).underlying)
+    rng = random.Random(37)
+    for _ in range(10):
+        classify(random_chain_map(rng, ZZ))
+    assert certified == [32] and any(euclid)
+
+
+def test_pinned_dense_integer_invariants():
+    # seed 713's 32x32 grid has cokernel Z/4 + Z/(det/4), so its 2-part
+    # goes through the local Smith form
+    factors = invariant_factors(Matrix.from_rows(ZZ, homology_big_dense(713)[1]))
+    assert factors[:-1] == (1,) * 30 + (4,)
+    det = 4 * factors[-1]
+    assert det.bit_length() == 139
+    assert hashlib.sha256(str(det).encode()).hexdigest()[:16] == "b416a94be0026a88"
 
 
 def test_canonical_columns_is_a_lower_echelon_form():
