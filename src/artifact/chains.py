@@ -24,8 +24,8 @@ from .linalg import (
     _is_natural,
     _json_object,
     _make,
+    _scaled,
     _write_block,
-    block_matrix,
     hcat,
     identity,
     invariant_factors,
@@ -311,24 +311,20 @@ def mapping_cone(f: ChainMap) -> ConnComplex:
     x, y = f.source, f.target
     top = max(x.top + 1, y.top)
     ranks = tuple(x.rank(n - 1) + y.rank(n) for n in range(top + 1))
-    return ConnComplex(f.ring, ranks, {n: _cone_matrix(f, n - 1, -1) for n in range(1, top + 1)})
+    return ConnComplex(f.ring, ranks, {n: _cone_matrix(f, n - 1) for n in range(1, top + 1)})
 
 
-def _cone_matrix(f: ChainMap, n: int, sign: int = 1) -> Matrix:
-    """[[s d^X_n, 0], [s f_n, d^Y_{n+1}]]: X_n + Y_{n+1} -> X_{n-1} + Y_n
-    with s = sign.  With s = -1 this is the cone differential D_{n+1};
-    with s = 1 it differs from D_{n+1} by the sign of a block column, so
-    has the same invariant factors."""
+def _cone_matrix(f: ChainMap, n: int) -> Matrix:
+    """The cone differential D_{n+1} = [[-d^X_n, 0], [-f_n, d^Y_{n+1}]]:
+    X_n + Y_{n+1} -> X_{n-1} + Y_n, written straight into rows: the rows of
+    d^X_n and f_n are negated as they are copied.  The shapes come from the
+    validated map, so nothing is checked."""
     x, y = f.source, f.target
-    dx, fn = x.diff(n), f.component(n)
-    if sign < 0:
-        dx, fn = -dx, -fn
-    return block_matrix(
-        f.ring,
-        [x.rank(n - 1), y.rank(n)],
-        [x.rank(n), y.rank(n + 1)],
-        {(0, 0): dx, (1, 0): fn, (1, 1): y.diff(n + 1)},
-    )
+    p, below = f.ring.p, x.rank(n - 1)
+    rows = {i: _scaled(row, -1, p) for i, row in x.diff(n)._rows.items()}
+    rows.update((below + i, _scaled(row, -1, p)) for i, row in f.component(n)._rows.items())
+    _write_block(rows, y.diff(n + 1), below, x.rank(n), p)
+    return _make(f.ring, below + y.rank(n), x.rank(n) + y.rank(n + 1), rows)
 
 
 @dataclass(frozen=True)
@@ -374,7 +370,7 @@ def _model_class(f: ChainMap) -> ModelClass:
 
 def _first_summand(ring: RingTag, rank: int, rest: int) -> Matrix:
     """The inclusion of R^rank as the first summand of R^rank + R^rest."""
-    return block_matrix(ring, [rank, rest], [rank], {(0, 0): identity(ring, rank)})
+    return _make(ring, rank + rest, rank, identity(ring, rank)._rows)
 
 
 def factor_trivcof_fib(f: ChainMap) -> tuple[ChainMap, ChainMap]:
@@ -391,15 +387,12 @@ def factor_trivcof_fib(f: ChainMap) -> tuple[ChainMap, ChainMap]:
     top = max(x.top, y.top)
     t_rank = lambda m: y.rank(m) if m >= 1 else 0
     b_rank = lambda m: y.rank(m + 1)
-    ranks = tuple(x.rank(m) + t_rank(m) + b_rank(m) for m in range(top + 1))
+    layouts = [{"X": x.rank(m), "T": t_rank(m), "B": b_rank(m)} for m in range(top + 1)]
+    ranks = tuple(sum(sizes.values()) for sizes in layouts)
     diffs = {}
     for m in range(1, top + 1):
-        diffs[m] = block_matrix(
-            ring,
-            [x.rank(m - 1), t_rank(m - 1), b_rank(m - 1)],
-            [x.rank(m), t_rank(m), b_rank(m)],
-            {(0, 0): x.diff(m), (2, 1): identity(ring, t_rank(m))},
-        )
+        blocks = {("X", "X"): x.diff(m), ("B", "T"): identity(ring, t_rank(m))}
+        diffs[m] = _keyed_block_matrix(ring, layouts[m - 1], layouts[m], blocks)
     middle = ConnComplex._trusted(ring, ranks, diffs)
     kappa = ChainMap._trusted(
         x,
@@ -544,9 +537,9 @@ def rlp_generator_check(f: ChainMap, max_n: int) -> RlpReport:
     lattice of pairs (z, y) with d(z) = 0 and f(z) = d(y), which is the
     kernel of M = [[d_{n-1}, 0], [f_{n-1}, -d_n]].  N lands in that kernel,
     which is saturated, so N is onto it exactly when N has rank
-    cols(M) - rank(M) and no non-unit invariant factor.  M is
-    _cone_matrix(f, n - 1) up to the sign of its second block column, so
-    has the same rank."""
+    cols(M) - rank(M) and no non-unit invariant factor.  M is minus the
+    cone differential _cone_matrix(f, n - 1), and M and -M have the same
+    invariant factors."""
     _check_int("rlp_generator_check", "max_n", max_n, least=0)
     x = f.source
     point = is_surjective(f.component(0))

@@ -147,9 +147,10 @@ def ez_map(x: ConnComplex, y: ConnComplex) -> ChainMap:
         rows = _shuffle_layout(x, y, n)
         blocks = {}
         for f, g in rows:
-            if f[-1] + g[-1] == n:
+            k, l = f[-1], g[-1]
+            if k + l == n:
                 sign = shuffle_of_pair(_surjection(f), _surjection(g)).sign()
-                blocks[(f, g), (f[-1], g[-1])] = identity(ring, rows[f, g]).scale(sign)
+                blocks[(f, g), (k, l)] = (sign, identity(ring, x.rank(k)), identity(ring, y.rank(l)))
         comps[n] = _keyed_block_matrix(ring, rows, _tensor_layout(x, y, n), blocks)
     return ChainMap(tensor(x, y), boxed.underlying, comps)
 

@@ -33,7 +33,6 @@ from .linalg import (
     _by_degree,
     _is_natural,
     _json_object,
-    block_matrix,
     hcat,
     identity,
     image_basis,
@@ -696,7 +695,8 @@ def direct_sum_sm(a: SimplicialModule, b: SimplicialModule) -> SimplicialModule:
     ranks = tuple(a.rank(i) + b.rank(i) for i in range(a.horizon + 1))
 
     def diag(x: Matrix, y: Matrix) -> Matrix:
-        return block_matrix(a.ring, [x.rows, y.rows], [x.cols, y.cols], {(0, 0): x, (1, 1): y})
+        rows, cols = {0: x.rows, 1: y.rows}, {0: x.cols, 1: y.cols}
+        return _keyed_block_matrix(a.ring, rows, cols, {(0, 0): x, (1, 1): y})
 
     return _levelwise_module(a, b, ranks, diag)
 
@@ -713,16 +713,10 @@ def cylinder(m: SimplicialModule) -> tuple[SimplicialMap, SimplicialMap]:
     for lv in range(m.horizon + 1):
         count = interval.cell_count(lv)
         r = m.rank(lv)
-        row_sizes = [r] * count
-        kappa_comps.append(
-            block_matrix(
-                m.ring,
-                row_sizes,
-                [r, r],
-                {(0, 0): identity(m.ring, r), (count - 1, 1): identity(m.ring, r)},
-            )
-        )
-        xi_comps.append(hcat(m.ring, r, [identity(m.ring, r)] * count))
+        one = identity(m.ring, r)
+        ends = {(0, 0): one, (count - 1, 1): one}
+        kappa_comps.append(_keyed_block_matrix(m.ring, dict.fromkeys(range(count), r), {0: r, 1: r}, ends))
+        xi_comps.append(hcat(m.ring, r, [one] * count))
     kappa = SimplicialMap(both, cyl, kappa_comps)
     xi = SimplicialMap(cyl, m, xi_comps)
     return kappa, xi

@@ -128,12 +128,16 @@ def dense_map(ring, fn, *mats):
 
 
 def dense_matmul(ring, a, b):
-    rows, inner, cols = a[0], a[1], b[1]
-    grid = [
-        [reduce_into(ring, sum(a[2][i][k] * b[2][k][j] for k in range(inner))) for j in range(cols)]
-        for i in range(rows)
-    ]
-    return (rows, cols, grid)
+    """Each row of a @ b as the sum of the rows of b weighted by that row
+    of a, skipping its zero weights."""
+    grid = []
+    for arow in a[2]:
+        acc = [0] * b[1]
+        for x, brow in zip(arow, b[2]):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, brow)]
+        grid.append([reduce_into(ring, s) for s in acc])
+    return (a[0], b[1], grid)
 
 
 def dense_transpose(a):
@@ -205,6 +209,42 @@ def dense_mapping_cone(f):
         for n in range(1, top + 1)
     }
     return ranks, diffs
+
+
+def dense_det(ring, m):
+    """The determinant of the square dense matrix m by Gaussian elimination,
+    over Fractions for Z and Q and on residues for F_p."""
+    size, _, grid = m
+    p = ring.p if ring.kind == "F" else 0
+    rows = [[x % p if p else Fraction(x) for x in row] for row in grid]
+    det = 1
+    for k in range(size):
+        pivot = next((i for i in range(k, size) if rows[i][k]), None)
+        if pivot is None:
+            return reduce_into(ring, 0)
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        top = rows[k]
+        det *= top[k]
+        inverse = pow(top[k], -1, p) if p else 1 / top[k]
+        for row in rows[k + 1 :]:
+            c = row[k] * inverse
+            if c:
+                row[k:] = [(x - c * y) % p if p else x - c * y for x, y in zip(row[k:], top[k:])]
+    return reduce_into(ring, det)
+
+
+def dold_kan_projector(m, n):
+    """The dense P_n = (1 - s_{n-1} d_{n-1}) ... (1 - s_0 d_0) on level n of
+    the simplicial module m, s_0 d_0 applied first: the idempotent onto the
+    normalized part N_n that kills the degenerate part D_n."""
+    ring = m.ring
+    proj = dense_identity(ring, m.rank(n))
+    for i in range(n):
+        back = dense_matmul(ring, dense(m.degen(n - 1, i)), dense_matmul(ring, dense(m.face(n, i)), proj))
+        proj = dense_map(ring, lambda x, y: x - y, proj, back)
+    return proj
 
 
 # ---------------------------------------------------------------------------

@@ -530,6 +530,29 @@ def test_only_dense_integer_matrices_take_the_certified_path(monkeypatch):
     assert certified == [32] and any(euclid)
 
 
+def test_the_certified_path_gives_up_on_prime_parts_above_its_trial_bound(monkeypatch):
+    """The planted factors 4099 * 4111 and twice that put primes above 2^12
+    into g, so trial division stops, _certified_invariants returns None
+    and Euclid steps answer, square and wide."""
+    answers = []
+    real = linalg._certified_invariants
+
+    def certified(rows, cols):
+        answers.append(real(rows, cols))
+        return answers[-1]
+
+    monkeypatch.setattr(linalg, "_certified_invariants", certified)
+    rng = random.Random(43)
+    big = 4099 * 4111
+    for rows, cols in ((16, 16), (20, 24)):
+        factors = (1,) * (rows - 2) + (big, 2 * big)
+        grid = planted_smith_grid(rng, rows, cols, factors)
+        # a nonsingular leading square, so the None is the trial bound's
+        assert len(linalg._integer_invariants(sparse_rows([line[:rows] for line in grid]))) == rows
+        assert invariant_factors(Matrix.from_rows(ZZ, grid, cols)) == factors
+    assert answers == [None, None]
+
+
 def test_pinned_dense_integer_invariants():
     # seed 713's 32x32 grid has cokernel Z/4 + Z/(det/4), so its 2-part
     # goes through the local Smith form
@@ -786,9 +809,8 @@ def test_solve_takes_no_smith_decomposition(monkeypatch):
     assert solve(a, m(ZZ, [[1], [0]])) is None
 
 
-def test_smith_normal_form_is_called_only_through_the_public_api():
-    # a static check: no module of the package calls it, so every internal
-    # path is transform-free
+def package_calls(name):
+    """file:line of each call of name in the modules of the package."""
     import ast
     import pathlib
 
@@ -799,10 +821,22 @@ def test_smith_normal_form_is_called_only_through_the_public_api():
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Call):
                 func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "smith_normal_form":
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
                     callers.append(f"{path.name}:{node.lineno}")
-    assert callers == []
+    return callers
+
+
+def test_smith_normal_form_is_called_only_through_the_public_api():
+    # a static check: no module of the package calls it, so every internal
+    # path is transform-free
+    assert package_calls("smith_normal_form") == []
+
+
+def test_block_matrix_is_called_only_from_outside_the_package():
+    # a static check: the package writes every block matrix through the
+    # private writer, and block_matrix with its guards serves other callers
+    assert package_calls("block_matrix") == []
 
 
 def test_the_package_holds_no_assert():

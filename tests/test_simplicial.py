@@ -19,6 +19,7 @@ from artifact import (
     SimplicialMap,
     SimplicialModule,
     boundary_simplex_set,
+    canonical_columns,
     chain_poset,
     check_simplicial_identities,
     classify,
@@ -72,9 +73,12 @@ from artifact.simplicial import _families, _module, dk_blocks, dk_transition
 
 from oracles import (
     dense,
+    dense_det,
     dense_dk_map,
     dense_dk_transition,
+    dense_matmul,
     degeneracy_violating_module,
+    dold_kan_projector,
     iso_simplicial,
     non_simplicial_module,
     random_chain_map,
@@ -818,6 +822,38 @@ def test_moore_splits_into_normalized_and_degenerate_parts():
             assert res.complex.rank(n) + deg.complex.rank(n) == full.rank(n)
             both = hcat(m.ring, m.rank(n), [res.embeddings[n], deg.embeddings[n]])
             assert solve(both, identity(m.ring, m.rank(n))) is not None
+
+
+def nonzero_complex(rng, ring, max_top):
+    """A seeded random complex of top 1..max_top with every rank nonzero."""
+    while True:
+        x = random_complex(rng, ring, max_top=max_top, max_rank=1)
+        if x.top and all(x.ranks):
+            return x
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(2), GF(5), QQ], ids=str)
+def test_the_dold_kan_projector_splits_off_the_degenerate_part(ring):
+    """P_n = (1 - s_{n-1} d_{n-1}) ... (1 - s_0 d_0), computed densely, is
+    the idempotent onto nor's N_n that kills d_0 .. d_{n-1}, and N_n + D_n
+    from nor and degenerate_part is all of M_n over the ring."""
+    rng = random.Random(f"dold-kan-split-{ring}")
+    for _ in range(3):
+        m = tensor_sm(dk(nonzero_complex(rng, ring, 2), 4), dk(nonzero_complex(rng, ring, 1), 4))
+        normalized, degenerate = nor(m), degenerate_part(m)
+        for n in range(m.horizon + 1):
+            proj = dold_kan_projector(m, n)
+            emb = normalized.embeddings[n]
+            assert dense_matmul(ring, proj, proj) == proj
+            for i in range(n):
+                killed = dense_matmul(ring, dense(m.face(n, i)), proj)[2]
+                assert not any(map(any, killed))
+            assert dense_matmul(ring, proj, dense(emb)) == dense(emb)
+            assert canonical_columns(Matrix(ring, *proj)) == emb
+            both = dense(hcat(ring, m.rank(n), [emb, degenerate.embeddings[n]]))
+            assert both[0] == both[1]
+            det = dense_det(ring, both)
+            assert abs(det) == 1 if ring == ZZ else det != 0
 
 
 def test_degenerate_part_of_dk_disk():
