@@ -713,10 +713,10 @@ def cylinder(m: SimplicialModule) -> tuple[SimplicialMap, SimplicialMap]:
     for lv in range(m.horizon + 1):
         count = interval.cell_count(lv)
         r = m.rank(lv)
-        one = identity(m.ring, r)
-        ends = {(0, 0): one, (count - 1, 1): one}
+        ident = identity(m.ring, r)
+        ends = {(0, 0): ident, (count - 1, 1): ident}
         kappa_comps.append(_keyed_block_matrix(m.ring, dict.fromkeys(range(count), r), {0: r, 1: r}, ends))
-        xi_comps.append(hcat(m.ring, r, [one] * count))
+        xi_comps.append(hcat(m.ring, r, [ident] * count))
     kappa = SimplicialMap(both, cyl, kappa_comps)
     xi = SimplicialMap(cyl, m, xi_comps)
     return kappa, xi
