@@ -3,11 +3,12 @@
 Matrices act on column vectors, so the composite g o f is the product G @ F.
 Over the integers every basis this module returns is saturated: kernel bases
 generate the full kernel lattice, image bases the full image lattice.
-Over F2 (ring.p == 2) ranks, kernel bases, solutions and canonical columns
-are eliminated on integer bitmasks with XOR; the other rings eliminate sparse
-dicts, and F_p ranks hand over to packed rows once they fill in. Dense
-integer invariant factors come from one fraction-free elimination and a
-local Smith form per prime of a small certified divisor, not Euclid steps.
+Over F2 (ring.p == 2) ranks and null spaces come from one XOR elimination
+of integer bitmasks; everything else eliminates sparse dicts, by one column
+elimination for every ring, and F_p ranks hand over to packed rows once they
+fill in. Dense integer invariant factors come from one fraction-free
+elimination and a local Smith form per prime of a small certified divisor,
+not Euclid steps.
 """
 
 from __future__ import annotations
@@ -495,7 +496,7 @@ def invariant_factors(a: Matrix) -> tuple:
     (Dumas-Saunders-Villard 2001)."""
     ring = a.ring
     if ring.p == 2:
-        return (1,) * _f2_rank(a._rows.values())
+        return (1,) * _f2_eliminate(_f2_masks(a._rows.values()))[0]
     rows = [dict(sorted(row.items())) for _, row in sorted(a._rows.items())]
     if ring.kind == "Z":
         dense = rows and _CERTIFY_AT <= len(rows) <= a.cols and all(2 * len(row) >= a.cols for row in rows)
@@ -582,17 +583,18 @@ def _certified_invariants(rows: list[dict], cols: int) -> Optional[tuple]:
     these n <= cols sparse rows, or None when its first n columns S are
     singular or g does not factor by trial division below 2^12. Bareiss
     elimination of [S | B] and back substitution give |det S| and
-    g = gcd(|det S|, det S * S^-1 B), B the other columns, or two fixed
-    ones when n == cols. Each s_i with i < n (i <= n when n < cols)
-    divides g: |det S| / g is the lcm of the denominators of S^-1 B, which
-    divides s_n, and when n < cols g is a gcd of maximal minors. For q^e
+    g = gcd(|det S|, det S * S^-1 B), B the next two columns (the one left
+    when n + 1 == cols), or two fixed ones when n == cols. Each s_i with
+    i < n (i <= n when n < cols) divides g: |det S| / g is the lcm of the
+    denominators of S^-1 B, which divides s_n, and when n < cols g is a gcd
+    of maximal minors, whichever columns B takes. For q^e
     exactly dividing g, q prime, q divides the factors after s_r, r the
     rank mod q, and their q-parts multiply to at most q^e: each is q when
     there are e of them, else a local Smith form mod q^(e+1) reads them.
     When n == cols, s_n is |det S| over the others."""
     n = len(rows)
     rhs = [[i * i + 1, (-1) ** i * (3 * i + 2)] if n == cols else [] for i in range(n)]
-    grid = [[row.get(j, 0) for j in range(cols)] + b for row, b in zip(rows, rhs)]
+    grid = [[row.get(j, 0) for j in range(min(cols, n + 2))] + b for row, b in zip(rows, rhs)]
     prev = 1
     for k in range(n):
         p = next((i for i in range(k, n) if grid[i][k]), None)
@@ -621,7 +623,7 @@ def _certified_invariants(rows: list[dict], cols: int) -> Optional[tuple]:
             rest, e = rest // q, e + 1
         if e:
             reduced = [row for row in ({j: x % q for j, x in row.items() if x % q} for row in rows) if row]
-            r = _f2_rank(reduced) if q == 2 else _field_rank(reduced, q)
+            r = _f2_eliminate(_f2_masks(reduced))[0] if q == 2 else _field_rank(reduced, q)
             local = [q] * (count - r) if count - r in (0, e) else _local_factors(rows, q, q ** (e + 1))[r:count]
             for i, t in enumerate(local, r):
                 out[i] *= t
@@ -676,22 +678,33 @@ def _smallest_entry(rows: list[dict]) -> tuple[dict, int]:
 _PACK_AT = 12
 
 
-def _f2_rank(rows: Iterable[dict]) -> int:
-    """The rank mod 2 of the matrix with these sparse rows, each taken as
-    one bitmask of its columns and reduced by XOR against the pivots found
-    so far, keyed by leading bit (M4RI, Albrecht-Bard-Hart 2010)."""
-    pivots: dict[int, int] = {}
-    bit = (1).__lshift__
-    for row in rows:
-        m = sum(map(bit, row))
+def _f2_eliminate(vectors: Iterable[tuple[int, int]]) -> tuple[int, list[int]]:
+    """The rank mod 2 of the bitmasks of vectors, (mask, tail) pairs, and the
+    tails of those whose masks reduce to zero. Each mask is reduced by XOR
+    against the pivots found so far, keyed by leading bit (M4RI,
+    Albrecht-Bard-Hart 2010), and its tail is XORed along with it, so tails
+    that start as distinct bits record which of the masks sum to zero."""
+    pivots: dict[int, tuple[int, int]] = {}
+    null = []
+    for m, t in vectors:
         while m:
             lead = m.bit_length() - 1
             piv = pivots.get(lead)
             if piv is None:
-                pivots[lead] = m
+                pivots[lead] = m, t
                 break
-            m ^= piv
-    return len(pivots)
+            m ^= piv[0]
+            t ^= piv[1]
+        else:
+            null.append(t)
+    return len(pivots), null
+
+
+def _f2_masks(rows: Iterable[dict]):
+    """Each sparse row mod 2 as one bitmask of its columns, with a zero
+    tail: the rank input of _f2_eliminate."""
+    bit = (1).__lshift__
+    return ((sum(map(bit, row)), 0) for row in rows)
 
 
 def _packed_rank(rows: list[dict], p: int) -> int:
@@ -783,8 +796,7 @@ def _eliminate_columns(ring: RingTag, cols: list[tuple[dict, dict]]) -> tuple[li
     A reduced head ends above its row, so one scan from the lowest row up
     meets every column. Returns the pivots as (row, head, tail) triples,
     bottom row first, each head zero below its row and positive there over
-    Z (1 in a field), and the columns whose heads are now zero.  Over F2
-    the public callers replay this order on bitmasks (_eliminate_f2)."""
+    Z (1 in a field), and the columns whose heads are now zero."""
     p = ring.p
     field = ring.is_field
     by_low: dict[int, list] = {}
@@ -838,9 +850,7 @@ def canonical_columns(b: Matrix) -> Matrix:
     that entry positive (1 over a field) and the entries in other columns at
     pivot rows reduced. Each column is reduced against the nearest pivot
     first, so no later step undoes an earlier one and the result depends
-    only on the lattice (over a field, the span).  Over F2 on bitmasks."""
-    if b.ring.p == 2:
-        return _hermite_f2(b.ring, b.rows, list(_f2_columns(b).values()))
+    only on the lattice (over a field, the span)."""
     return _hermite(b.ring, b.rows, list(_columns(b).values()))
 
 
@@ -898,9 +908,15 @@ def _identity_tails(a: Matrix) -> list[tuple[dict, dict]]:
 def kernel_basis(a: Matrix) -> Matrix:
     """Columns form a basis of ker(a); over Z the full kernel lattice: the
     transform part of the columns of [A; I] whose A-part eliminates to zero.
-    Over F2 on bitmasks, with the same pivots."""
+    Over F2 the columns are bitmasks of their rows, with tails 1 << j; the
+    canonical form of the null tails depends only on their span."""
     if a.ring.p == 2:
-        return _hermite_f2(a.ring, a.cols, [tail for _, tail in _f2_pivots(a)[1]])
+        heads: dict[int, int] = {}
+        for i, row in a._rows.items():
+            for j in row:
+                heads[j] = heads.get(j, 0) | 1 << i
+        _, null = _f2_eliminate((heads.get(j, 0), 1 << j) for j in range(a.cols))
+        return _hermite(a.ring, a.cols, [_f2_vector(tail) for tail in null])
     _, null = _eliminate_columns(a.ring, _identity_tails(a))
     return _hermite(a.ring, a.cols, [tail for _, tail in null])
 
@@ -917,25 +933,12 @@ def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
     columns of H in echelon form; each column of b is reduced against them
     bottom row first, and x collects the matching columns of V, negated;
     whatever is left of b means no solution. The answer depends only on
-    (a, b).  Over F2 on bitmasks, with the same pivots and answer."""
+    (a, b)."""
     a._match(b)
     if a.rows != b.rows:
         raise ShapeError(f"solve: {a.rows} rows vs {b.rows} rows")
     ring = a.ring
     p = ring.p
-    if p == 2:
-        pivots, _ = _f2_pivots(a)
-        found = {}
-        for k, residual in _f2_columns(b).items():
-            col = 0
-            for r, head, tail in pivots:
-                if residual >> r & 1:
-                    residual, col = residual ^ head, col ^ tail
-            if residual:
-                return None
-            if col:
-                found[k] = _f2_vector(col)
-        return _make(ring, b.cols, a.cols, found).transpose()
     pivots, _ = _eliminate_columns(ring, _identity_tails(a))
     x: dict[int, dict] = {}
     for k, residual in _columns(b).items():
@@ -949,56 +952,9 @@ def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
     return _make(ring, a.cols, b.cols, x)
 
 
-def _f2_columns(a: Matrix) -> dict[int, int]:
-    """The nonzero columns of the F2 matrix a as bitmasks of their rows, in
-    the order _columns lists them."""
-    cols: dict[int, int] = {}
-    for i, row in a._rows.items():
-        for j in row:
-            cols[j] = cols.get(j, 0) | 1 << i
-    return cols
-
-
-def _f2_pivots(a: Matrix) -> tuple[list, list]:
-    """_eliminate_f2 of the columns of [A; I] for the F2 matrix a."""
-    heads = _f2_columns(a)
-    return _eliminate_f2([(heads.get(j, 0), 1 << j) for j in range(a.cols)])
-
-
 def _f2_vector(mask: int) -> dict:
     """The sparse 0/1 vector on the set bits of mask."""
     return dict.fromkeys((i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"), 1)
-
-
-def _eliminate_f2(cols: list[tuple[int, int]]) -> tuple[list, list]:
-    """_eliminate_columns over F2 with heads and tails as bitmasks of their
-    rows (M4RI, Albrecht-Bard-Hart 2010), in its bucket order: the first
-    column placed in a row's bucket is the pivot, 1 there already, and each
-    later one is reduced by XOR with it and appended to the bucket of its
-    new lowest row; bucket -1 holds the zero heads."""
-    by_low: dict[int, list] = {}
-    for col in cols:
-        by_low.setdefault(col[0].bit_length() - 1, []).append(col)
-    pivots = []
-    for r in range(max(by_low, default=-1), -1, -1):
-        if r in by_low:
-            (head, tail), *rest = by_low.pop(r)
-            for h, t in rest:
-                h ^= head
-                by_low.setdefault(h.bit_length() - 1, []).append((h, t ^ tail))
-            pivots.append((r, head, tail))
-    return pivots, by_low.get(-1, [])
-
-
-def _hermite_f2(ring: RingTag, rows: int, cols: list[int]) -> Matrix:
-    """_hermite over F2 on columns given as bitmasks."""
-    basis: list[tuple[int, int]] = []
-    for r, head, _ in reversed(_eliminate_f2([(col, 0) for col in cols])[0]):
-        for s, piv in reversed(basis):
-            if head >> s & 1:
-                head ^= piv
-        basis.append((r, head))
-    return _make(ring, len(basis), rows, {n: _f2_vector(head) for n, (_, head) in enumerate(basis)}).transpose()
 
 
 def torsion(factors: tuple) -> tuple[int, ...]:

@@ -247,6 +247,25 @@ def dold_kan_projector(m, n):
     return proj
 
 
+def dold_kan_counit(m, embeddings, n):
+    """The dense level n of the Dold-Kan counit Gamma N M -> M, where
+    embeddings[k] embeds N_k into M_k: on the block of a surjection
+    [n] ->> [k] with repeat positions j_1 < ... < j_r (all 2^n blocks, in
+    the order of _brute_dk_blocks, zero-width ones too) it is
+    s_{j_r} ... s_{j_1} e_k, with s_{j_1} applied first, at level k."""
+    ring = m.ring
+    sizes, blocks = [], {}
+    for b, (k, values) in enumerate(_brute_dk_blocks(n)):
+        block, level = dense(embeddings[k]), k
+        for j in range(n):
+            if values[j] == values[j + 1]:
+                block = dense_matmul(ring, dense(m.degen(level, j)), block)
+                level += 1
+        sizes.append(block[1])
+        blocks[0, b] = block
+    return dense_blocks(ring, [m.rank(n)], sizes, blocks)
+
+
 # ---------------------------------------------------------------------------
 # brute-force simplex category combinatorics
 

@@ -1,7 +1,9 @@
-"""The F2 column elimination on bitmasks against the generic elimination on
-sparse dicts: kernel_basis, solve and canonical_columns take the bitmask
-path over F2, and must replay the dict path's bucket order exactly, so
-that pivots, particular solutions and canonical forms stay bit-identical."""
+"""The F2 bitmask elimination against the generic elimination on sparse
+dicts: ranks and kernel_basis over F2 run one XOR elimination of bitmasks
+(linalg._f2_eliminate), whose null tails must span the kernel the dict
+elimination finds; solve and canonical_columns run the shared column
+elimination over F2 as over every ring, and must keep giving the answers
+of the reference copies below."""
 
 import random
 
@@ -81,22 +83,19 @@ def nor_stacks():
     return stacks + [random_f2(rng, 440, 110, 0.02)]
 
 
-def test_bitmask_pivots_are_the_dict_pivots_and_normalized():
+def test_the_xor_elimination_gives_the_rank_and_a_null_space_basis():
     rng = random.Random(433)
     for rows, cols, density in random_shapes(rng):
         a = random_f2(rng, rows, cols, density)
-        pivots, null = linalg._f2_pivots(a)
-        want_pivots, want_null = linalg._eliminate_columns(F2, linalg._identity_tails(a))
-        assert pivots == [(r, mask_of(head), mask_of(tail)) for r, head, tail in want_pivots]
-        assert null == [(mask_of(head), mask_of(tail)) for head, tail in want_null]
-        # the checks test_column_elimination_returns_normalized_pivots makes
-        assert len(pivots) == len(linalg.invariant_factors(a))
-        assert [r for r, _, _ in pivots] == sorted({r for r, _, _ in pivots}, reverse=True)
-        for r, head, tail in pivots:
-            assert head >> r & 1 and head.bit_length() - 1 == r
-            assert a @ column(tail, cols) == column(head, rows)
-        for head, tail in null:
-            assert not head and (a @ column(tail, cols)).is_zero
+        heads = {j: mask_of(col) for j, col in linalg._columns(a).items()}
+        rank, null = linalg._f2_eliminate((heads.get(j, 0), 1 << j) for j in range(cols))
+        pivots, _ = linalg._eliminate_columns(F2, linalg._identity_tails(a))
+        assert rank == len(pivots) == linalg._f2_eliminate(linalg._f2_masks(a._rows.values()))[0]
+        assert len(null) == cols - rank
+        for tail in null:
+            assert tail and (a @ column(tail, cols)).is_zero
+        tails = Matrix(F2, cols, len(null), tuple(tuple(tail >> i & 1 for tail in null) for i in range(cols)))
+        assert canonical_columns(tails).cols == cols - rank
 
 
 def test_bitmask_answers_match_the_dict_elimination_on_random_matrices():

@@ -417,7 +417,7 @@ def test_packed_and_sparse_field_ranks_match_the_smith_diagonal(p, monkeypatch):
             return [dict(row) for row in a._rows.values()]
 
         if p == 2:
-            assert linalg._f2_rank(rows()) == expect
+            assert linalg._f2_eliminate(linalg._f2_masks(rows()))[0] == expect
         assert linalg._packed_rank(rows(), p) == expect
         for pack_at in (0, 2**62):  # packed at once, sparse throughout
             monkeypatch.setattr(linalg, "_PACK_AT", pack_at)
@@ -452,7 +452,9 @@ def certified_corpus():
     """Dense integer grids of 16 to 40 rows, square and wide, cyclic and
     not, with the rank each has: seeded random ones, the homology_big
     grids of seeds 704, 713 and 731 (non-cyclic at 32x32) and 761, planted
-    Smith forms, a unimodular one, the all-ones grid and one of rank n - 1."""
+    Smith forms, a unimodular one, the all-ones grid, one of rank n - 1,
+    and random and planted 16x40 and 16x200 grids, of which the certified
+    path reads only the first n + 2 columns."""
     rng = random.Random(29)
     for rows, cols in ((16, 16), (16, 22), (20, 24), (24, 24), (28, 36), (40, 40)):
         yield [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)], rows
@@ -465,6 +467,9 @@ def certified_corpus():
     yield planted_smith_grid(rng, 20, 20, (1,) * 20), 20
     yield [[1] * 16 for _ in range(16)], 1
     yield planted_smith_grid(rng, 17, 17, (1,) * 14 + (2, 6)), 16
+    for rows, cols in ((16, 40), (16, 200)):
+        yield [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)], rows
+        yield planted_smith_grid(rng, rows, cols, (1,) * 13 + (2, 6, 12)), rows
 
 
 def test_certified_invariants_match_euclid_bit_for_bit():
@@ -479,7 +484,7 @@ def test_certified_invariants_match_euclid_bit_for_bit():
         certified += got is not None
         factors = invariant_factors(Matrix.from_rows(ZZ, grid, cols))
         assert factors == expect and all(type(d) is int for d in factors)
-    assert certified == 21
+    assert certified == 25
     # shapes that stay on the Euclid path: 0xn, nx0 and tall
     rng = random.Random(31)
     for rows, cols in ((0, 20), (20, 0), (24, 16), (40, 20)):

@@ -78,6 +78,7 @@ from oracles import (
     dense_dk_transition,
     dense_matmul,
     degeneracy_violating_module,
+    dold_kan_counit,
     dold_kan_projector,
     iso_simplicial,
     non_simplicial_module,
@@ -854,6 +855,44 @@ def test_the_dold_kan_projector_splits_off_the_degenerate_part(ring):
             assert both[0] == both[1]
             det = dense_det(ring, both)
             assert abs(det) == 1 if ring == ZZ else det != 0
+
+
+def counit_inputs():
+    """Seeded tensor products of Dold-Kan modules over Z, F2, Q and F3, and
+    free modules and a copower that no Dold-Kan module of a complex gives."""
+    rng = random.Random(2)
+    rings = (ZZ, GF(2), QQ, GF(3))
+    for k in range(25):
+        ring = rings[k % 4]
+        yield tensor_sm(dk(nonzero_complex(rng, ring, 2), 3), dk(nonzero_complex(rng, ring, 2), 3))
+    yield free_module(nerve(chain_poset(3), 3), ZZ)
+    yield free_module(product(simplex_set(1, 3), simplex_set(2, 3)), ZZ)
+    yield free_module(boundary_simplex_set(2, 4), GF(2))
+    yield copower(dk(disk(1), 3), simplex_set(1, 3))
+
+
+def test_the_dold_kan_counit_is_a_simplicial_isomorphism():
+    """The counit Gamma N M -> M, built densely from nor's embeddings and
+    M's degeneracies, commutes with every face and degeneracy of
+    dk(nor(M)) and M, and each level is square of unit determinant: all
+    its invariant factors are units, so it is an isomorphism over the
+    ring."""
+    for m in counit_inputs():
+        ring, h = m.ring, m.horizon
+        normalized = nor(m)
+        gamma = dk(normalized.complex, h)
+        eps = [dold_kan_counit(m, normalized.embeddings, n) for n in range(h + 1)]
+        for n in range(h + 1):
+            assert eps[n][0] == eps[n][1] == gamma.rank(n)
+            det = dense_det(ring, eps[n])
+            assert abs(det) == 1 if ring == ZZ else det != 0
+            for i in range(n + 1):
+                if n:
+                    face_m = dense_matmul(ring, dense(m.face(n, i)), eps[n])
+                    assert face_m == dense_matmul(ring, eps[n - 1], dense(gamma.face(n, i)))
+                if n < h:
+                    degen_m = dense_matmul(ring, dense(m.degen(n, i)), eps[n])
+                    assert degen_m == dense_matmul(ring, eps[n + 1], dense(gamma.degen(n, i)))
 
 
 def test_degenerate_part_of_dk_disk():
