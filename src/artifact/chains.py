@@ -95,7 +95,8 @@ class _Value:
     @classmethod
     def _trusted(cls, *args):
         """The value that _store(*args) checks and stores, without the
-        checks __init__ adds, which the calling builder proves."""
+        proofs __init__ adds, which the calling builder's docstring gives;
+        the one private constructor, and a static test names its callers."""
         value = cls.__new__(cls)
         value._store(*args)
         return value
@@ -273,7 +274,8 @@ def _blockwise(ring: RingTag, rows: dict, cols: dict, block) -> Matrix:
 def tensor(x: ConnComplex, y: ConnComplex) -> ConnComplex:
     """Degreewise direct sum of X_k (x) Y_l over k + l = n, with the usual
     sign (-1)^k on the second-factor differential; Kronecker row-major
-    within each block."""
+    within each block.  d∘d = 0 unchecked: the sign cancels the two
+    composites through (k - 1, l) and (k, l - 1)."""
     if x.ring != y.ring:
         raise RingError(f"tensor factors over {x.ring} and {y.ring}")
     ring = x.ring
@@ -288,7 +290,7 @@ def tensor(x: ConnComplex, y: ConnComplex) -> ConnComplex:
             if (k, l - 1) in below:
                 blocks[(k, l - 1), (k, l)] = (-1 if k % 2 else 1, identity(ring, x.rank(k)), y.diff(l))
         diffs[n] = _keyed_block_matrix(ring, below, layouts[n], blocks)
-    return ConnComplex(ring, tuple(sum(sizes.values()) for sizes in layouts), diffs)
+    return ConnComplex._trusted(ring, tuple(sum(sizes.values()) for sizes in layouts), diffs)
 
 
 def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
@@ -307,11 +309,12 @@ def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
 
 def mapping_cone(f: ChainMap) -> ConnComplex:
     """cone_n = X_{n-1} + Y_n with differential [[-dX, 0], [-f, dY]];
-    exact exactly when f is a quasi-isomorphism."""
+    exact exactly when f is a quasi-isomorphism.  d∘d = 0 unchecked, as
+    the validated chain map f has dY∘f = f∘dX."""
     x, y = f.source, f.target
     top = max(x.top + 1, y.top)
     ranks = tuple(x.rank(n - 1) + y.rank(n) for n in range(top + 1))
-    return ConnComplex(f.ring, ranks, {n: _cone_matrix(f, n - 1) for n in range(1, top + 1)})
+    return ConnComplex._trusted(f.ring, ranks, {n: _cone_matrix(f, n - 1) for n in range(1, top + 1)})
 
 
 def _cone_matrix(f: ChainMap, n: int) -> Matrix:

@@ -78,7 +78,8 @@ def shuffle_product(x: ConnComplex, y: ConnComplex) -> ShuffleComplex:
     Face i sends the block of (f, g) to the block of the epi parts of
     (f o d_i, g o d_i) by the tensor of the two Dold-Kan block maps that
     _dk_rule gives for f and g, with sign (-1)^i; it is zero when either
-    block map is."""
+    block map is.  d∘d = 0 unchecked: this is N of the diagonal of the
+    two Dold-Kan modules."""
     if x.ring != y.ring:
         raise RingError(f"factors over {x.ring} and {y.ring}")
     ring = x.ring
@@ -104,7 +105,7 @@ def shuffle_product(x: ConnComplex, y: ConnComplex) -> ShuffleComplex:
                 # on i..j, which joint monicity forbids: one term per key
                 blocks[row, (f, g)] = (-1 if i % 2 else 1, x_blocks[f[-1], f_rule[1]], y_blocks[g[-1], g_rule[1]])
         diffs[n] = _keyed_block_matrix(ring, rows, cols, blocks)
-    underlying = ConnComplex(ring, tuple(sum(sizes.values()) for sizes in layouts), diffs)
+    underlying = ConnComplex._trusted(ring, tuple(sum(sizes.values()) for sizes in layouts), diffs)
     return ShuffleComplex(underlying, tuple(_monic_pair_maps(n, x.top, y.top) for n in range(top + 1)))
 
 

@@ -55,6 +55,13 @@ class FinSimplicialSet(_Value):
     __slots__ = ("horizon", "cells", "_faces", "_degens")
 
     def __init__(self, horizon: int, cells, faces, degens):
+        self._store(horizon, cells, faces, degens)
+        for kind, m, i, j in _identity_violations(
+            horizon, self.cell_count, self.face_map, self.degen_map, compose_index, index_identity
+        ):
+            raise NotSimplicial(f"{kind} identity fails at level {m} for (i,j)=({i},{j})")
+
+    def _store(self, horizon: int, cells, faces, degens) -> None:
         if type(horizon) is not int:
             raise ValueError("horizon must be an integer")
         if horizon < 0:
@@ -79,10 +86,6 @@ class FinSimplicialSet(_Value):
                         raise ValueError(f"{kind} ({m},{i}) hits an out-of-range cell")
             stored.append(given)
         self._faces, self._degens = stored
-        for kind, m, i, j in _identity_violations(
-            horizon, self.cell_count, self.face_map, self.degen_map, compose_index, index_identity
-        ):
-            raise NotSimplicial(f"{kind} identity fails at level {m} for (i,j)=({i},{j})")
 
     def cell_count(self, m: int) -> int:
         if not (type(m) is int and 0 <= m <= self.horizon):
@@ -165,7 +168,7 @@ def _identity_violations(horizon, size_at, face_at, degen_at, comp, ident):
 
 def _vertex_tuple_set(horizon, cells) -> FinSimplicialSet:
     """The simplicial set on these levels of vertex tuples: face i drops
-    vertex i and degeneracy i repeats it."""
+    vertex i and degeneracy i repeats it, as in Δ, so the identities hold."""
     cells = tuple(tuple(level) for level in cells)
     index = [{c: i for i, c in enumerate(level)} for level in cells]
     faces, degens = _families(
@@ -173,7 +176,7 @@ def _vertex_tuple_set(horizon, cells) -> FinSimplicialSet:
         lambda m, i: [index[m - 1][c[:i] + c[i + 1 :]] for c in cells[m]],
         lambda m, i: [index[m + 1][c[: i + 1] + c[i:]] for c in cells[m]],
     )
-    return FinSimplicialSet(horizon, cells, faces, degens)
+    return FinSimplicialSet._trusted(horizon, cells, faces, degens)
 
 
 def simplex_set(n: int, horizon: int) -> FinSimplicialSet:
@@ -260,7 +263,8 @@ def nerve(p: FinPoset, horizon: int) -> FinSimplicialSet:
 def _levelwise_set(u: FinSimplicialSet, v: FinSimplicialSet, cells, index) -> FinSimplicialSet:
     """The set on the levels cells(u's cells, v's cells) whose structure
     map (m, i) is index(u's map, v's map, u's count, v's count), the cell
-    counts taken at the level the map lands in; u and v share a horizon."""
+    counts taken at the level the map lands in; u and v share a horizon.
+    Maps acting componentwise on simplicial sets obey the identities."""
     if u.horizon != v.horizon:
         raise ShapeError(f"horizons differ: {u.horizon} vs {v.horizon}")
     h = u.horizon
@@ -269,7 +273,7 @@ def _levelwise_set(u: FinSimplicialSet, v: FinSimplicialSet, cells, index) -> Fi
         lambda m, i: index(u.face_map(m, i), v.face_map(m, i), u.cell_count(m - 1), v.cell_count(m - 1)),
         lambda m, i: index(u.degen_map(m, i), v.degen_map(m, i), u.cell_count(m + 1), v.cell_count(m + 1)),
     )
-    return FinSimplicialSet(h, [cells(u.cells[m], v.cells[m]) for m in range(h + 1)], faces, degens)
+    return FinSimplicialSet._trusted(h, [cells(u.cells[m], v.cells[m]) for m in range(h + 1)], faces, degens)
 
 
 def product(u: FinSimplicialSet, v: FinSimplicialSet) -> FinSimplicialSet:
@@ -292,36 +296,32 @@ class SimplicialModule(_Value):
     check_simplicial_identities reports relation violations, so deliberately
     broken modules can be built and examined.
 
-    The constructor takes and checks every family at once.  A module from
-    _module builds each level's family on its first read through face or
-    degen, checks it as the constructor would and keeps it: until every
-    family is built, _faces and _degens are lists holding None at the levels
-    not built yet, and _pending holds the builders.  Equality builds every
-    family first, and afterwards both are tuples, as the constructor stores
-    them."""
+    _faces and _degens hold one family per level, None where it is not
+    built yet.  The constructor takes and checks every family at once.  A
+    module from _trusted(ring, ranks, face_at, degen_at) keeps the two
+    builders in _pending and builds each level's family on its first read
+    through face or degen, checks it as the constructor would and keeps it.
+    Equality builds every family first."""
 
     _fields = ("ring", "ranks", "_faces", "_degens")
     __slots__ = _fields + ("_pending",)
 
     def __init__(self, ring: RingTag, ranks, faces, degens):
         self._store(ring, ranks)
-        stored = []
         kinds = _structure_maps(self.horizon, dict(faces or {}), dict(degens or {}))
-        for kind, given, levels, step in kinds:
-            families = []
+        for (kind, given, levels, step), families in zip(kinds, (self._faces, self._degens)):
             for m in levels:
                 fams = given.pop(m, None)
                 if fams is None:
                     raise ValueError(f"{kind} maps missing at level {m}")
-                families.append(self._checked(kind, m, step, fams))
+                families[m - levels.start] = self._checked(kind, m, step, fams)
             if given:
                 outside = f"{levels.start}..{levels.stop - 1}"
                 raise ValueError(f"{kind} maps given outside levels {outside}: {sorted(given)}")
-            stored.append(tuple(families))
-        self._faces, self._degens = stored
 
-    def _store(self, ring: RingTag, ranks) -> None:
-        """The checked ranks, with no family built and none pending."""
+    def _store(self, ring: RingTag, ranks, *pending) -> None:
+        """The checked ranks, with no family built and the builders
+        face_at(m, i) and degen_at(m, i), when given, pending."""
         ranks = tuple(ranks)
         if not ranks:
             raise ValueError("ranks must cover level 0")
@@ -331,7 +331,7 @@ class SimplicialModule(_Value):
         self.ranks = ranks
         self._faces = [None] * (len(ranks) - 1)
         self._degens = [None] * (len(ranks) - 1)
-        self._pending = None
+        self._pending = pending or None
 
     def _checked(self, kind: str, m: int, step: int, fams) -> tuple:
         """fams as the family of kind at level m, which lands in level
@@ -356,7 +356,6 @@ class SimplicialModule(_Value):
             for m in range(self.horizon):
                 self.face(m + 1, 0)
                 self.degen(m, 0)
-            self._faces, self._degens = tuple(self._faces), tuple(self._degens)
             self._pending = None
         return self
 
@@ -467,17 +466,6 @@ def compose_simplicial(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
     )
 
 
-def _module(ring: RingTag, ranks: tuple[int, ...], face_at, degen_at) -> SimplicialModule:
-    """The simplicial module with these ranks whose structure matrices are
-    face_at(m, i) and degen_at(m, i), each level's family built on its
-    first read.  The only lazy constructor: the builders that call it make
-    matrices of the stated shapes, and each is still checked when built."""
-    m = SimplicialModule.__new__(SimplicialModule)
-    m._store(ring, ranks)
-    m._pending = (face_at, degen_at)
-    return m
-
-
 def _index_matrix(ring: RingTag, rows: int, index_map: tuple[int, ...]) -> Matrix:
     """The 0/1 matrix whose column c is the basis vector at index_map[c]."""
     return identity(ring, rows).col_select(index_map)
@@ -487,7 +475,7 @@ def free_module(u: FinSimplicialSet, ring: RingTag) -> SimplicialModule:
     """Levelwise free module on the cells, with the 0/1 matrices of the
     face and degeneracy index maps."""
     ranks = tuple(u.cell_count(m) for m in range(u.horizon + 1))
-    return _module(
+    return SimplicialModule._trusted(
         ring,
         ranks,
         lambda m, i: _index_matrix(ring, ranks[m - 1], u.face_map(m, i)),
@@ -570,7 +558,7 @@ def dk(x: ConnComplex, horizon: int) -> SimplicialModule:
     _check_int("dk", "horizon", horizon, least=0)
     blocks = _dk_blocks(x)
     layouts = [_dk_layout(x, n) for n in range(horizon + 1)]
-    return _module(
+    return SimplicialModule._trusted(
         x.ring,
         tuple(sum(sizes.values()) for sizes in layouts),
         lambda n, i: _dk_transition(x, blocks, layouts, deltacat.face(n, i)),
@@ -663,7 +651,7 @@ def nor_map(f: SimplicialMap) -> ChainMap:
 def _levelwise_module(a: SimplicialModule, b: SimplicialModule, ranks, combine) -> SimplicialModule:
     """The module with these ranks whose face and degeneracy (m, i) are
     combine(that map of a, that map of b), each built on its first read."""
-    return _module(
+    return SimplicialModule._trusted(
         a.ring,
         ranks,
         lambda m, i: combine(a.face(m, i), b.face(m, i)),

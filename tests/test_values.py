@@ -53,7 +53,7 @@ def simplicial_set() -> FinSimplicialSet:
 
 
 def module() -> SimplicialModule:
-    # every family built, so _faces and _degens hold the tuples that the
+    # every family built, so _faces and _degens hold the families that the
     # one-slot variants replace one matrix of; a lazy module's unread
     # levels are covered in test_simplicial
     return dk(complex_x(), 2)._force()
@@ -83,11 +83,12 @@ def replace_entry(mats, index, row, col, value):
 
 
 def replace_family(families, level, i, value):
-    """families, one tuple of structure maps per level, with map i of the
-    given level replaced by value."""
+    """families, one tuple of structure maps per level in a tuple or a
+    list, with map i of the given level replaced by value, in a container
+    of the same type."""
     fams = list(families[level])
     fams[i] = value
-    return families[:level] + (tuple(fams),) + families[level + 1 :]
+    return families[:level] + type(families)([tuple(fams)]) + families[level + 1 :]
 
 
 # (type, build, read back through JSON or None, {field: changed value})
