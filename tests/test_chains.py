@@ -428,8 +428,7 @@ TRUSTED_BUILDERS = {
 
 def test_trusted_builds_come_only_from_the_builders_that_prove_their_checks():
     # a static check: _trusted, the one private constructor, is called only
-    # by the builders listed above; no value is made by __new__ outside it,
-    # and only SimplicialModule._store sets a lazy module's builders
+    # by the builders listed above, and no value is made by __new__ outside it
     import ast
     import pathlib
     from collections import Counter
@@ -448,14 +447,7 @@ def test_trusted_builds_come_only_from_the_builders_that_prove_their_checks():
     def makes_a_value(node):
         return calls("__new__")(node) and any(getattr(arg, "id", None) in value_types for arg in node.args)
 
-    def sets_pending(node):
-        return (
-            isinstance(node, ast.Assign)
-            and any(getattr(t, "attr", None) == "_pending" for t in node.targets)
-            and not (isinstance(node.value, ast.Constant) and node.value.value is None)
-        )
-
-    checks = {"_trusted": calls("_trusted"), "__new__": makes_a_value, "_pending": sets_pending}
+    checks = {"_trusted": calls("_trusted"), "__new__": makes_a_value}
     found = {kind: Counter() for kind in checks}
     for path in sorted(pathlib.Path(artifact.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -474,7 +466,6 @@ def test_trusted_builds_come_only_from_the_builders_that_prove_their_checks():
     assert sum(TRUSTED_BUILDERS.values()) == 14
     assert +found["_trusted"] == TRUSTED_BUILDERS
     assert +found["__new__"] == {"chains.py:_Value._trusted": 1}
-    assert +found["_pending"] == {"simplicial.py:SimplicialModule._store": 1}
 
 
 def test_factor_rejects_ring_mismatch():

@@ -495,6 +495,38 @@ def test_comparing_nor_tensor_builds_no_degeneracy(monkeypatch):
             assert None not in module._faces
 
 
+def test_lazy_modules_get_their_builders_only_from_store():
+    # a static check: a module whose families wait for their first read gets
+    # its builders only in SimplicialModule._store; every other assignment
+    # to _pending clears it
+    import ast
+    import pathlib
+
+    import artifact
+
+    def sets_pending(node):
+        return (
+            isinstance(node, ast.Assign)
+            and any(getattr(t, "attr", None) == "_pending" for t in node.targets)
+            and not (isinstance(node.value, ast.Constant) and node.value.value is None)
+        )
+
+    found = Counter()
+    for path in sorted(pathlib.Path(artifact.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        in_methods = 0
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef):
+                        n = sum(map(sets_pending, ast.walk(node)))
+                        found[f"{path.name}:{cls.name}.{node.name}"] += n
+                        in_methods += n
+        # none outside a method
+        assert sum(map(sets_pending, ast.walk(tree))) == in_methods, path.name
+    assert +found == {"simplicial.py:SimplicialModule._store": 1}
+
+
 # ---------------------------------------------------------------------------
 # reads outside a simplicial object's levels raise IndexError
 
