@@ -474,7 +474,8 @@ def lift_square(f: ChainMap, g: ChainMap, top: ChainMap, bottom: ChainMap) -> Ch
     phi_n = psi - K u P_n.  This is a lift:
       zeta f_n = d top_n - top_{n-1} d = 0, so zeta P_n = zeta and
       d phi_n = d psi - zeta = phi_{n-1} d;
-      P_n f_n = 0 and g K = 0 keep phi_n f_n = top_n and g_n phi_n = bottom_n."""
+      P_n f_n = 0 and g K = 0 keep phi_n f_n = top_n and g_n phi_n = bottom_n.
+    These give commutation and both triangles, so the lift is built trusted."""
     a, b = f.source, f.target
     c, d = g.source, g.target
     if top.source != a or top.target != c:
@@ -506,12 +507,7 @@ def lift_square(f: ChainMap, g: ChainMap, top: ChainMap, bottom: ChainMap) -> Ch
                 k = kernel_basis(g.component(n))
                 psi = psi - k @ solve(c.diff(n) @ k, zeta) @ proj
         phi.append(psi)
-    result = ChainMap(b, c, dict(enumerate(phi)))
-    upper = (result.component(n) @ f.component(n) == top.component(n) for n in range(max(a.top, c.top) + 1))
-    lower = (g.component(n) @ result.component(n) == bottom.component(n) for n in range(max(b.top, d.top) + 1))
-    if not (all(upper) and all(lower)):
-        raise SquareError("the computed lift does not close the square")
-    return result
+    return ChainMap._trusted(b, c, dict(enumerate(phi)))
 
 
 @dataclass(frozen=True)

@@ -589,13 +589,13 @@ class EmbeddedComplex:
 def _restriction(embs: list[Matrix], level_map, message: str) -> EmbeddedComplex:
     """The complex on the columns of the embeddings embs whose differential
     at n restricts level_map(n): M_n -> M_{n-1} to them;
-    NotSimplicial(message) when level_map(n) sends the columns of embs[n]
-    outside the span of embs[n - 1]."""
+    NotSimplicial(message at degree n) when level_map(n) sends the columns
+    of embs[n] outside the span of embs[n - 1]."""
     diffs = {}
     for n in range(1, len(embs)):
         d = solve(embs[n - 1], level_map(n) @ embs[n])
         if d is None:
-            raise NotSimplicial(message)
+            raise NotSimplicial(f"{message} at degree {n}")
         diffs[n] = d
     ranks = tuple(e.cols for e in embs)
     return EmbeddedComplex(ConnComplex(embs[0].ring, ranks, diffs), tuple(embs))
@@ -643,7 +643,7 @@ def nor_map(f: SimplicialMap) -> ChainMap:
     for n in range(f.source.horizon + 1):
         c = solve(tgt.embeddings[n], f.component(n) @ src.embeddings[n])
         if c is None:
-            raise NotSimplicial("map does not preserve the normalized part")
+            raise NotSimplicial(f"map does not preserve the normalized part at degree {n}")
         comps[n] = c
     return ChainMap(src.complex, tgt.complex, comps)
 

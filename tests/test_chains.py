@@ -417,6 +417,7 @@ TRUSTED_BUILDERS = {
     "chains.py:factor_cof_trivfib": 3,
     "chains.py:tensor": 1,
     "chains.py:mapping_cone": 1,
+    "chains.py:lift_square": 1,
     "shuffle.py:shuffle_product": 1,
     "simplicial.py:_vertex_tuple_set": 1,
     "simplicial.py:_levelwise_set": 1,
@@ -425,10 +426,24 @@ TRUSTED_BUILDERS = {
     "simplicial.py:_levelwise_module": 1,
 }
 
+# every builder that calls the validating ChainMap(...), once each; with the
+# table above and map_from_json (through _build), every chain map the package
+# builds is listed once
+VALIDATED_CHAIN_MAPS = {
+    "chains.py:identity_chain_map",
+    "chains.py:compose_maps",
+    "chains.py:tensor_map",
+    "shuffle.py:_shuffle_map",
+    "shuffle.py:ez_map",
+    "simplicial.py:nor_map",
+    "cli.py:change_ring",
+}
+
 
 def test_trusted_builds_come_only_from_the_builders_that_prove_their_checks():
     # a static check: _trusted, the one private constructor, is called only
-    # by the builders listed above, and no value is made by __new__ outside it
+    # by the builders listed above, no value is made by __new__ outside it,
+    # and the validating ChainMap(...) only by the builders listed above
     import ast
     import pathlib
     from collections import Counter
@@ -447,7 +462,7 @@ def test_trusted_builds_come_only_from_the_builders_that_prove_their_checks():
     def makes_a_value(node):
         return calls("__new__")(node) and any(getattr(arg, "id", None) in value_types for arg in node.args)
 
-    checks = {"_trusted": calls("_trusted"), "__new__": makes_a_value}
+    checks = {"_trusted": calls("_trusted"), "__new__": makes_a_value, "ChainMap": calls("ChainMap")}
     found = {kind: Counter() for kind in checks}
     for path in sorted(pathlib.Path(artifact.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -463,9 +478,11 @@ def test_trusted_builds_come_only_from_the_builders_that_prove_their_checks():
             # none outside a top-level function or method
             in_scopes = sum(found[kind][name] for name in scopes)
             assert sum(map(check, ast.walk(tree))) == in_scopes, (kind, path.name)
-    assert sum(TRUSTED_BUILDERS.values()) == 14
+    assert sum(TRUSTED_BUILDERS.values()) == 15
     assert +found["_trusted"] == TRUSTED_BUILDERS
     assert +found["__new__"] == {"chains.py:_Value._trusted": 1}
+    assert +found["ChainMap"] == Counter(VALIDATED_CHAIN_MAPS)
+    assert not VALIDATED_CHAIN_MAPS & TRUSTED_BUILDERS.keys()
 
 
 def test_factor_rejects_ring_mismatch():
@@ -496,13 +513,15 @@ def test_lift_square_solves_a_pinned_square():
 
 def test_lift_square_on_generated_squares():
     rng = random.Random(5)
-    for ring in (ZZ, GF(3), QQ):
+    for ring in (ZZ, GF(3), QQ, GF(2), GF(5)):
         for _ in range(8):
             f, g, top, bottom = random_lifting_square(rng, ring)
             lift = lift_square(f, g, top, bottom)
             assert compose_maps(lift, f) == top
             assert compose_maps(g, lift) == bottom
-            # the lift is itself a chain map by construction of ChainMap
+            # the lift is built without re-checking; the public constructors
+            # accept it as a chain map
+            assert rebuilt(lift) == lift
 
 
 def test_lift_square_builds_no_mapping_cone(monkeypatch):

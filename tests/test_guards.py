@@ -784,7 +784,7 @@ GUARDS = [
             unchecked_simplicial_map(dk(disk(1), 1), CONSTANT, [ONE, Matrix.from_rows(ZZ, [[0, 1]])])
         ),
         NotSimplicial,
-        "map does not preserve the normalized part",
+        "map does not preserve the normalized part at degree 1",
     ),
     # levelwise sums
     (
@@ -928,13 +928,13 @@ GUARDS = [
         "nor-last-face",
         lambda: nor(non_simplicial_module(random.Random(701))),
         NotSimplicial,
-        "last face does not preserve the normalized part",
+        "last face does not preserve the normalized part at degree 2",
     ),
     (
         "degenerate-part-differential",
         lambda: degenerate_part(module({1: [ONE, ZERO]}, {0: [ONE]})),
         NotSimplicial,
-        "differential does not preserve the degenerate part",
+        "differential does not preserve the degenerate part at degree 1",
     ),
 ]
 
