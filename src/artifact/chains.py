@@ -205,11 +205,13 @@ def disk(n: int, ring: RingTag = ZZ) -> ConnComplex:
 def homology(x: ConnComplex) -> tuple[HomologyGroup, ...]:
     """Homology groups in degrees 0..top, read off the invariant factors of
     each differential once; only ranks pass between degrees."""
-    return _homology(x.rank, x.diff, x.top)
+    return tuple(_homology(x.rank, x.diff, x.top))
 
 
 def is_exact(x: ConnComplex) -> bool:
-    return all(h.is_zero for h in homology(x))
+    """Walk the homology degree by degree and stop at the first nonzero
+    group: no differential past it is eliminated."""
+    return all(h.is_zero for h in _homology(x.rank, x.diff, x.top))
 
 
 def _tensor_layout(x: ConnComplex, y: ConnComplex, n: int) -> dict:
@@ -348,9 +350,10 @@ class ModelClass:
 def classify(f: ChainMap) -> ModelClass:
     """Fibration: surjective in degrees >= 1.  Cofibration: injective with
     free cokernel in every degree.  Weak equivalence: exact mapping cone,
-    read off _cone_matrix without building the cone.  Each component's
-    invariant factors are computed once, and the class once per map: it is
-    kept on f for later calls."""
+    read off _cone_matrix without building the cone, degree by degree up to
+    the first nonzero group, past which no cone matrix is written.  Each
+    component's invariant factors are computed once, and the class once per
+    map: it is kept on f for later calls."""
     if f._class is None:
         f._class = _model_class(f)
     return f._class

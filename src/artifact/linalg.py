@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm, prod
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from .errors import NotAComplex, RingError, ShapeError
 from .rings import RingTag, canonical_int, ring_ops, scalar_from_json, scalar_to_json
@@ -1005,21 +1005,23 @@ def homology_at(d_in: Matrix, d_out: Matrix) -> HomologyGroup:
     if not (d_out @ d_in).is_zero:
         raise NotAComplex("composite differential is nonzero")
     ranks, diffs = (d_out.rows, d_in.rows), {1: d_out, 2: d_in}
-    return _homology(ranks.__getitem__, diffs.__getitem__, 1)[1]
+    _, h = _homology(ranks.__getitem__, diffs.__getitem__, 1)
+    return h
 
 
-def _homology(rank, diff, top: int) -> tuple[HomologyGroup, ...]:
-    """Homology in degrees 0..top of the complex of ranks rank(n) whose
-    differential out of degree n is diff(n), known up to unimodular changes
-    of basis: degree n has free rank rank(n) - rk diff(n) - rk diff(n + 1)
-    and torsion the non-unit invariant factors of diff(n + 1)."""
-    groups = []
+def _homology(rank, diff, top: int) -> Iterator[HomologyGroup]:
+    """Yield the homology in degrees 0..top of the complex of ranks rank(n)
+    whose differential out of degree n is diff(n), known up to unimodular
+    changes of basis: degree n has free rank rank(n) - rk diff(n) -
+    rk diff(n + 1) and torsion the non-unit invariant factors of
+    diff(n + 1).  The walk is lazy: diff(n + 1) is asked for and eliminated
+    only when degree n is read, so a caller that stops at the first nonzero
+    group eliminates nothing past it."""
     rank_out = 0
     for n in range(top + 1):
         arriving = invariant_factors(diff(n + 1))
-        groups.append(HomologyGroup(rank(n) - rank_out - len(arriving), torsion(arriving)))
+        yield HomologyGroup(rank(n) - rank_out - len(arriving), torsion(arriving))
         rank_out = len(arriving)
-    return tuple(groups)
 
 
 def homology_to_json(h: HomologyGroup) -> dict:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 
 import artifact as a
 
@@ -209,6 +209,35 @@ def dense_mapping_cone(f):
         for n in range(1, top + 1)
     }
     return ranks, diffs
+
+
+def dense_cone_is_exact(f):
+    """Whether the mapping cone of f is exact, decided from the dense cone
+    and the gcds of minors alone: degree n is exact when its rank is
+    rk d_n + rk d_{n+1} and every invariant factor of d_{n+1} is a unit.
+    Over Q the grid is scaled to integers, which keeps its rank; over F_p
+    the residues are read as integers, and the rank mod p counts the
+    integer factors that p does not divide."""
+    ranks, diffs = dense_mapping_cone(f)
+    ring = f.ring
+
+    def rank_and_free(n):
+        """rk d_n, and whether its cokernel has no torsion."""
+        if n not in diffs:
+            return 0, True
+        rows, cols, grid = diffs[n]
+        if ring.kind == "Q":
+            scale = lcm(*(x.denominator for row in grid for x in row))
+            grid = [[int(x * scale) for x in row] for row in grid]
+        factors = minor_gcd_invariants(grid, rows, cols)
+        if ring.kind == "F":
+            return sum(1 for d in factors if d % ring.p), True
+        return len(factors), ring.kind == "Q" or all(d == 1 for d in factors)
+
+    out = [rank_and_free(n) for n in range(len(ranks) + 1)]
+    return all(
+        ranks[n] == out[n][0] + out[n + 1][0] and out[n + 1][1] for n in range(len(ranks))
+    )
 
 
 def dense_det(ring, m):

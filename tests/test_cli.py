@@ -335,9 +335,13 @@ def test_lift_with_ring_answers_for_the_converted_square(tmp_path, capsys, ring)
         square = random_lifting_square(rng, ZZ)
         paths = [write(tmp_path, f"{name}.json", map_to_json(m)) for name, m in zip("fgtb", square)]
         code, out = run(capsys, "lift", *paths, "--ring", str(ring))
-        lift = lift_square(*(change_ring(m, ring) for m in square))
+        f, g, top, bottom = (change_ring(m, ring) for m in square)
         assert code == 0
-        assert out == json_of({"lift": map_to_json(lift)})
+        assert out == json_of({"lift": map_to_json(lift_square(f, g, top, bottom))})
+        # the lift is built without re-checking, so read it back through
+        # the validating reader and check both triangles here
+        lift = map_from_json(out["lift"])
+        assert compose_maps(lift, f) == top and compose_maps(g, lift) == bottom
 
 
 def test_ring_option_naming_the_document_ring_returns_the_input(tmp_path, capsys):
